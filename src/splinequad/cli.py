@@ -10,8 +10,9 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from decimal import ROUND_DOWN, Context, Decimal
-from typing import Optional
+from decimal import ROUND_DOWN, Context
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -52,19 +53,8 @@ class RuleDocument:
         )
 
     def to_json(self) -> str:
-        # json emits repr floats: shortest strings that parse back bit-identically
-        return json.dumps(
-            {
-                "schema_version": self.schema_version,
-                "n": self.n,
-                "a": self.a,
-                "b": self.b,
-                "h": self.h,
-                "nodes": self.nodes,
-                "weights": self.weights,
-                "error_constant": self.error_constant,
-            }
-        )
+        """The document as ``json.dumps`` of its fields in order writes it."""
+        return "".join(_json_chunks(self))
 
     @classmethod
     def from_json(cls, text: str) -> "RuleDocument":
@@ -74,40 +64,95 @@ class RuleDocument:
 
 _SIG16 = Context(prec=16, rounding=ROUND_DOWN)
 
+# Rows (or JSON array items) per written chunk: large enough that the join
+# amortizes, small enough that a million-node rule never exists as one string.
+_CHUNK = 1 << 16
 
-def _fixed(v: float, ctx: Context) -> str:
-    """Fixed-point decimal truncated to the context's significant digits."""
-    return format(ctx.create_decimal(Decimal(v)), "f")
+
+def _fixed(v: float) -> str:
+    """Fixed-point decimal truncated to 16 significant digits."""
+    return format(_SIG16.create_decimal_from_float(v), "f")
+
+
+def _each_distinct(fmt: Callable[[float], str], values: np.ndarray) -> Iterator[str]:
+    """fmt of every value, computed once per distinct bit pattern.
+
+    Weights take few distinct values: every fill cell repeats 7h/15 and 8h/15.
+    """
+    distinct, index = np.unique(
+        np.asarray(values, dtype=np.float64).view(np.int64), return_inverse=True
+    )
+    texts = [fmt(v) for v in distinct.view(np.float64).tolist()]
+    return map(texts.__getitem__, index.tolist())
+
+
+def _chunks(pieces: Iterable[str], sep: str = "") -> Iterator[str]:
+    """The pieces joined by sep, yielded _CHUNK pieces at a time."""
+    pieces = iter(pieces)
+    lead = ""
+    while chunk := sep.join(islice(pieces, _CHUNK)):
+        yield lead + chunk
+        lead = sep
+
+
+def _table_chunks(rule: QuadratureRule) -> Iterator[str]:
+    n = rule.grid.n
+    yield "i tau omega\n"
+    rows = zip(
+        range(1, n + 2),
+        map(_fixed, rule.nodes[: n + 1].tolist()),
+        _each_distinct(_fixed, rule.weights[: n + 1]),
+    )
+    yield from _chunks(map("%d %s %s\n".__mod__, rows))
+    yield (
+        f"# rows {n + 2}..{2 * n + 1} by symmetry: tau(i) = a+b-tau(2n+2-i), "
+        f"omega(i) = omega(2n+2-i)\n"
+    )
+
+
+def _csv_chunks(rule: QuadratureRule) -> Iterator[str]:
+    # 17 significant digits parse back to the same doubles
+    yield "i,tau,omega\n"
+    rows = zip(
+        range(1, len(rule) + 1),
+        rule.nodes.tolist(),
+        _each_distinct("%.17g".__mod__, rule.weights),
+    )
+    yield from _chunks(map("%d,%.17g,%s\n".__mod__, rows))
+
+
+def _json_chunks(doc: RuleDocument) -> Iterator[str]:
+    """``json.dumps`` of the document's fields, with the arrays streamed.
+
+    json writes floats as repr: the shortest strings that parse back to the
+    same doubles.
+    """
+    head = json.dumps(
+        {"schema_version": doc.schema_version, "n": doc.n, "a": doc.a, "b": doc.b,
+         "h": doc.h}
+    )
+    yield head[:-1] + ', "nodes": ['
+    for i in range(0, len(doc.nodes), _CHUNK):
+        yield (", " if i else "") + json.dumps(doc.nodes[i : i + _CHUNK])[1:-1]
+    yield '], "weights": ['
+    yield from _chunks(_each_distinct(json.dumps, doc.weights), ", ")
+    yield '], "error_constant": ' + json.dumps(doc.error_constant) + "}"
 
 
 def _format_table(rule: QuadratureRule) -> str:
-    n = rule.grid.n
-    lines = ["i tau omega"]
-    for i in range(n + 1):
-        lines.append(
-            f"{i + 1} {_fixed(rule.nodes[i], _SIG16)} {_fixed(rule.weights[i], _SIG16)}"
-        )
-    lines.append(
-        f"# rows {n + 2}..{2 * n + 1} by symmetry: tau(i) = a+b-tau(2n+2-i), "
-        f"omega(i) = omega(2n+2-i)"
-    )
-    return "\n".join(lines) + "\n"
+    return "".join(_table_chunks(rule))
 
 
 def _format_csv(rule: QuadratureRule) -> str:
-    # 17 significant digits parse back to the same doubles
-    lines = ["i,tau,omega"]
-    for i, (t, w) in enumerate(zip(rule.nodes, rule.weights), start=1):
-        lines.append(f"{i},{t:.17g},{w:.17g}")
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_chunks(rule))
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _rule_from_args(args: argparse.Namespace) -> QuadratureRule:
@@ -117,21 +162,20 @@ def _rule_from_args(args: argparse.Namespace) -> QuadratureRule:
 def _cmd_rule(args: argparse.Namespace) -> int:
     rule = _rule_from_args(args)
     if args.format == "json":
-        _emit(RuleDocument.from_rule(rule).to_json() + "\n", args.out)
+        doc = RuleDocument.from_rule(rule)
+        _emit(chain(_json_chunks(doc), ("\n",)), args.out)
     elif args.format == "csv":
-        _emit(_format_csv(rule), args.out)
+        _emit(_csv_chunks(rule), args.out)
     else:
-        _emit(_format_table(rule), args.out)
+        _emit(_table_chunks(rule), args.out)
     return 0
 
 
 def _cmd_kernel(args: argparse.Namespace) -> int:
     rule = _rule_from_args(args)
     profile = error_analysis.kernel_profile(rule, args.samples_per_cell)
-    lines = ["t,K6"]
-    for t, v in profile.samples:
-        lines.append(f"{t:.17g},{v:.17g}")
-    _emit("\n".join(lines) + "\n", args.out)
+    rows = map("%.17g,%.17g\n".__mod__, zip(*profile.samples.T.tolist()))
+    _emit(chain(("t,K6\n",), _chunks(rows)), args.out)
     return 0
 
 
@@ -294,7 +338,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ConstructionError as exc:
+    except (ConstructionError, OverflowError) as exc:
+        # powers of h leave the double range on extreme intervals: the
+        # arguments were valid, the construction could not follow them
         print(f"construction failed: {exc}", file=sys.stderr)
         return 3
 

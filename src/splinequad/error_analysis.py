@@ -113,16 +113,24 @@ def kernel_profile(rule: QuadratureRule, samples_per_cell: int = 1000) -> PeanoP
 def error_constant(rule: QuadratureRule) -> float:
     """The remainder constant c = (b-a)^7/5040 - sum_k w_k (tau_k - a)^6 / 720.
 
-    Positive for every valid rule: the rule underestimates the integral of
-    (t - a)^6 by exactly 720 c.
+    In exact arithmetic c is positive for every valid rule: the rule
+    underestimates the integral of (t - a)^6 by exactly 720 c.  In double
+    precision the two terms are O((b-a)^7) while c is O(h^6 (b-a)), so the
+    difference cancels: any result below the rounding floor of the first
+    term, about eps * (b-a)^7 / 5040, is noise (0.0 or negative on [0, 1]
+    from n ~ 1000).  A cancellation-free form is an open ROADMAP item
+    ("Error analysis without cancellation").
+
+    The sixth powers go through ``np.float_power``, which calls libm ``pow``
+    element by element like Python's ``**`` (``np.power`` takes a SIMD path
+    whose results differ in the last bit), so the terms and their
+    compensated sum are bit-identical to the per-element Python loop.
     """
     grid = rule.grid
     span = grid.b - grid.a
-    s = math.fsum(
-        w * (t - grid.a) ** 6
-        for t, w in zip(rule.nodes.tolist(), rule.weights.tolist())
-    )
-    return span**7 / 5040.0 - s / 720.0
+    head = span**7 / 5040.0  # raises OverflowError before numpy would make inf
+    terms = rule.weights * np.float_power(rule.nodes - grid.a, 6.0)
+    return head - math.fsum(terms.tolist()) / 720.0
 
 
 def remainder_bound(rule: QuadratureRule, m6: float) -> float:

@@ -3,9 +3,13 @@
 import json
 import subprocess
 import sys
+from decimal import ROUND_DOWN, Context, Decimal
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from splinequad import build_rule, cli, error_constant, kernel_profile, make_grid
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -108,6 +112,94 @@ def test_rule_rejects_empty_interval():
     assert "invalid interval" in cp.stderr
 
 
+# ------------------------------------------------------ emitter references
+# The emitters stream their output in chunks and format each distinct weight
+# once; these references format every value on its own, the plain way.
+
+_SIG16 = Context(prec=16, rounding=ROUND_DOWN)
+
+
+def reference_table(rule) -> str:
+    n = rule.grid.n
+    lines = ["i tau omega"]
+    for i in range(n + 1):
+        t, w = (format(_SIG16.create_decimal(Decimal(v)), "f")
+                for v in (float(rule.nodes[i]), float(rule.weights[i])))
+        lines.append(f"{i + 1} {t} {w}")
+    lines.append(f"# rows {n + 2}..{2 * n + 1} by symmetry: tau(i) = a+b-tau(2n+2-i), "
+                 f"omega(i) = omega(2n+2-i)")
+    return "\n".join(lines) + "\n"
+
+
+def reference_csv(rule) -> str:
+    rows = zip(rule.nodes.tolist(), rule.weights.tolist())
+    return "".join(["i,tau,omega\n"] + [f"{i},{t:.17g},{w:.17g}\n"
+                                        for i, (t, w) in enumerate(rows, 1)])
+
+
+def reference_json(rule) -> str:
+    grid = rule.grid
+    return json.dumps({
+        "schema_version": 1, "n": grid.n, "a": grid.a, "b": grid.b, "h": grid.h,
+        "nodes": rule.nodes.tolist(), "weights": rule.weights.tolist(),
+        "error_constant": error_constant(rule),
+    }) + "\n"
+
+
+def emitter_cases():
+    """Seeded intervals for n = 1..64: straddling the origin, far from it on
+    either side, or just right of it; then one n whose table, csv rows and
+    json arrays all cross a chunk boundary."""
+    rng = np.random.default_rng(64)
+    for n in range(1, 65):
+        kind = n % 3
+        if kind == 0:
+            a, b = -float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.1, 10.0))
+        elif kind == 1:
+            a = float(rng.choice([-1.0, 1.0]) * rng.uniform(1e5, 1e9))
+            b = a + float(rng.uniform(0.5, 100.0))
+        else:
+            a = float(rng.uniform(0.0, 1.0))
+            b = a + float(rng.uniform(0.1, 5.0))
+        yield a, b, n
+    yield -0.75, 2.5, cli._CHUNK
+
+
+@pytest.mark.parametrize("fmt,reference", [
+    ("table", reference_table), ("csv", reference_csv), ("json", reference_json),
+])
+def test_rule_emitters_match_reference_bytes(tmp_path, fmt, reference):
+    out = tmp_path / f"rule.{fmt}"
+    for a, b, n in emitter_cases():
+        argv = ["rule", "--n", str(n), "--a", repr(a), "--b", repr(b),
+                "--format", fmt, "--out", str(out)]
+        assert cli.main(argv) == 0
+        expected = reference(build_rule(make_grid(a, b, n)))
+        assert out.read_bytes() == expected.encode(), (a, b, n)
+
+
+def test_format_helpers_and_to_json_match_references():
+    rule = build_rule(make_grid(-3.0, 1.0e3, 77))
+    assert cli._format_table(rule) == reference_table(rule)
+    assert cli._format_csv(rule) == reference_csv(rule)
+    assert cli.RuleDocument.from_rule(rule).to_json() + "\n" == reference_json(rule)
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_rule_stdout_and_out_file_are_the_same_bytes(tmp_path, fmt):
+    # 2n+1 csv rows and json array items cross a chunk boundary
+    out = tmp_path / f"rule.{fmt}"
+    n = cli._CHUNK // 2 + 1
+    args = ["-m", "splinequad", "rule", "--n", str(n), "--a", "-1",
+            "--b", "2", "--format", fmt]
+    to_stdout = subprocess.run([sys.executable, *args], capture_output=True)
+    to_file = subprocess.run([sys.executable, *args, "--out", str(out)],
+                             capture_output=True)
+    assert to_stdout.returncode == 0 and to_file.returncode == 0
+    assert to_file.stdout == b""
+    assert to_stdout.stdout == out.read_bytes()
+
+
 # ----------------------------------------------------------------- kernel
 
 def test_kernel_csv_zeros_and_sign(tmp_path):
@@ -123,6 +215,17 @@ def test_kernel_csv_zeros_and_sign(tmp_path):
     for knot in (0.0, 0.25, 0.5, 0.75, 1.0):
         assert abs(by_t[knot]) <= 1e-14
     assert min(v for _, v in rows) >= -1e-15
+
+
+def test_kernel_csv_matches_reference_bytes(tmp_path):
+    # 20 cells x 3300 samples: the rows cross a chunk boundary
+    out = tmp_path / "kernel.csv"
+    argv = ["kernel", "--n", "20", "--a", "-1.25", "--b", "2",
+            "--samples-per-cell", "3300", "--out", str(out)]
+    assert cli.main(argv) == 0
+    profile = kernel_profile(build_rule(make_grid(-1.25, 2.0, 20)), 3300)
+    expected = "t,K6\n" + "".join(f"{t:.17g},{v:.17g}\n" for t, v in profile.samples)
+    assert out.read_bytes() == expected.encode()
 
 
 def test_kernel_rejects_bad_flags():
@@ -179,3 +282,17 @@ def test_construction_failure_exit_code(monkeypatch):
     monkeypatch.setattr(cli.quadrature, "build_rule", boom)
     code = cli.main(["rule", "--n", "4"])
     assert code == 3
+
+
+@pytest.mark.parametrize("args", [
+    ("rule", "--n", "3", "--a", "0", "--b", "1e60"),
+    ("kernel", "--n", "3", "--a", "0", "--b", "1e60"),
+    ("rule", "--n", "3", "--a", "0", "--b", "1e45", "--format", "json"),
+])
+def test_overflow_at_extreme_scale_is_a_construction_failure(args):
+    cp = run_cli(*args)
+    assert cp.returncode == 3
+    assert "Traceback" not in cp.stderr
+    assert cp.stderr.startswith("construction failed: ")
+    assert cp.stderr.count("\n") == 1 and cp.stderr.endswith("\n")
+    assert cp.stdout == ""

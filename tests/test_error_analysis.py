@@ -122,6 +122,23 @@ def test_sixth_power_identity(a, b):
         )
 
 
+def test_error_constant_matches_per_element_formula_bit_for_bit():
+    # error_constant vectorizes the sixth powers with np.float_power; this is
+    # the per-element Python loop it replaced.  If a platform's float_power
+    # stops matching libm pow, the constant must fail here, not drift.
+    rng = np.random.default_rng(303)
+    for _ in range(120):
+        a = float(rng.uniform(-50.0, 50.0))
+        b = a + float(rng.uniform(0.01, 20.0))
+        rule = build_rule(make_grid(a, b, int(rng.integers(1, 3000))))
+        s = math.fsum(
+            w * (t - a) ** 6
+            for t, w in zip(rule.nodes.tolist(), rule.weights.tolist())
+        )
+        expected = (b - a) ** 7 / 5040.0 - s / 720.0
+        assert error_constant(rule).hex() == expected.hex()
+
+
 def test_error_constant_equals_kernel_integral():
     # consistency of the closed form with the kernel it integrates; the
     # absolute floor covers double-precision noise in the kernel values,
