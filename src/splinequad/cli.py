@@ -18,7 +18,7 @@ import numpy as np
 
 from . import error_analysis, oracle, quadrature
 from .grid_basis import make_grid
-from .quadrature import ConstructionError, QuadratureRule
+from .quadrature import _CHUNK, ConstructionError, QuadratureRule, _items
 
 __all__ = ["RuleDocument", "main"]
 
@@ -40,21 +40,21 @@ class RuleDocument:
 
     @classmethod
     def from_rule(cls, rule: QuadratureRule) -> "RuleDocument":
-        grid = rule.grid
         return cls(
-            schema_version=SCHEMA_VERSION,
-            n=grid.n,
-            a=grid.a,
-            b=grid.b,
-            h=grid.h,
+            **_head(rule),
             nodes=rule.nodes.tolist(),
             weights=rule.weights.tolist(),
             error_constant=error_analysis.error_constant(rule),
         )
 
     def to_json(self) -> str:
-        """The document as ``json.dumps`` of its fields in order writes it."""
-        return "".join(_json_chunks(self))
+        """The document as ``json.dumps`` of its fields in order writes it,
+        with nodes and weights taken as float64, as a rule holds them (an
+        integer item is written as ``0.0``, a non-numeric one raises)."""
+        head = {name: getattr(self, name) for name in _HEAD_FIELDS}
+        nodes = np.asarray(self.nodes, dtype=float)
+        weights = np.asarray(self.weights, dtype=float)
+        return "".join(_json_chunks(head, nodes, weights, self.error_constant))
 
     @classmethod
     def from_json(cls, text: str) -> "RuleDocument":
@@ -62,11 +62,16 @@ class RuleDocument:
         return cls(**data)
 
 
-_SIG16 = Context(prec=16, rounding=ROUND_DOWN)
+# The document's scalar fields, in output order.
+_HEAD_FIELDS = ("schema_version", "n", "a", "b", "h")
 
-# Rows (or JSON array items) per written chunk: large enough that the join
-# amortizes, small enough that a million-node rule never exists as one string.
-_CHUNK = 1 << 16
+
+def _head(rule: QuadratureRule) -> dict:
+    grid = rule.grid
+    return dict(zip(_HEAD_FIELDS, (SCHEMA_VERSION, grid.n, grid.a, grid.b, grid.h)))
+
+
+_SIG16 = Context(prec=16, rounding=ROUND_DOWN)
 
 
 def _fixed(v: float) -> str:
@@ -79,15 +84,15 @@ def _each_distinct(fmt: Callable[[float], str], values: np.ndarray) -> Iterator[
 
     Weights take few distinct values: every fill cell repeats 7h/15 and 8h/15.
     """
-    distinct, index = np.unique(
-        np.asarray(values, dtype=np.float64).view(np.int64), return_inverse=True
-    )
+    distinct, index = np.unique(values.view(np.int64), return_inverse=True)
     texts = [fmt(v) for v in distinct.view(np.float64).tolist()]
-    return map(texts.__getitem__, index.tolist())
+    return map(texts.__getitem__, _items(index))
 
 
 def _chunks(pieces: Iterable[str], sep: str = "") -> Iterator[str]:
-    """The pieces joined by sep, yielded _CHUNK pieces at a time."""
+    """The pieces joined by sep, yielded _CHUNK pieces at a time (rows or
+    JSON array items: the join amortizes, and a million-node rule never
+    exists as one string)."""
     pieces = iter(pieces)
     lead = ""
     while chunk := sep.join(islice(pieces, _CHUNK)):
@@ -100,7 +105,7 @@ def _table_chunks(rule: QuadratureRule) -> Iterator[str]:
     yield "i tau omega\n"
     rows = zip(
         range(1, n + 2),
-        map(_fixed, rule.nodes[: n + 1].tolist()),
+        map(_fixed, _items(rule.nodes[: n + 1])),
         _each_distinct(_fixed, rule.weights[: n + 1]),
     )
     yield from _chunks(map("%d %s %s\n".__mod__, rows))
@@ -115,28 +120,26 @@ def _csv_chunks(rule: QuadratureRule) -> Iterator[str]:
     yield "i,tau,omega\n"
     rows = zip(
         range(1, len(rule) + 1),
-        rule.nodes.tolist(),
+        _items(rule.nodes),
         _each_distinct("%.17g".__mod__, rule.weights),
     )
     yield from _chunks(map("%d,%.17g,%s\n".__mod__, rows))
 
 
-def _json_chunks(doc: RuleDocument) -> Iterator[str]:
-    """``json.dumps`` of the document's fields, with the arrays streamed.
+def _json_chunks(
+    head: dict, nodes: np.ndarray, weights: np.ndarray, error_constant: float
+) -> Iterator[str]:
+    """``json.dumps`` of a rule document, with the arrays streamed.
 
     json writes floats as repr: the shortest strings that parse back to the
     same doubles.
     """
-    head = json.dumps(
-        {"schema_version": doc.schema_version, "n": doc.n, "a": doc.a, "b": doc.b,
-         "h": doc.h}
-    )
-    yield head[:-1] + ', "nodes": ['
-    for i in range(0, len(doc.nodes), _CHUNK):
-        yield (", " if i else "") + json.dumps(doc.nodes[i : i + _CHUNK])[1:-1]
+    yield json.dumps(head)[:-1] + ', "nodes": ['
+    for i in range(0, len(nodes), _CHUNK):
+        yield (", " if i else "") + json.dumps(nodes[i : i + _CHUNK].tolist())[1:-1]
     yield '], "weights": ['
-    yield from _chunks(_each_distinct(json.dumps, doc.weights), ", ")
-    yield '], "error_constant": ' + json.dumps(doc.error_constant) + "}"
+    yield from _chunks(_each_distinct(json.dumps, weights), ", ")
+    yield '], "error_constant": ' + json.dumps(error_constant) + "}"
 
 
 def _format_table(rule: QuadratureRule) -> str:
@@ -162,8 +165,9 @@ def _rule_from_args(args: argparse.Namespace) -> QuadratureRule:
 def _cmd_rule(args: argparse.Namespace) -> int:
     rule = _rule_from_args(args)
     if args.format == "json":
-        doc = RuleDocument.from_rule(rule)
-        _emit(chain(_json_chunks(doc), ("\n",)), args.out)
+        c = error_analysis.error_constant(rule)
+        chunks = _json_chunks(_head(rule), rule.nodes, rule.weights, c)
+        _emit(chain(chunks, ("\n",)), args.out)
     elif args.format == "csv":
         _emit(_csv_chunks(rule), args.out)
     else:
@@ -274,13 +278,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     failures += 0 if ok else 1
     print(f"n=1 equals 3-point Gauss-Legendre: {'PASS' if ok else 'FAIL'} "
           f"(deviation {gl_dev:.3e})")
-
-    # report how far the single-sided even-middle variant is off
-    _, trace = quadrature.build_rule_with_trace(make_grid(0.0, 10.0, 10))
-    st = trace.states[-1]
-    w_used = quadrature.middle_even(st, 1.0)
-    w_single = quadrature.middle_even_single_sided(st, 1.0)
-    print(f"diagnostics.even_middle_single_sided_defect value={abs(w_used - w_single):.6f}")
 
     print(f"max residual <= {max(worst_exact, worst_rand):.3e}")
     print(f"OVERALL: {'PASS' if failures == 0 else 'FAIL'}")

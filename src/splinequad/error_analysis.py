@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import ConstructionError, QuadratureRule
+from .quadrature import ConstructionError, QuadratureRule, _items
 
 __all__ = [
     "PeanoProfile",
@@ -130,7 +130,7 @@ def error_constant(rule: QuadratureRule) -> float:
     span = grid.b - grid.a
     head = span**7 / 5040.0  # raises OverflowError before numpy would make inf
     terms = rule.weights * np.float_power(rule.nodes - grid.a, 6.0)
-    return head - math.fsum(terms.tolist()) / 720.0
+    return head - math.fsum(_items(terms)) / 720.0
 
 
 def remainder_bound(rule: QuadratureRule, m6: float) -> float:

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splinequad.grid_basis import basis_eval, basis_integral, make_grid
+from splinequad.grid_basis import SplineCoefficients, basis_eval, basis_integral, make_grid
 from splinequad.quadrature import (
+    ARRAY_MIN_NODES,
     CONVERGENCE_TOL,
     ConstructionError,
     QuadraticCoeffs,
@@ -20,7 +21,6 @@ from splinequad.quadrature import (
     initial_residues,
     interior_quadratic,
     middle_even,
-    middle_even_single_sided,
     middle_odd,
     middle_quadratic,
     solve_interval,
@@ -307,16 +307,6 @@ def test_middle_even_rejects_nonpositive_weight():
         middle_even(ResidueState(k=2, A=0.01, B=0.02), 1.0)
 
 
-def test_middle_even_single_sided_defect():
-    # the one-sided variant understates the weight by a fixed amount near
-    # the plateau: 11/60 versus 7/15
-    state = ResidueState(k=9, A=LIMIT_A, B=LIMIT_B)
-    assert middle_even_single_sided(state, 1.0) == pytest.approx(11.0 / 60.0, abs=1e-15)
-    assert middle_even(state, 1.0) - middle_even_single_sided(state, 1.0) == pytest.approx(
-        17.0 / 60.0, abs=1e-14
-    )
-
-
 def test_middle_odd_single_cell_is_gauss_legendre():
     grid = make_grid(0.0, 1.0, 1)
     tau_lo, tau_mid, tau_hi, w_lo, w_mid, w_hi = middle_odd(
@@ -469,6 +459,127 @@ def test_apply_basis_function():
 def test_apply_quintic_monomial():
     rule = build_rule(make_grid(0.0, 1.0, 2))
     assert apply_rule(rule, lambda t: t**5) == pytest.approx(1.0 / 6.0, abs=1e-14)
+
+
+def per_node(rule, f):
+    """apply_rule as a plain loop: the compensated sum of w * f(t)."""
+    return math.fsum(w * f(t) for t, w in zip(rule.nodes.tolist(), rule.weights.tolist()))
+
+
+def horner_quintic(a, b, c):
+    inv = 1.0 / (b - a)
+    c0, c1, c2, c3, c4, c5 = c
+
+    def f(t):
+        s = (t - a) * inv
+        return ((((c5 * s + c4) * s + c3) * s + c2) * s + c1) * s + c0
+    return f
+
+
+def rational(center, scale):
+    inv = 1.0 / scale
+
+    def f(t):
+        x = (t - center) * inv
+        return 1.0 / (1.0 + x * x)
+    return f
+
+
+def counting_array_calls(f, calls):
+    def g(t):
+        calls[0] += isinstance(t, np.ndarray)
+        return f(t)
+    return g
+
+
+# n just below, at and just above the array cut, and far above it
+CUT_N = ARRAY_MIN_NODES // 2
+ARRAY_SIZES = (CUT_N - 1, CUT_N, CUT_N + 1, 10**5)
+
+
+@pytest.mark.parametrize("n", ARRAY_SIZES)
+def test_apply_array_path_bit_identical_to_per_node(n):
+    rng = np.random.default_rng([n, 7])
+    for _ in range(3):
+        a = float(rng.uniform(-10.0, 10.0))
+        b = a + float(10.0 ** rng.uniform(-2.0, 2.0))
+        rule = build_rule(make_grid(a, b, n))
+        for f in (horner_quintic(a, b, rng.uniform(-1.0, 1.0, 6).tolist()),
+                  rational(a + float(rng.uniform(0.0, 1.0)) * (b - a),
+                           float(rng.uniform(0.1, 1.0)) * (b - a))):
+            calls = [0]
+            q = apply_rule(rule, counting_array_calls(f, calls))
+            assert q.hex() == per_node(rule, f).hex(), (a, b)
+            assert calls[0] == (len(rule) >= ARRAY_MIN_NODES)
+
+
+def test_apply_accepts_bool_and_integer_arrays():
+    rule = build_rule(make_grid(0.0, 3.0, 2 * CUT_N))
+    for f in (lambda t: t > 1.0, lambda t: np.floor(t).astype(np.int64),
+              lambda t: np.floor(t).astype(np.uint8)):
+        scalar = lambda t, f=f: f(np.array([t]))[0]  # noqa: E731
+        assert apply_rule(rule, f).hex() == per_node(rule, scalar).hex()
+
+
+@pytest.mark.parametrize("n", (2, CUT_N + 1))
+def test_apply_scalar_only_callables_unchanged(n):
+    grid = make_grid(0.0, math.pi, n)
+    rule = build_rule(grid)
+    spline = SplineCoefficients(grid, np.linspace(-1.0, 2.0, grid.dimension))
+    for f in (math.sin, spline.value, lambda t: basis_eval(grid, 3, t), lambda t: 1.0):
+        assert apply_rule(rule, f).hex() == per_node(rule, f).hex()
+
+
+def test_apply_falls_back_per_node_on_unusable_array_results():
+    rule = build_rule(make_grid(-1.0, 2.0, CUT_N + 3))
+    q = horner_quintic(-1.0, 2.0, (0.5, -1.0, 0.25, 2.0, -0.75, 1.0))
+    unusable = {
+        "list": lambda t: q(t).tolist(),
+        "wrong shape": lambda t: np.stack([q(t), q(t)]),
+        "0-d": lambda t: np.asarray(q(t)[0]),
+    }
+    for name, on_array in unusable.items():
+        def f(t, on_array=on_array):
+            return on_array(t) if isinstance(t, np.ndarray) else q(t)
+        assert apply_rule(rule, f).hex() == per_node(rule, q).hex(), name
+    # a complex array is not cut to its real part: the per-node products
+    # are complex and the sum refuses them
+    with pytest.raises(TypeError):
+        apply_rule(rule, lambda t: q(t) + 1j)
+
+
+@pytest.mark.parametrize("n", (2, CUT_N + 1))
+def test_apply_does_not_swallow_errors(n):
+    def broken(t):
+        raise KeyError("broken integrand")
+    rule = build_rule(make_grid(-1.0, 1.0, n))
+    with pytest.raises(KeyError, match="broken integrand"):
+        apply_rule(rule, broken)
+    # every rule has a node at the midpoint, here 0.0; numpy would give
+    # inf/nan with a warning where Python floats raise
+    with pytest.raises(ZeroDivisionError):
+        apply_rule(rule, lambda t: 1.0 / t)
+    with pytest.raises(TypeError):  # complex roots of the negative nodes
+        apply_rule(rule, lambda t: t**0.5)
+
+
+def test_apply_integrand_cannot_write_the_nodes():
+    rule = build_rule(make_grid(0.0, 1.0, CUT_N + 1))
+    before = rule.nodes.copy()
+    refused = []
+
+    def vandal(t):
+        if isinstance(t, np.ndarray):
+            for write in (lambda: t.__setitem__(..., 0.0), lambda: t.setflags(write=True)):
+                try:
+                    write()
+                except ValueError:
+                    refused.append(write)
+        return t * t
+
+    assert apply_rule(rule, vandal) == per_node(rule, lambda t: t * t)
+    assert len(refused) == 2
+    assert np.array_equal(rule.nodes, before) and not rule.nodes.flags.writeable
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
