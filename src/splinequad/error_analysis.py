@@ -8,6 +8,17 @@ where K6 is the rule's sixth-order Peano kernel.  For these rules K6 is
 nonnegative on (a, b) and vanishes at every knot, so the remainder equals
 c * f'''''' (xi) with a positive constant c: the integral of the kernel.
 
+The kernel has two forms.  The global form, ``peano_kernel``, is the
+definition: (t-a)^6/720 minus the weighted truncated powers of every node
+left of t.  It holds for any rule, but its terms are of size (b-a)^6
+while K6 is of size h^6.  The local form, used for the samples of
+``kernel_profile``, subtracts from the truncated power at t the C1 spline
+that equals it outside t's cell; a rule exact on the spline space
+integrates that spline exactly, so only the nodes of t's cell remain.
+It costs O(1) per sample and its terms are of size h^6, like K6, but it
+is the kernel only if the rule is exact.  So the knot check of
+``kernel_profile`` keeps the global form, which needs no such assumption.
+
 Pure functions over immutable rules; safe to call concurrently.
 """
 
@@ -18,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import ConstructionError, QuadratureRule, _items
+from .grid_basis import _cell_table
+from .quadrature import _CHUNK, ConstructionError, QuadratureRule, _items
 
 __all__ = [
     "PeanoProfile",
@@ -70,25 +82,69 @@ def peano_kernel(rule: QuadratureRule, t: float) -> float:
 
 
 def _kernel_values(rule: QuadratureRule, ts: np.ndarray) -> np.ndarray:
-    u = ts - rule.grid.a
-    d = u[:, None] - (rule.nodes - rule.grid.a)[None, :]
-    np.clip(d, 0.0, None, out=d)
-    return u**6 / 720.0 - (d**5) @ rule.weights / 120.0
+    """The global form of ``peano_kernel`` at the points ts.
+
+    Points go in blocks of at most ``_CHUNK`` (points x nodes) elements, so
+    the temporaries stay bounded; each block takes only the nodes left of
+    its largest point.  The cost is O(len(ts) * nodes) time.
+    """
+    s = rule.nodes - rule.grid.a
+    rows = max(1, _CHUNK // len(s))
+    out = np.empty(len(ts))
+    for i in range(0, len(ts), rows):
+        u = ts[i : i + rows] - rule.grid.a
+        left = s < u.max()
+        d = u[:, None] - s[left]
+        np.clip(d, 0.0, None, out=d)
+        out[i : i + rows] = u**6 / 720.0 - (d**5) @ rule.weights[left] / 120.0
+    return out
+
+
+def _cell_kernel_values(
+    h: float, v: np.ndarray, s: np.ndarray, w: np.ndarray
+) -> np.ndarray:
+    """The local form of K6 at offsets v into a cell of width h.
+
+    Row i of s and w holds the node offsets and weights of the cell that
+    v[i] lies in.  With g(s) = (v - s)_+^5 - H(s), where H is the cubic
+    Hermite piece with value v^5 and slope -5v^4 at s = 0 and value and
+    slope 0 at s = h, K6 = (integral of g over the cell - sum of w g(s))
+    / 120, and the integral is v^6/6 - v^5 h/2 + 5 v^4 h^2/12.
+    """
+    v2 = v[:, None]
+    r = s / h
+    hermite = (1.0 - r) ** 2 * v2**4 * (v2 * (1.0 + 2.0 * r) - 5.0 * s)
+    g = np.clip(v2 - s, 0.0, None) ** 5 - hermite
+    integral = v**4 * (v * v / 6.0 - v * h / 2.0 + 5.0 * h * h / 12.0)
+    return (integral - np.einsum("ij,ij->i", w, g)) / 120.0
 
 
 def kernel_profile(rule: QuadratureRule, samples_per_cell: int = 1000) -> PeanoProfile:
     """Sample the kernel on a uniform grid of samples_per_cell points per cell.
 
+    Samples use the local form.  For t in cell j the truncated power
+    (t - x)_+^5 equals, outside cell j, a C1 spline that is the cubic
+    Hermite piece on cell j (see ``_cell_kernel_values``).  The rule
+    integrates that spline exactly, so only cell j's nodes enter K6(t):
+    each sample costs O(1) time and memory, and no term larger than h^6
+    cancels.  The local form equals the kernel only for a rule that is
+    exact on the spline space.
+
     The profile is validated before it is returned: the kernel must be
-    nonnegative up to rounding and must vanish at every knot.  The
-    thresholds scale with (b-a)^6, the kernel's natural magnitude, plus a
-    term for node-coordinate rounding (nodes stored far from the origin
-    carry offsets only to ulp(|a|), which perturbs the kernel by up to
+    nonnegative up to rounding and must vanish at every knot.  The knot
+    check evaluates the global form (``peano_kernel``, in blocks of knots,
+    O(n^2) time in bounded memory), which assumes nothing about the rule,
+    so a rule that fails to integrate the truncated powers at the knots is
+    rejected.  The thresholds scale with (b-a)^6, plus a term for
+    node-coordinate rounding (nodes stored far from the origin carry
+    offsets only to ulp(|a|), which perturbs the kernel by up to
     ~(b-a)^5 * ulp(|a|) / 24).  On unit intervals near the origin they
     reduce to the bare 1e-15 / 1e-14 floors.
 
     Raises
     ------
+    ValueError
+        If samples_per_cell < 2 or a node lies outside [a, b].
     ConstructionError
         If a sample is more negative, or a knot value larger, than the
         double-precision evaluation of a valid kernel allows.
@@ -97,7 +153,10 @@ def kernel_profile(rule: QuadratureRule, samples_per_cell: int = 1000) -> PeanoP
         raise ValueError("need at least two samples per cell")
     grid = rule.grid
     ts = np.linspace(grid.a, grid.b, samples_per_cell * grid.n + 1)
-    vals = _kernel_values(rule, ts)
+    cells = np.minimum(np.arange(len(ts)) // samples_per_cell, grid.n - 1)
+    offsets, weights = _cell_table(grid, rule.nodes, rule.weights)
+    v = ts - (grid.a + cells * grid.h)
+    vals = _cell_kernel_values(grid.h, v, offsets[cells], weights[cells])
     span = grid.b - grid.a
     placement = span**5 * max(abs(grid.a), abs(grid.b), 1.0) * 2e-17
     if vals.min() < -(1e-15 * max(1.0, span**6) + placement):

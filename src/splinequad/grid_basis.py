@@ -147,6 +147,61 @@ def _eval_on_cell(grid: UniformKnotGrid, i: int, j: int, u: float) -> float:
     return 10.0 * u**3 * (h - u) ** 2 / h**6
 
 
+def _cell_shapes(grid: UniformKnotGrid, u: np.ndarray) -> np.ndarray:
+    """The six basis functions alive on a cell at local coordinates u.
+
+    Array form of ``_eval_on_cell`` with the same closed forms and the same
+    clamping: entry [..., s] is D_{4j-3+s} on cell j, so the result has
+    shape ``u.shape + (6,)``.
+    """
+    h = grid.h
+    u = np.clip(u, 0.0, h)
+    g = h - u
+    return np.stack(
+        [
+            g**5 / (4.0 * h**6),                        # D_{4j-3}, decaying
+            g**4 * (h + 9.0 * u) / (4.0 * h**6),        # D_{4j-2}, decaying
+            10.0 * u**2 * g**3 / h**6,                  # D_{4j-1}
+            10.0 * u**3 * g**2 / h**6,                  # D_{4j}
+            u**4 * (10.0 * h - 9.0 * u) / (4.0 * h**6),  # D_{4j+1}, rising
+            u**5 / (4.0 * h**6),                        # D_{4j+2}, rising
+        ],
+        axis=-1,
+    )
+
+
+def _cell_table(
+    grid: UniformKnotGrid, points: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted points grouped by cell, as two (n, m) arrays.
+
+    Row j - 1 holds the offsets t - x_{j-1} and the weights of the points
+    that ``cell_of`` puts in cell j (the cell on the right at an interior
+    knot, cell n at b), so local evaluation sees the same offsets as
+    ``basis_eval``.  m is the largest number of points in one cell; unused
+    slots hold offset 0 and weight 0.
+
+    Raises
+    ------
+    ValueError
+        If a point lies outside [a, b] (or is NaN).
+    """
+    if not (grid.a <= points.min() and points.max() <= grid.b):
+        raise ValueError(f"points outside [{grid.a}, {grid.b}]")
+    cells = np.floor((points - grid.a) / grid.h)
+    np.clip(cells, 0, grid.n - 1, out=cells)
+    offsets = points - (grid.a + cells * grid.h)
+    cells = cells.astype(np.intp)
+    order = np.argsort(cells, kind="stable")
+    cells = cells[order]
+    slots = np.arange(len(cells)) - np.searchsorted(cells, cells)
+    m = int(slots.max()) + 1
+    table = np.zeros((2, grid.n, m))
+    table[0, cells, slots] = offsets[order]
+    table[1, cells, slots] = weights[order]
+    return table[0], table[1]
+
+
 def basis_eval(grid: UniformKnotGrid, i: int, t: float) -> float:
     """Evaluate the basis function D_i at a point t in [a, b].
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -75,8 +74,8 @@ LIMIT_MIDPOINT_WEIGHT = 8.0 / 15.0
 # per node.
 ARRAY_MIN_NODES = 57
 
-# Elements per slice when a long array is handed to Python one slice at a
-# time (see _items); also the rows per chunk the CLI writes.
+# Rows per chunk the CLI writes, and the element budget of blocked array
+# temporaries (the Peano kernel's knot check).
 _CHUNK = 1 << 16
 
 # Slack for the residue inequality 2(4A - B) + 1/12 >= 1/6, which holds
@@ -531,17 +530,17 @@ def apply_rule(
     raises, a floating-point error included: division by zero, overflow or
     an invalid operation such as the root of a negative number; or f
     returns a scalar, a list, another shape or a complex array), and always
-    on smaller rules, f is called per node with Python floats
-    and the products are formed as ``w * f(t)``.  A scalar-only f therefore
-    works unchanged; an array-capable f should compute elementwise what it
-    computes per node.
+    on smaller rules, f is called per node with Python floats (read from
+    the arrays one at a time) and the products are formed as ``w * f(t)``.
+    A scalar-only f therefore works unchanged; an array-capable f should
+    compute elementwise what it computes per node.
     """
     nodes, weights = rule.nodes, rule.weights
     if len(nodes) >= ARRAY_MIN_NODES:
         values = _array_values(f, nodes)
         if values is not None:
             return math.fsum(_items(weights * values))
-    return math.fsum(map(operator.mul, weights.tolist(), map(f, nodes.tolist())))
+    return math.fsum(map(operator.mul, _items(weights), map(f, _items(nodes))))
 
 
 def _array_values(f: Callable, nodes: np.ndarray) -> Optional[np.ndarray]:
@@ -564,9 +563,7 @@ def _array_values(f: Callable, nodes: np.ndarray) -> Optional[np.ndarray]:
 
 
 def _items(values: np.ndarray) -> Iterable:
-    """The elements of a 1-d array as ``values.tolist()`` gives them, but
-    converted one ``_CHUNK`` slice at a time, so no full-length list of
-    Python objects is ever held."""
-    return chain.from_iterable(
-        values[i : i + _CHUNK].tolist() for i in range(0, len(values), _CHUNK)
-    )
+    """The elements of a 1-d array as ``values.tolist()`` gives them, made
+    one at a time by iterating a memoryview: no list of Python objects is
+    ever held, and a short array costs no more than its ``tolist``."""
+    return memoryview(values)

@@ -1,12 +1,14 @@
 """Tests for the Peano kernel and the remainder constant."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from splinequad.error_analysis import (
     PeanoProfile,
+    _kernel_values,
     error_constant,
     kernel_profile,
     peano_kernel,
@@ -78,6 +80,64 @@ def test_profile_rejects_broken_rule():
                          weights=np.full(5, 0.2))
     with pytest.raises(ConstructionError):
         kernel_profile(bad, samples_per_cell=50)
+
+
+def _gate_floor(grid):
+    # kernel_profile's own negativity floor: 1e-15 (b-a)^6 plus placement
+    span = grid.b - grid.a
+    placement = span**5 * max(abs(grid.a), abs(grid.b), 1.0) * 2e-17
+    return 1e-15 * max(1.0, span**6) + placement
+
+
+def test_profile_local_form_matches_global_kernel_far_from_origin():
+    # the profile's cell-local samples against the global truncated-power
+    # sum at the same t; the local form must stay well inside the gate the
+    # profile applies to itself
+    rng = np.random.default_rng(404)
+    for _ in range(100):
+        a = float(rng.uniform(-1e6, 1e6))
+        span = float(10.0 ** rng.uniform(-3.0, 3.0))
+        rule = build_rule(make_grid(a, a + span, int(rng.integers(1, 301))))
+        ts, local = kernel_profile(rule, samples_per_cell=8).samples.T
+        diff = np.max(np.abs(local - _kernel_values(rule, ts)))
+        assert diff <= 0.1 * _gate_floor(rule.grid)
+
+
+def test_profile_local_form_matches_global_kernel_on_unit_interval():
+    for n in range(1, 9):
+        rule = build_rule(make_grid(0.0, 1.0, n))
+        ts, local = kernel_profile(rule, samples_per_cell=200).samples.T
+        ref = _kernel_values(rule, ts)
+        assert np.max(np.abs(local - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+
+def test_global_kernel_blocks_cover_every_point():
+    # n = 200 has 401 nodes, so the 201 knots take two blocks; a perturbed
+    # weight makes every knot value past it nonzero
+    grid = make_grid(0.0, 1.0, 200)
+    good = build_rule(grid)
+    weights = good.weights.copy()
+    weights[300] *= 1.0 + 1e-6
+    bad = QuadratureRule(grid=grid, nodes=good.nodes, weights=weights)
+    knots = grid.knots()
+    ref = [peano_kernel(bad, float(t)) for t in knots]
+    assert np.max(np.abs(ref)) > 1e-15
+    np.testing.assert_allclose(_kernel_values(bad, knots), ref, rtol=0, atol=1e-17)
+    with pytest.raises(ConstructionError):
+        kernel_profile(bad, samples_per_cell=4)
+
+
+def test_profile_memory_is_linear_in_samples():
+    # a (samples x nodes) matrix at n = 2000 with 4 samples per cell would
+    # be 8001 x 4001 doubles, 244 MiB; the profile itself holds 0.12 MiB
+    rule = build_rule(make_grid(0.0, 1.0, 2000))
+    tracemalloc.start()
+    try:
+        kernel_profile(rule, samples_per_cell=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_profile_shape_check():

@@ -18,6 +18,7 @@ from splinequad.oracle import (
     reference_integral,
 )
 from splinequad.quadrature import (
+    QuadratureRule,
     ResidueState,
     apply_rule,
     build_rule,
@@ -127,6 +128,92 @@ def test_exactness_report_single_cell():
     rep = exactness_report(build_rule(make_grid(0.0, 1.0, 1)))
     assert rep.max_basis_residual <= 1e-15
     assert rep.per_interval_node_counts == (3,)
+
+
+def _exactness_loop(rule):
+    """Reference: one compensated sum per basis function over the nodes in
+    its support window, evaluated with basis_eval."""
+    grid = rule.grid
+    nodes = rule.nodes
+    weights = rule.weights
+    worst = -1.0
+    worst_i = 1
+    for i in range(1, grid.dimension + 1):
+        k = (i + 3) // 4
+        r = i - 4 * (k - 1)
+        lo_knot = max(k - 2 if r <= 2 else k - 1, 0)
+        hi_knot = min(k, grid.n)
+        lo = np.searchsorted(nodes, grid.a + lo_knot * grid.h - grid.h * 1e-9)
+        hi = np.searchsorted(nodes, grid.a + hi_knot * grid.h + grid.h * 1e-9)
+        q = math.fsum(
+            weights[j] * basis_eval(grid, i, float(nodes[j])) for j in range(lo, hi)
+        )
+        resid = abs(q - basis_integral(grid, i))
+        if resid > worst:
+            worst, worst_i = resid, i
+    return worst, worst_i
+
+
+def _seeded_rules():
+    rng = np.random.default_rng(515)
+    for n in [1, 2, 3, 8, 13, 40, 41, 200]:
+        for near in (True, False):
+            a = float(rng.uniform(-10.0, 10.0) if near else rng.uniform(-1e6, 1e6))
+            span = float(10.0 ** rng.uniform(-2.0, 2.0))
+            yield build_rule(make_grid(a, a + span, n))
+
+
+def test_exactness_report_matches_per_basis_loop():
+    for rule in _seeded_rules():
+        rep = exactness_report(rule)
+        worst, _ = _exactness_loop(rule)
+        assert abs(rep.max_basis_residual - worst) <= 1e-16
+        assert rep.per_interval_node_counts == node_cell_counts(rule)
+
+
+def test_exactness_report_finds_perturbed_weight_like_loop():
+    for rule in _seeded_rules():
+        weights = rule.weights.copy()
+        weights[len(weights) // 3] += 1e-6 * rule.grid.h
+        bad = QuadratureRule(grid=rule.grid, nodes=rule.nodes, weights=weights)
+        rep = exactness_report(bad)
+        worst, worst_i = _exactness_loop(bad)
+        assert rep.worst_index == worst_i
+        assert rep.max_basis_residual == pytest.approx(worst, rel=1e-9)
+
+
+def test_exactness_report_hand_built_rule_with_four_nodes_in_one_cell():
+    grid = make_grid(-1.0, 3.0, 2)
+    rule = QuadratureRule(
+        grid=grid,
+        nodes=[-0.9, -0.4, 0.2, 0.7, 2.0],
+        weights=[0.5, 0.8, 0.9, 0.6, 1.2],
+    )
+    rep = exactness_report(rule)
+    worst, worst_i = _exactness_loop(rule)
+    assert rep.per_interval_node_counts == (4, 1)
+    assert rep.worst_index == worst_i
+    assert abs(rep.max_basis_residual - worst) <= 1e-15
+
+
+def test_exactness_report_ignores_node_order():
+    # the rule type does not require sorted nodes
+    rule = build_rule(make_grid(0.0, 1.0, 8))
+    order = np.random.default_rng(0).permutation(len(rule))
+    shuffled = QuadratureRule(grid=rule.grid, nodes=rule.nodes[order],
+                              weights=rule.weights[order])
+    rep, ref = exactness_report(shuffled), exactness_report(rule)
+    assert rep.per_interval_node_counts == ref.per_interval_node_counts
+    assert abs(rep.max_basis_residual - ref.max_basis_residual) <= 1e-16
+
+
+def test_exactness_report_rejects_nodes_outside_the_interval():
+    grid = make_grid(0.0, 1.0, 1)
+    for outside in (-0.5, 1.5, math.nan):
+        rule = QuadratureRule(grid=grid, nodes=[0.1, 0.5, outside],
+                              weights=[0.3, 0.4, 0.3])
+        with pytest.raises(ValueError, match="outside"):
+            exactness_report(rule)
 
 
 def test_node_counts_on_plateau_grids():

@@ -1,6 +1,7 @@
 """Tests for the node/weight recursion and rule construction."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -528,6 +529,18 @@ def test_apply_scalar_only_callables_unchanged(n):
     spline = SplineCoefficients(grid, np.linspace(-1.0, 2.0, grid.dimension))
     for f in (math.sin, spline.value, lambda t: basis_eval(grid, 3, t), lambda t: 1.0):
         assert apply_rule(rule, f).hex() == per_node(rule, f).hex()
+
+
+def test_apply_per_node_holds_no_list_of_the_nodes():
+    # full-length lists of 200001 nodes and weights would take about 13 MB
+    rule = build_rule(make_grid(0.0, 1.0, 100_000))
+    tracemalloc.start()
+    try:
+        apply_rule(rule, math.sin)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_apply_falls_back_per_node_on_unusable_array_results():
