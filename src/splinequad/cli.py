@@ -336,8 +336,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConstructionError, OverflowError) as exc:
-        # powers of h leave the double range on extreme intervals: the
-        # arguments were valid, the construction could not follow them
+        # powers of b - a in the kernel gates and the error constant leave
+        # the double range on extreme intervals: the arguments were valid,
+        # the computation could not follow them
         print(f"construction failed: {exc}", file=sys.stderr)
         return 3
 

@@ -145,6 +145,9 @@ def kernel_profile(rule: QuadratureRule, samples_per_cell: int = 1000) -> PeanoP
     ------
     ValueError
         If samples_per_cell < 2 or a node lies outside [a, b].
+    OverflowError
+        If (b-a)^6 leaves the double range (b - a above about 1e51), before
+        any sample is computed.
     ConstructionError
         If a sample is more negative, or a knot value larger, than the
         double-precision evaluation of a valid kernel allows.
@@ -152,17 +155,19 @@ def kernel_profile(rule: QuadratureRule, samples_per_cell: int = 1000) -> PeanoP
     if samples_per_cell < 2:
         raise ValueError("need at least two samples per cell")
     grid = rule.grid
+    span = grid.b - grid.a
+    # span**6 raises OverflowError where the kernel's terms would overflow
+    scale = max(1.0, span**6)
+    placement = span**5 * max(abs(grid.a), abs(grid.b), 1.0) * 2e-17
     ts = np.linspace(grid.a, grid.b, samples_per_cell * grid.n + 1)
     cells = np.minimum(np.arange(len(ts)) // samples_per_cell, grid.n - 1)
     offsets, weights = _cell_table(grid, rule.nodes, rule.weights)
     v = ts - (grid.a + cells * grid.h)
     vals = _cell_kernel_values(grid.h, v, offsets[cells], weights[cells])
-    span = grid.b - grid.a
-    placement = span**5 * max(abs(grid.a), abs(grid.b), 1.0) * 2e-17
-    if vals.min() < -(1e-15 * max(1.0, span**6) + placement):
+    if vals.min() < -(1e-15 * scale + placement):
         raise ConstructionError(f"kernel dips to {vals.min()!r}")
     knot_vals = _kernel_values(rule, grid.knots())
-    if np.max(np.abs(knot_vals)) > 1e-14 * max(1.0, span**6) + placement:
+    if np.max(np.abs(knot_vals)) > 1e-14 * scale + placement:
         raise ConstructionError(
             f"kernel fails to vanish at a knot: {np.max(np.abs(knot_vals))!r}"
         )

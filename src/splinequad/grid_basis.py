@@ -78,7 +78,7 @@ def make_grid(a: float, b: float, n: int) -> UniformKnotGrid:
     Raises
     ------
     ValueError
-        If the interval is empty/inverted or n < 1.
+        If the interval is empty/inverted, b - a overflows, or n < 1.
     """
     a = float(a)
     b = float(b)
@@ -89,6 +89,8 @@ def make_grid(a: float, b: float, n: int) -> UniformKnotGrid:
         raise ValueError(f"invalid interval: need b > a, got [{a}, {b}]")
     if n < 1:
         raise ValueError(f"need at least one subinterval, got n={n}")
+    if not math.isfinite(b - a):
+        raise ValueError(f"interval too wide: b - a overflows for [{a}, {b}]")
     return UniformKnotGrid(a=a, b=b, n=n, h=(b - a) / n)
 
 

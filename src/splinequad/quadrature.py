@@ -11,14 +11,30 @@ rule is the mirror image of the left half.
 The recursion converges quadratically toward the fixed residues
 (29/240, 13/80), where the rule degenerates into the two-third pattern:
 nodes at the knots with weight 7h/15 and at the cell midpoints with
-weight 8h/15. Within a handful of cells the node offsets fall below what
-double precision can represent relative to the knot coordinates, so once
-the residues reach the representable plateau the builder emits exact
-two-third cells; this is both the most accurate double-precision answer
-and what makes construction O(1) per cell after the plateau.
+weight 8h/15. The residues reach their double-precision plateau on
+entering cell 5; from there on the true node offsets (below 1e-17 h) are
+not representable relative to the knot coordinates, and exact two-third
+cells are both the most accurate double-precision answer and O(1) work.
 
-Rules are immutable once built; ``apply_rule`` is pure. The recursion
-itself is inherently sequential, but distinct builds never share state.
+The recursion does not change under translation or scaling: the residues
+do not depend on a or h, and a cell's node offsets and weights are h
+times those of a unit cell. So the module runs it once, at import, on
+cells of unit width (``_UNIT``): the states entering cells 1-5, the
+offsets and weights of the four prefix cells, and the even and odd
+middle-cell closures for each state. The states, the roots and weights
+and the middle-cell exactness system are validated there, once. A build
+is then ``a + h * table``: prefix nodes (a + (k-1) h) + h * offset with
+weights h * w, the two-third fill, the middle closure scaled by h, and
+the mirror (a + b) - tau. No power of h is ever formed, so every span
+whose cells and nodes are representable builds; on h = 1 grids the
+result is bit-identical to running the recursion cell by cell. Each build
+still checks what rounding after the scaling can break: nodes strictly
+increasing, weights positive, weights summing to b - a, and the extreme
+nodes strictly inside (a, b).
+
+Rules are immutable once built; ``apply_rule`` is pure. The table is
+computed once and never written afterwards, so builds share no mutable
+state.
 """
 
 from __future__ import annotations
@@ -45,8 +61,6 @@ __all__ = [
     "initial_residues",
     "interior_quadratic",
     "middle_quadratic",
-    "solve_interval",
-    "update_residues",
     "middle_even",
     "middle_odd",
     "build_rule",
@@ -237,10 +251,25 @@ def middle_quadratic(state: ResidueState, h: float) -> QuadraticCoeffs:
 
 
 def _solve_cell(state: ResidueState, h: float, k: int) -> tuple[float, float, float, float]:
-    """Offsets-from-left-knot and weights ``(r1, r2, w_lo, w_hi)`` of one cell.
+    """Offsets-from-left-knot and weights ``(r1, r2, w_lo, w_hi)`` of cell k.
 
     The whole recursion is translation invariant, so it works in offsets;
-    absolute node coordinates appear only when a rule is assembled.
+    absolute node coordinates appear only when a rule is assembled.  Both
+    offsets are roots of :func:`interior_quadratic`; the lower weight is
+    recovered from the exactness equation for the left-spanning basis
+    function,
+
+        w_lo * (h - r1)^5 + w_hi * (h - r2)^5 = 4 h^6 A,
+
+    rather than from its closed form.  The two are algebraically identical,
+    but the closed form divides the difference of two converging quantities
+    by r1^2 and loses all precision once the offsets shrink below ~1e-8;
+    the exactness form stays accurate to the last bit for every cell.  A
+    state at the plateau gives the exact two-third cell.
+
+    Raises ``ConstructionError`` if the discriminant is negative, a root
+    leaves (0, h), or a weight is not positive: all signs of corrupted
+    residues.
     """
     if state.converged:
         return 0.0, 0.5 * h, LIMIT_KNOT_WEIGHT * h, LIMIT_MIDPOINT_WEIGHT * h
@@ -265,7 +294,12 @@ def _solve_cell(state: ResidueState, h: float, k: int) -> tuple[float, float, fl
 def _update_cell(
     state: ResidueState, h: float, r1: float, r2: float, w_lo: float, w_hi: float
 ) -> ResidueState:
-    """Residue update from one cell's offsets and weights."""
+    """Residues entering the next cell, from one cell's offsets and weights.
+
+    Subtracts from 1/6 what the cell's nodes collect of the two basis
+    functions spanning it and the next cell; the new state is validated
+    and a violation raises ``ConstructionError``.
+    """
     d5_lo = r1**4 * (10.0 * h - 9.0 * r1) / (4.0 * h**6)
     d5_hi = r2**4 * (10.0 * h - 9.0 * r2) / (4.0 * h**6)
     d6_lo = r1**5 / (4.0 * h**6)
@@ -277,63 +311,6 @@ def _update_cell(
     )
     new.validate()
     return new
-
-
-def solve_interval(
-    state: ResidueState, grid: UniformKnotGrid, k: int
-) -> tuple[float, float, float, float]:
-    """Nodes and weights of cell k given the residues entering it.
-
-    Returns ``(tau_lo, tau_hi, w_lo, w_hi)``.  Both quadratic roots are
-    offsets from the left knot x_{k-1}; the lower weight is recovered from
-    the exactness equation for the left-spanning basis function,
-
-        w_lo * (h - r1)^5 + w_hi * (h - r2)^5 = 4 h^6 A,
-
-    rather than from its closed form.  The two are algebraically identical,
-    but the closed form divides the difference of two converging quantities
-    by r1^2 and loses all precision once the node offsets shrink below
-    ~1e-8; the exactness form stays accurate to the last bit for every
-    cell.  Once the residues reach the double-precision plateau the true
-    offsets (< 1e-17 * h) are unrepresentable in the node coordinates and
-    the exact two-third cell is returned instead.
-
-    Raises
-    ------
-    ConstructionError
-        If the discriminant is negative, a root leaves [0, h), or a weight
-        is not positive; all indicate corrupted residues.
-    """
-    n = grid.n
-    if not 1 <= k <= n // 2:
-        raise ValueError(f"cell index {k} outside [1, {n // 2}]")
-    r1, r2, w_lo, w_hi = _solve_cell(state, grid.h, k)
-    x = grid.a + (k - 1) * grid.h
-    return x + r1, x + r2, w_lo, w_hi
-
-
-def update_residues(
-    state: ResidueState,
-    grid: UniformKnotGrid,
-    k: int,
-    tau_lo: float,
-    tau_hi: float,
-    w_lo: float,
-    w_hi: float,
-) -> ResidueState:
-    """Residues entering cell k+1, given cell k's nodes and weights.
-
-    Subtracts from 1/6 what cell k's nodes collect of the two basis
-    functions spanning cells k and k+1; the new state is validated and a
-    violation raises ``ConstructionError``.  Node positions are reduced to
-    offsets from the cell's left knot; on grids sitting very far from the
-    origin that subtraction costs ulp(|a|), which is the price of the
-    absolute-coordinate interface (the builder itself never round-trips
-    through absolute coordinates).
-    """
-    h = grid.h
-    x = grid.a + (k - 1) * h
-    return _update_cell(state, h, tau_lo - x, tau_hi - x, w_lo, w_hi)
 
 
 def middle_even(state: ResidueState, h: float) -> float:
@@ -429,10 +406,87 @@ def _middle_system_residuals(
     return r1, r2, r3
 
 
+def _unit_table():
+    """Run the recursion once on cells of unit width.
+
+    Returns the states entering cells 1..P, where P is the first cell
+    entered at the plateau; the offsets and weights of prefix cells
+    1..P-1, interleaved as (r1, r2) and (w_lo, w_hi) per cell; and, for the
+    state entering each cell k, the middle closure of a grid whose middle
+    is cell k: the knot weight when n is even (k >= 2), and the outer
+    offset, outer weight and midpoint weight when n is odd.
+    """
+    state = initial_residues()
+    state.validate()
+    states = [state]
+    offsets, weights = [], []
+    while not state.converged:
+        r1, r2, w_lo, w_hi = _solve_cell(state, 1.0, state.k)
+        offsets += (r1, r2)
+        weights += (w_lo, w_hi)
+        state = _update_cell(state, 1.0, r1, r2, w_lo, w_hi)
+        states.append(state)
+    even = (math.nan,) + tuple(middle_even(s, 1.0) for s in states[1:])
+    odd = []
+    for s in states:
+        r1, _, _, w_out, w_mid, _ = middle_odd(s, _UNIT, 1)
+        odd.append((r1, w_out, w_mid))
+    offsets, weights = np.array(offsets), np.array(weights)
+    offsets.setflags(write=False)
+    weights.setflags(write=False)
+    return tuple(states), offsets, weights, even, tuple(odd)
+
+
+# One cell of unit width, on which the table is solved.
+_UNIT = UniformKnotGrid(a=0.0, b=1.0, n=1, h=1.0)
+_STATES, _PREFIX_OFFSETS, _PREFIX_WEIGHTS, _MIDDLE_EVEN, _MIDDLE_ODD = _unit_table()
+# Prefix cells before the plateau (4), and the cell index of each prefix node.
+_PREFIX = len(_STATES) - 1
+_PREFIX_CELL = np.repeat(np.arange(_PREFIX), 2)
+
+
 def build_rule(grid: UniformKnotGrid) -> QuadratureRule:
-    """Construct the full 2n+1-node rule for a grid."""
-    rule, _ = build_rule_with_trace(grid)
-    return rule
+    """Construct the full 2n+1-node rule for a grid from the unit-cell table.
+
+    Left-half cells 1..min(n//2, 4) take the table's prefix cells, scaled
+    by h; the remaining left-half cells are exact two-third cells; the
+    middle cell takes the closure for the state entering it; the right
+    half mirrors the left: tau -> (a + b) - tau with equal weights.
+
+    Raises
+    ------
+    ConstructionError
+        If rounding in the scaled coordinates breaks the rule: nodes not
+        strictly increasing (h too small against ulp(|a|)), a weight not
+        positive, weights not summing to b - a, or an extreme node not
+        strictly inside (a, b).
+    """
+    a, b, n, h = grid.a, grid.b, grid.n, grid.h
+    half = n // 2
+    p = min(half, _PREFIX)
+    nodes = np.empty(2 * n + 1)
+    weights = np.empty(2 * n + 1)
+    knots = a + np.arange(half + 1) * h  # x_0 .. x_half
+    nodes[: 2 * p] = knots[_PREFIX_CELL[: 2 * p]] + h * _PREFIX_OFFSETS[: 2 * p]
+    weights[: 2 * p] = h * _PREFIX_WEIGHTS[: 2 * p]
+    fill = knots[p:half]
+    nodes[2 * p : 2 * half : 2] = fill
+    np.add(fill, 0.5 * h, out=nodes[2 * p + 1 : 2 * half : 2])
+    weights[2 * p : 2 * half : 2] = LIMIT_KNOT_WEIGHT * h
+    weights[2 * p + 1 : 2 * half : 2] = LIMIT_MIDPOINT_WEIGHT * h
+    if n % 2 == 0:
+        nodes[n] = knots[half]
+        weights[n] = h * _MIDDLE_EVEN[p]
+    else:
+        r1, w_out, w_mid = _MIDDLE_ODD[p]
+        nodes[n - 1] = knots[half] + h * r1
+        nodes[n] = 0.5 * (a + b)
+        weights[n - 1] = h * w_out
+        weights[n] = h * w_mid
+    np.subtract(a + b, nodes[:n][::-1], out=nodes[n + 1 :])
+    weights[n + 1 :] = weights[:n][::-1]
+    _validate_rule(grid, nodes, weights)
+    return QuadratureRule(grid=grid, nodes=nodes, weights=weights)
 
 
 def build_rule_with_trace(
@@ -440,71 +494,25 @@ def build_rule_with_trace(
 ) -> tuple[QuadratureRule, RecursionTrace]:
     """Construct the rule and return the recursion diagnostics with it.
 
-    Walks cells left to right, updating residues after each cell; once the
-    residues hit the double-precision plateau every remaining left-half
-    cell is an exact two-third cell and is filled without further
-    recursion (identical values, constant extra work per cell).  The
-    middle is handled by parity and the right half mirrors the left:
-    tau -> a + b - tau with equal weights.
+    The trace holds the table's states that the grid uses: those entering
+    cells 1..min(n//2 + 1, 5). ``limit_start`` is 5, the first two-third
+    cell, when the left half reaches it, and None otherwise.
     """
-    a, b, n, h = grid.a, grid.b, grid.n, grid.h
-    half = n // 2
-    nodes = np.empty(2 * n + 1)
-    weights = np.empty(2 * n + 1)
-    state = initial_residues()
-    state.validate()
-    states = [state]
-    limit_start: Optional[int] = None
-    k = 1
-    while k <= half:
-        if state.converged:
-            limit_start = k
-            break
-        r1, r2, w_lo, w_hi = _solve_cell(state, h, k)
-        x = a + (k - 1) * h
-        nodes[2 * k - 2] = x + r1
-        nodes[2 * k - 1] = x + r2
-        weights[2 * k - 2] = w_lo
-        weights[2 * k - 1] = w_hi
-        state = _update_cell(state, h, r1, r2, w_lo, w_hi)
-        states.append(state)
-        k += 1
-    if limit_start is not None:
-        # same expressions as the converged branch of _solve_cell,
-        # vectorized over the plateau
-        ks = np.arange(limit_start, half + 1, dtype=float)
-        base = a + (ks - 1.0) * h
-        nodes[2 * limit_start - 2 : 2 * half : 2] = base
-        nodes[2 * limit_start - 1 : 2 * half + 1 : 2] = base + 0.5 * h
-        weights[2 * limit_start - 2 : 2 * half : 2] = LIMIT_KNOT_WEIGHT * h
-        weights[2 * limit_start - 1 : 2 * half + 1 : 2] = LIMIT_MIDPOINT_WEIGHT * h
-    if n % 2 == 0:
-        nodes[n] = a + half * h
-        weights[n] = middle_even(state, h)
-    else:
-        m = (n + 1) // 2
-        tau_lo, tau_mid, _, w_out, w_mid, _ = middle_odd(state, grid, m)
-        nodes[n - 1] = tau_lo
-        nodes[n] = tau_mid
-        weights[n - 1] = w_out
-        weights[n] = w_mid
-    mirrored = (a + b) - nodes[:n][::-1]
-    nodes[n + 1 :] = mirrored
-    weights[n + 1 :] = weights[:n][::-1]
-    _validate_rule(grid, nodes, weights)
-    return (
-        QuadratureRule(grid=grid, nodes=nodes, weights=weights),
-        RecursionTrace(states=tuple(states), limit_start=limit_start),
+    half = grid.n // 2
+    trace = RecursionTrace(
+        states=_STATES[: min(half, _PREFIX) + 1],
+        limit_start=_PREFIX + 1 if half > _PREFIX else None,
     )
+    return build_rule(grid), trace
 
 
 def _validate_rule(grid: UniformKnotGrid, nodes: np.ndarray, weights: np.ndarray) -> None:
-    if not np.all(np.diff(nodes) > 0.0):
+    if not (nodes[1:] > nodes[:-1]).all():
         raise ConstructionError("nodes are not strictly increasing")
-    if not np.all(weights > 0.0):
+    if not weights.min() > 0.0:
         raise ConstructionError("weights are not all positive")
     span = grid.b - grid.a
-    total = float(np.sum(weights))
+    total = float(weights.sum())
     if abs(total - span) > 1e-12 * span:
         raise ConstructionError(
             f"weights sum to {total!r}, expected {span!r}"
@@ -531,16 +539,30 @@ def apply_rule(
     an invalid operation such as the root of a negative number; or f
     returns a scalar, a list, another shape or a complex array), and always
     on smaller rules, f is called per node with Python floats (read from
-    the arrays one at a time) and the products are formed as ``w * f(t)``.
-    A scalar-only f therefore works unchanged; an array-capable f should
-    compute elementwise what it computes per node.
+    the arrays one at a time) and the products are formed as ``w * f(t)``;
+    a complex product, numpy's complex scalars included, raises
+    ``TypeError``.  A scalar-only f therefore works unchanged; an
+    array-capable f should compute elementwise what it computes per node.
     """
     nodes, weights = rule.nodes, rule.weights
     if len(nodes) >= ARRAY_MIN_NODES:
         values = _array_values(f, nodes)
         if values is not None:
             return math.fsum(_items(weights * values))
-    return math.fsum(map(operator.mul, _items(weights), map(f, _items(nodes))))
+    products = map(operator.mul, _items(weights), map(f, _items(nodes)))
+    return math.fsum(map(_real, products))
+
+
+def _real(product):
+    """A per-node product, refused with ``TypeError`` when it is complex.
+
+    ``math.fsum`` raises ``TypeError`` for a Python complex, but takes a
+    numpy complex scalar by its ``__float__``, which drops the imaginary
+    part with only a warning.
+    """
+    if product.__class__ is not float and isinstance(product, np.complexfloating):
+        raise TypeError(f"integrand value is complex: {product!r}")
+    return product
 
 
 def _array_values(f: Callable, nodes: np.ndarray) -> Optional[np.ndarray]:

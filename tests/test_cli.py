@@ -284,8 +284,22 @@ def test_construction_failure_exit_code(monkeypatch):
     assert code == 3
 
 
+def test_rule_at_extreme_scale_builds():
+    # the rule is a + h * (unit-cell table): no power of h is formed
+    cp = run_cli("rule", "--n", "3", "--a", "0", "--b", "1e60", "--format", "csv")
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stderr == ""
+    rows = [line.split(",") for line in cp.stdout.splitlines()[1:]]
+    assert len(rows) == 7
+    nodes = [float(tau) for _, tau, _ in rows]
+    assert 0.0 < nodes[0] and nodes[-1] < 1e60
+    assert all(x < y for x, y in zip(nodes, nodes[1:]))
+    assert all(float(w) > 0.0 for _, _, w in rows)
+
+
+# the kernel gates and the JSON error constant take powers of b - a
 @pytest.mark.parametrize("args", [
-    ("rule", "--n", "3", "--a", "0", "--b", "1e60"),
+    ("rule", "--n", "3", "--a", "0", "--b", "1e60", "--format", "json"),
     ("kernel", "--n", "3", "--a", "0", "--b", "1e60"),
     ("rule", "--n", "3", "--a", "0", "--b", "1e45", "--format", "json"),
 ])

@@ -48,6 +48,8 @@ def test_make_grid_rejects_bad_input():
         make_grid(0.0, 1.0, 0)
     with pytest.raises(ValueError):
         make_grid(float("nan"), 1.0, 2)
+    with pytest.raises(ValueError, match="overflows"):
+        make_grid(-1e308, 1e308, 2)
 
 
 def test_knot_index_range():

@@ -24,6 +24,11 @@ from splinequad.quadrature import (
     build_rule,
     build_rule_with_trace,
     initial_residues,
+    _MIDDLE_EVEN,
+    _MIDDLE_ODD,
+    _PREFIX_OFFSETS,
+    _PREFIX_WEIGHTS,
+    _STATES,
 )
 
 
@@ -320,6 +325,99 @@ def test_cubic_rootfree_along_full_build():
     assert len(trace.states) <= 8
     for st in trace.states:
         assert cubic_rootfree_check(st, 1e-4)
+
+
+# ------------------------------------------- unit-cell table vs 50 digits
+
+def _mp_unit_recursion(mp):
+    """The recursion on unit cells in 50-digit arithmetic.
+
+    Returns the states (A, B) entering cells 1..5, cells 1..4 as
+    (r1, r2, w_lo, w_hi), and for each state the middle closures of a grid
+    whose middle cell it enters: (outer offset, outer weight, midpoint
+    weight) for odd n, the middle-knot weight for even n.  At 50 digits
+    nothing converges to a plateau, so every cell is solved.
+    """
+    with mp.workdps(50):
+        sixth = mp.mpf(1) / 6
+        A, B = mp.mpf(1) / 24, mp.mpf(1) / 8
+        states, cells, odd, even = [], [], [], []
+        for k in range(1, 6):
+            states.append((A, B))
+            p = 108 * A + 12 * B - 1
+            d = 156 * A - 36 * B + 1
+            c = 24 * A - 24 * B + 1  # middle quadratic c + 2p x - 2p x^2
+            odd.append((
+                (1 - mp.sqrt(1 + 2 * c / p)) / 2,
+                p * p / (30 * d),
+                4 * (1152 * A * B + 264 * A - 576 * A**2 - 576 * B**2 - 24 * B + 1)
+                / (15 * d),
+            ))
+            even.append(4 * (A + B - sixth))
+            if k == 5:
+                break
+            q0 = 1 - 24 * B + 24 * A
+            q1 = 2 * (12 * B + 108 * A - 1)
+            q2 = 1 - 480 * A + 576 * A**2 + 576 * B**2 - 1152 * A * B
+            root = mp.sqrt(q1 * q1 - 4 * q2 * q0)
+            r1, r2 = sorted(((-q1 + root) / (2 * q2), (-q1 - root) / (2 * q2)))
+            beta = 1 - r2
+            w_hi = (1 - 2 * r1) / (60 * beta**2 * (1 - beta) ** 2 * (r2 - r1))
+            w_lo = (4 * A - w_hi * beta**5) / (1 - r1) ** 5
+            cells.append((r1, r2, w_lo, w_hi))
+            A = sixth - (w_lo * r1**4 * (10 - 9 * r1) + w_hi * r2**4 * (10 - 9 * r2)) / 4
+            B = sixth - (w_lo * r1**5 + w_hi * r2**5) / 4
+        return states, cells, odd, even
+
+
+def test_unit_cell_table_matches_50_digit_recursion():
+    mp = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    states, cells, odd, even = _mp_unit_recursion(mp)
+
+    def rel(x, ref):
+        return float(abs(x - ref) / ref)
+
+    # offsets are in units of h, so absolute; weights relative
+    assert len(_STATES) == len(states)
+    for state, (A, B) in zip(_STATES, states):
+        assert abs(state.A - A) <= eps and abs(state.B - B) <= eps
+    for k, (r1, r2, w_lo, w_hi) in enumerate(cells):
+        assert abs(_PREFIX_OFFSETS[2 * k] - r1) <= eps
+        assert abs(_PREFIX_OFFSETS[2 * k + 1] - r2) <= eps
+        assert rel(_PREFIX_WEIGHTS[2 * k], w_lo) <= 3 * eps
+        assert rel(_PREFIX_WEIGHTS[2 * k + 1], w_hi) <= 3 * eps
+    for (r1, w_out, w_mid), ref in zip(_MIDDLE_ODD, odd):
+        assert abs(r1 - ref[0]) <= eps
+        assert rel(w_out, ref[1]) <= 3 * eps and rel(w_mid, ref[2]) <= 3 * eps
+    for w, ref in zip(_MIDDLE_EVEN[1:], even[1:]):
+        assert rel(w, ref) <= 3 * eps
+
+
+def test_scaled_rule_weights_match_50_digit_recursion():
+    # a weight h * w(table) carries the table's error plus one rounding
+    mp = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    _, cells, odd, even = _mp_unit_recursion(mp)
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        n = int(rng.integers(1, 65))
+        a = float(rng.uniform(-1e3, 1e3))
+        rule = build_rule(make_grid(a, a + float(10.0 ** rng.uniform(-3.0, 3.0)), n))
+        half = n // 2
+        p = min(half, 4)
+        ref = [w for cell in cells[:p] for w in cell[2:]]
+        at = list(range(2 * p))
+        if n % 2 == 0:
+            ref.append(even[p])
+            at.append(n)
+        else:
+            ref += odd[p][1:]
+            at += [n - 1, n]
+        with mp.workdps(50):
+            h = mp.mpf(rule.grid.h)
+            worst = max(abs(rule.weights[i] - h * r) / (h * r) for i, r in zip(at, ref))
+        assert worst <= 4 * eps, (rule.grid, float(worst) / eps)
 
 
 # --------------------------------------------- cross-checks rule <-> oracle

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -24,8 +25,14 @@ from splinequad.quadrature import (
     middle_even,
     middle_odd,
     middle_quadratic,
-    solve_interval,
-    update_residues,
+    _MIDDLE_EVEN,
+    _MIDDLE_ODD,
+    _PREFIX_OFFSETS,
+    _PREFIX_WEIGHTS,
+    _STATES,
+    _solve_cell,
+    _update_cell,
+    _validate_rule,
 )
 
 # Residues after cells 1..3 are exactly rational (the update is a symmetric
@@ -117,15 +124,16 @@ REFERENCE_ROWS = {
 }
 
 
-def _chain(k_max, h=1.0, a=0.0, n=64):
-    """Run the recursion honestly for k = 1..k_max on [a, a + n*h]."""
-    grid = make_grid(a, a + n * h, n)
+def _chain(k_max):
+    """Run the recursion cell by cell for k = 1..k_max on unit cells:
+    (state entering cell k, (r1, r2, w_lo, w_hi)) per cell, and the state
+    entering cell k_max + 1."""
     state = initial_residues()
     out = []
     for k in range(1, k_max + 1):
-        cell = solve_interval(state, grid, k)
+        cell = _solve_cell(state, 1.0, k)
         out.append((state, cell))
-        state = update_residues(state, grid, k, *cell)
+        state = _update_cell(state, 1.0, *cell)
     return out, state
 
 
@@ -153,9 +161,8 @@ def test_residue_validation_failures():
 def test_limit_state_is_fixed_point_of_update():
     # feeding the two-third cell back through the update reproduces the
     # limit residues
-    grid = make_grid(0.0, 64.0, 64)
     state = ResidueState(k=7, A=LIMIT_A, B=LIMIT_B)
-    new = update_residues(state, grid, 7, 6.0, 6.5, 7.0 / 15.0, 8.0 / 15.0)
+    new = _update_cell(state, 1.0, 0.0, 0.5, 7.0 / 15.0, 8.0 / 15.0)
     assert new.A == pytest.approx(LIMIT_A, abs=1e-16)
     assert new.B == pytest.approx(LIMIT_B, abs=1e-16)
 
@@ -212,8 +219,7 @@ def test_roots_negative_discriminant_raises():
 # ----------------------------------------------------------- cell solving
 
 def test_first_cell_matches_reference():
-    grid = make_grid(0.0, 5.0, 5)
-    tau_lo, tau_hi, w_lo, w_hi = solve_interval(initial_residues(), grid, 1)
+    tau_lo, tau_hi, w_lo, w_hi = _solve_cell(initial_residues(), 1.0, 1)
     r1, r2, wl, wh = CELLS[1]
     assert tau_lo == pytest.approx(r1, abs=1e-13)
     assert tau_hi == pytest.approx(r2, abs=1e-13)
@@ -224,11 +230,10 @@ def test_first_cell_matches_reference():
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_chain_cells_match_reference(k):
     cells, _ = _chain(k)
-    state, (tau_lo, tau_hi, w_lo, w_hi) = cells[-1]
-    r1, r2, wl, wh = CELLS[k]
-    x = float(k - 1)
-    assert tau_lo == pytest.approx(x + r1, abs=5e-16)
-    assert tau_hi == pytest.approx(x + r2, abs=5e-16)
+    state, (r1, r2, w_lo, w_hi) = cells[-1]
+    ref1, ref2, wl, wh = CELLS[k]
+    assert r1 == pytest.approx(ref1, abs=5e-16)
+    assert r2 == pytest.approx(ref2, abs=5e-16)
     assert w_lo == pytest.approx(wl, abs=5e-16)
     assert w_hi == pytest.approx(wh, abs=5e-16)
 
@@ -256,29 +261,19 @@ def test_update_keeps_order():
         assert state.B > state.A
 
 
-def test_solve_interval_rejects_bad_cell_index():
-    grid = make_grid(0.0, 5.0, 5)
-    with pytest.raises(ValueError):
-        solve_interval(initial_residues(), grid, 0)
-    with pytest.raises(ValueError):
-        solve_interval(initial_residues(), grid, 3)   # floor(5/2) = 2
-
-
-def test_solve_interval_flags_corrupt_state():
+def test_solve_cell_flags_corrupt_state():
     # orderable but unreachable residues push a root outside the cell
-    grid = make_grid(0.0, 8.0, 8)
     bad = ResidueState(k=1, A=0.001, B=0.002)
     with pytest.raises(ConstructionError):
-        solve_interval(bad, grid, 1)
+        _solve_cell(bad, 1.0, 1)
 
 
 def test_converged_state_yields_two_third_cell():
-    grid = make_grid(0.0, 64.0, 64)
     state = ResidueState(k=9, A=A5, B=B5)
     assert state.converged
-    tau_lo, tau_hi, w_lo, w_hi = solve_interval(state, grid, 9)
-    assert tau_lo == 8.0
-    assert tau_hi == 8.5
+    tau_lo, tau_hi, w_lo, w_hi = _solve_cell(state, 1.0, 9)
+    assert tau_lo == 0.0
+    assert tau_hi == 0.5
     assert w_lo == 7.0 / 15.0
     assert w_hi == 8.0 / 15.0
 
@@ -287,14 +282,14 @@ def test_converged_state_yields_two_third_cell():
 
 def test_middle_even_weight_from_second_cell():
     # n = 2: the middle-knot weight is exactly rational, 4(A2 + B2 - 1/6)
-    _, state2 = _chain(1, n=2)
+    _, state2 = _chain(1)
     w = middle_even(state2, 1.0)
     assert w == pytest.approx(float(4 * (A2 + B2 - Fraction(1, 6))), abs=1e-15)
     assert w == pytest.approx(23.0 / 54.0, abs=1e-15)
 
 
 def test_middle_even_weight_near_plateau():
-    _, state4 = _chain(3, n=6)
+    _, state4 = _chain(3)
     assert middle_even(state4, 1.0) == pytest.approx(0.4666666568370204, abs=1e-13)
 
 
@@ -322,7 +317,7 @@ def test_middle_odd_single_cell_is_gauss_legendre():
 
 
 def test_middle_odd_fifth_grid_rows():
-    _, state3 = _chain(2, n=5)
+    _, state3 = _chain(2)
     grid = make_grid(0.0, 5.0, 5)
     tau_lo, tau_mid, tau_hi, w_lo, w_mid, _ = middle_odd(state3, grid, 3)
     assert tau_lo == pytest.approx(2.0000387957905171, abs=1e-13)
@@ -424,14 +419,15 @@ def test_large_odd_grid_structure():
 
 
 def test_plateau_fill_matches_per_cell_solve():
-    # the vectorized two-third fill and solve_interval agree bitwise
+    # the vectorized two-third fill and the per-cell solve agree bitwise
     grid = make_grid(0.0, 24.0, 24)
     rule, trace = build_rule_with_trace(grid)
     state = trace.states[-1]
     for k in range(trace.limit_start, 12 + 1):
-        tau_lo, tau_hi, w_lo, w_hi = solve_interval(state, grid, k)
-        assert rule.nodes[2 * k - 2] == tau_lo
-        assert rule.nodes[2 * k - 1] == tau_hi
+        r1, r2, w_lo, w_hi = _solve_cell(state, 1.0, k)
+        x = grid.a + (k - 1) * grid.h
+        assert rule.nodes[2 * k - 2] == x + r1
+        assert rule.nodes[2 * k - 1] == x + r2
         assert rule.weights[2 * k - 2] == w_lo
         assert rule.weights[2 * k - 1] == w_hi
 
@@ -441,6 +437,131 @@ def test_convergence_threshold_separates_cleanly():
     cells, state5 = _chain(4)
     assert abs(1.0 - 24.0 * cells[3][0].B + 24.0 * cells[3][0].A) > 1e-8
     assert abs(1.0 - 24.0 * state5.B + 24.0 * state5.A) <= CONVERGENCE_TOL
+
+
+# ------------------------------------------------------- unit-cell table
+
+def _rule_cell_by_cell(grid):
+    """The rule from the recursion run cell by cell in the grid's own units,
+    as the builder did before the unit-cell table: the reference for it."""
+    a, b, n, h = grid.a, grid.b, grid.n, grid.h
+    half = n // 2
+    nodes, weights = [], []
+    state = initial_residues()
+    for k in range(1, half + 1):
+        r1, r2, w_lo, w_hi = _solve_cell(state, h, k)
+        x = a + (k - 1) * h
+        nodes += [x + r1, x + r2]
+        weights += [w_lo, w_hi]
+        if not state.converged:
+            state = _update_cell(state, h, r1, r2, w_lo, w_hi)
+    if n % 2 == 0:
+        nodes.append(a + half * h)
+        weights.append(middle_even(state, h))
+    else:
+        tau_lo, tau_mid, _, w_out, w_mid, _ = middle_odd(state, grid, half + 1)
+        nodes += [tau_lo, tau_mid]
+        weights += [w_out, w_mid]
+    nodes += [(a + b) - t for t in reversed(nodes[:n])]
+    weights += weights[:n][::-1]
+    return nodes, weights
+
+
+def test_table_is_the_unit_cell_recursion():
+    cells, state5 = _chain(4)
+    assert _STATES == tuple(state for state, _ in cells) + (state5,)
+    assert state5.converged and not cells[-1][0].converged
+    assert _PREFIX_OFFSETS.tolist() == [r for _, c in cells for r in c[:2]]
+    assert _PREFIX_WEIGHTS.tolist() == [w for _, c in cells for w in c[2:]]
+    unit = make_grid(0.0, 1.0, 1)
+    for k, state in enumerate(_STATES):
+        r1, _, _, w_out, w_mid, _ = middle_odd(state, unit, 1)
+        assert _MIDDLE_ODD[k] == (r1, w_out, w_mid)
+        if k:
+            assert _MIDDLE_EVEN[k] == middle_even(state, 1.0)
+
+
+@pytest.mark.parametrize("a", [0.0, -3.0, 17.0])
+def test_unit_spaced_rules_equal_the_cell_by_cell_recursion(a):
+    for n in list(range(1, 41)) + [101, 1000]:
+        grid = make_grid(a, a + n, n)
+        assert grid.h == 1.0
+        nodes, weights = _rule_cell_by_cell(grid)
+        rule = build_rule(grid)
+        assert rule.nodes.tolist() == nodes, n
+        assert rule.weights.tolist() == weights, n
+
+
+def test_scaled_rules_stay_within_rounding_of_the_cell_by_cell_recursion():
+    # nodes move by at most an ulp of the coordinates, weights by a few eps
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(1, 65))
+        a = float(rng.uniform(-1e3, 1e3))
+        b = a + float(10.0 ** rng.uniform(-3.0, 3.0))
+        rule = build_rule(make_grid(a, b, n))
+        nodes, weights = _rule_cell_by_cell(rule.grid)
+        assert np.max(np.abs(rule.nodes - nodes)) <= 2.0 * math.ulp(max(abs(a), abs(b)))
+        np.testing.assert_allclose(rule.weights, weights, rtol=32.0 * eps, atol=0.0)
+
+
+def test_build_refuses_cells_narrower_than_the_coordinates_resolve():
+    # ulp(1e16) = 2 > h = 1: scaled nodes collide after rounding
+    with pytest.raises(ConstructionError, match="strictly increasing"):
+        build_rule(make_grid(1e16, 1e16 + 64.0, 64))
+
+
+def test_validate_rule_checks_what_scaling_can_break():
+    grid = make_grid(0.0, 1.0, 3)
+    rule = build_rule(grid)
+    nodes, weights = rule.nodes.copy(), rule.weights.copy()
+    _validate_rule(grid, nodes, weights)
+    swapped = nodes.copy()
+    swapped[[2, 3]] = swapped[[3, 2]]
+    bad = {
+        "strictly increasing": (swapped, weights),
+        "positive": (nodes, np.where(np.arange(7) == 3, -weights, weights)),
+        "sum to": (nodes, weights * (1.0 + 1e-9)),
+        "inside": (np.concatenate([[0.0], nodes[1:]]), weights),
+    }
+    for match, (t, w) in bad.items():
+        with pytest.raises(ConstructionError, match=match):
+            _validate_rule(grid, t, w)
+
+
+def test_extreme_spans_build_or_fail_cleanly():
+    # spans log-uniform over 1e-300..1e300, left ends from near 0 to 1e16
+    # spans away; every build integrates a quintic to within rounding and
+    # node placement, every other grid is refused with a library error
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(5)
+    built = refused = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 65))
+        span = 10.0 ** rng.uniform(-300.0, 300.0)
+        a = float(rng.choice((-1.0, 1.0)) * 10.0 ** min(
+            math.log10(span) + rng.uniform(-2.0, 16.0), 307.0))
+        c = rng.uniform(-1.0, 1.0, 6).tolist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                rule = build_rule(make_grid(a, a + span, n))
+            except (ValueError, ConstructionError):
+                refused += 1
+                continue
+            q = apply_rule(rule, horner_quintic(rule.grid.a, rule.grid.b, c))
+        built += 1
+        grid = rule.grid
+        width = grid.b - grid.a
+        assert np.isfinite(rule.nodes).all() and np.isfinite(rule.weights).all()
+        exact = width * math.fsum(ck / (k + 1) for k, ck in enumerate(c))
+        placement = math.ulp(max(abs(grid.a), abs(grid.b))) + eps * width
+        size = math.fsum(abs(ck) for ck in c)
+        slope = math.fsum(k * abs(ck) for k, ck in enumerate(c))
+        assert abs(q - exact) <= 32.0 * eps * width * size + 4.0 * slope * placement, (
+            grid, q, exact)
+    assert built >= 150 and refused >= 20
 
 
 # -------------------------------------------------------------- apply_rule
@@ -559,6 +680,17 @@ def test_apply_falls_back_per_node_on_unusable_array_results():
     # are complex and the sum refuses them
     with pytest.raises(TypeError):
         apply_rule(rule, lambda t: q(t) + 1j)
+
+
+@pytest.mark.parametrize("n", (3, CUT_N, 40))
+def test_apply_refuses_numpy_complex_values(n):
+    # math.fsum would take a numpy complex scalar by its real part; at 57
+    # nodes and more the complex array result sends f to the per-node path
+    rule = build_rule(make_grid(-1.0, 1.0, n))
+    with pytest.raises(TypeError, match="complex"):
+        apply_rule(rule, lambda t: np.exp(1j * t))
+    with pytest.raises(TypeError, match="complex"):  # complex left of 0 only
+        apply_rule(rule, np.emath.sqrt)
 
 
 @pytest.mark.parametrize("n", (2, CUT_N + 1))
