@@ -2,6 +2,16 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
 construction failure.
+
+``rule`` and ``kernel`` write bytes, _CHUNK rows at a time. The numbers
+come from ``_digits``, which makes them from the float64 arrays in numpy
+and gives the same text as Python formatting each value: ``"%.17g"`` for
+csv and ``kernel``, the exact value truncated to 16 significant digits for
+table, and ``repr`` (what ``json.dumps`` writes) for the json arrays. A
+value the array path cannot decide exactly, or that lies outside its
+range (0, subnormals, |v| beyond 1e-280..1e281, not finite), is formatted
+by that Python expression. The json head fields and error constant are
+written by ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -10,19 +20,22 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from decimal import ROUND_DOWN, Context
-from itertools import chain, islice
-from typing import Callable, Iterable, Iterator, Optional
+from itertools import chain
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from . import error_analysis, oracle, quadrature
+from . import _digits, error_analysis, oracle, quadrature
 from .grid_basis import make_grid
-from .quadrature import _CHUNK, ConstructionError, QuadratureRule, _items
+from .quadrature import ConstructionError, QuadratureRule
 
 __all__ = ["RuleDocument", "main"]
 
 SCHEMA_VERSION = 1
+
+# Rows formatted at a time: the working arrays of 16384 rows stay in cache
+# (65536 rows took 1.5-2x as long per row).
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -54,7 +67,7 @@ class RuleDocument:
         head = {name: getattr(self, name) for name in _HEAD_FIELDS}
         nodes = np.asarray(self.nodes, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
-        return "".join(_json_chunks(head, nodes, weights, self.error_constant))
+        return b"".join(_json_chunks(head, nodes, weights, self.error_constant)).decode()
 
     @classmethod
     def from_json(cls, text: str) -> "RuleDocument":
@@ -71,90 +84,75 @@ def _head(rule: QuadratureRule) -> dict:
     return dict(zip(_HEAD_FIELDS, (SCHEMA_VERSION, grid.n, grid.a, grid.b, grid.h)))
 
 
-_SIG16 = Context(prec=16, rounding=ROUND_DOWN)
+def _rows(columns: list[np.ndarray], mode: str, sep: bytes,
+          end: bytes = b"\n", index: bool = True) -> Iterator[bytes]:
+    """Text rows of the columns in ``mode``, joined by sep and closed by
+    end, after a 1-based row number if index is set; _CHUNK rows at a time,
+    so a million-node rule never exists as one string."""
+    for start in range(0, len(columns[0]), _CHUNK):
+        stop = min(start + _CHUNK, len(columns[0]))
+        parts = [_digits.row_numbers(start + 1, stop + 1), sep] if index else []
+        for column in columns:
+            parts += [(column[start:stop], mode), sep]
+        parts[-1] = end
+        yield _digits.lines(parts)
 
 
-def _fixed(v: float) -> str:
-    """Fixed-point decimal truncated to 16 significant digits."""
-    return format(_SIG16.create_decimal_from_float(v), "f")
-
-
-def _each_distinct(fmt: Callable[[float], str], values: np.ndarray) -> Iterator[str]:
-    """fmt of every value, computed once per distinct bit pattern.
-
-    Weights take few distinct values: every fill cell repeats 7h/15 and 8h/15.
-    """
-    distinct, index = np.unique(values.view(np.int64), return_inverse=True)
-    texts = [fmt(v) for v in distinct.view(np.float64).tolist()]
-    return map(texts.__getitem__, _items(index))
-
-
-def _chunks(pieces: Iterable[str], sep: str = "") -> Iterator[str]:
-    """The pieces joined by sep, yielded _CHUNK pieces at a time (rows or
-    JSON array items: the join amortizes, and a million-node rule never
-    exists as one string)."""
-    pieces = iter(pieces)
-    lead = ""
-    while chunk := sep.join(islice(pieces, _CHUNK)):
-        yield lead + chunk
-        lead = sep
-
-
-def _table_chunks(rule: QuadratureRule) -> Iterator[str]:
+def _table_chunks(rule: QuadratureRule) -> Iterator[bytes]:
     n = rule.grid.n
-    yield "i tau omega\n"
-    rows = zip(
-        range(1, n + 2),
-        map(_fixed, _items(rule.nodes[: n + 1])),
-        _each_distinct(_fixed, rule.weights[: n + 1]),
-    )
-    yield from _chunks(map("%d %s %s\n".__mod__, rows))
+    yield b"i tau omega\n"
+    yield from _rows([rule.nodes[: n + 1], rule.weights[: n + 1]], "fixed", b" ")
     yield (
         f"# rows {n + 2}..{2 * n + 1} by symmetry: tau(i) = a+b-tau(2n+2-i), "
         f"omega(i) = omega(2n+2-i)\n"
-    )
+    ).encode()
 
 
-def _csv_chunks(rule: QuadratureRule) -> Iterator[str]:
+def _csv_chunks(rule: QuadratureRule) -> Iterator[bytes]:
     # 17 significant digits parse back to the same doubles
-    yield "i,tau,omega\n"
-    rows = zip(
-        range(1, len(rule) + 1),
-        _items(rule.nodes),
-        _each_distinct("%.17g".__mod__, rule.weights),
-    )
-    yield from _chunks(map("%d,%.17g,%s\n".__mod__, rows))
+    yield b"i,tau,omega\n"
+    yield from _rows([rule.nodes, rule.weights], "%.17g", b",")
+
+
+def _json_array(values: np.ndarray) -> Iterator[bytes]:
+    """The items of a JSON array of floats, as ``json.dumps`` writes them."""
+    chunks = _rows([values], "repr", b"", end=b", ", index=False)
+    last = b""
+    for chunk in chunks:
+        yield last
+        last = chunk
+    yield last[:-2]
 
 
 def _json_chunks(
     head: dict, nodes: np.ndarray, weights: np.ndarray, error_constant: float
-) -> Iterator[str]:
+) -> Iterator[bytes]:
     """``json.dumps`` of a rule document, with the arrays streamed.
 
     json writes floats as repr: the shortest strings that parse back to the
     same doubles.
     """
-    yield json.dumps(head)[:-1] + ', "nodes": ['
-    for i in range(0, len(nodes), _CHUNK):
-        yield (", " if i else "") + json.dumps(nodes[i : i + _CHUNK].tolist())[1:-1]
-    yield '], "weights": ['
-    yield from _chunks(_each_distinct(json.dumps, weights), ", ")
-    yield '], "error_constant": ' + json.dumps(error_constant) + "}"
+    yield (json.dumps(head)[:-1] + ', "nodes": [').encode()
+    yield from _json_array(nodes)
+    yield b'], "weights": ['
+    yield from _json_array(weights)
+    yield ('], "error_constant": ' + json.dumps(error_constant) + "}").encode()
 
 
 def _format_table(rule: QuadratureRule) -> str:
-    return "".join(_table_chunks(rule))
+    return b"".join(_table_chunks(rule)).decode()
 
 
 def _format_csv(rule: QuadratureRule) -> str:
-    return "".join(_csv_chunks(rule))
+    return b"".join(_csv_chunks(rule)).decode()
 
 
-def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
+def _emit(chunks: Iterable[bytes], out: Optional[str]) -> None:
     if out is None:
-        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(chunks)
     else:
-        with open(out, "w", newline="") as fh:
+        with open(out, "wb") as fh:
             fh.writelines(chunks)
 
 
@@ -167,7 +165,7 @@ def _cmd_rule(args: argparse.Namespace) -> int:
     if args.format == "json":
         c = error_analysis.error_constant(rule)
         chunks = _json_chunks(_head(rule), rule.nodes, rule.weights, c)
-        _emit(chain(chunks, ("\n",)), args.out)
+        _emit(chain(chunks, (b"\n",)), args.out)
     elif args.format == "csv":
         _emit(_csv_chunks(rule), args.out)
     else:
@@ -178,8 +176,8 @@ def _cmd_rule(args: argparse.Namespace) -> int:
 def _cmd_kernel(args: argparse.Namespace) -> int:
     rule = _rule_from_args(args)
     profile = error_analysis.kernel_profile(rule, args.samples_per_cell)
-    rows = map("%.17g,%.17g\n".__mod__, zip(*profile.samples.T.tolist()))
-    _emit(chain(("t,K6\n",), _chunks(rows)), args.out)
+    rows = _rows(list(profile.samples.T), "%.17g", b",", index=False)
+    _emit(chain((b"t,K6\n",), rows), args.out)
     return 0
 
 

@@ -25,7 +25,8 @@ middle-cell closures for each state. The states, the roots and weights
 and the middle-cell exactness system are validated there, once. A build
 is then ``a + h * table``: prefix nodes (a + (k-1) h) + h * offset with
 weights h * w, the two-third fill, the middle closure scaled by h, and
-the mirror (a + b) - tau. No power of h is ever formed, so every span
+the mirror (a + b) - tau, or b - (tau - a) where a + b overflows. No
+power of h is ever formed, so every span
 whose cells and nodes are representable builds; on h = 1 grids the
 result is bit-identical to running the recursion cell by cell. Each build
 still checks what rounding after the scaling can break: nodes strictly
@@ -451,7 +452,8 @@ def build_rule(grid: UniformKnotGrid) -> QuadratureRule:
     Left-half cells 1..min(n//2, 4) take the table's prefix cells, scaled
     by h; the remaining left-half cells are exact two-third cells; the
     middle cell takes the closure for the state entering it; the right
-    half mirrors the left: tau -> (a + b) - tau with equal weights.
+    half mirrors the left: tau -> (a + b) - tau with equal weights, or
+    b - (tau - a) where a + b is beyond the double range.
 
     Raises
     ------
@@ -474,16 +476,20 @@ def build_rule(grid: UniformKnotGrid) -> QuadratureRule:
     np.add(fill, 0.5 * h, out=nodes[2 * p + 1 : 2 * half : 2])
     weights[2 * p : 2 * half : 2] = LIMIT_KNOT_WEIGHT * h
     weights[2 * p + 1 : 2 * half : 2] = LIMIT_MIDPOINT_WEIGHT * h
+    mirror = a + b  # beyond the double range on some grids: [1e308, 1.7e308]
     if n % 2 == 0:
         nodes[n] = knots[half]
         weights[n] = h * _MIDDLE_EVEN[p]
     else:
         r1, w_out, w_mid = _MIDDLE_ODD[p]
         nodes[n - 1] = knots[half] + h * r1
-        nodes[n] = 0.5 * (a + b)
+        nodes[n] = 0.5 * mirror if math.isfinite(mirror) else a + 0.5 * (b - a)
         weights[n - 1] = h * w_out
         weights[n] = h * w_mid
-    np.subtract(a + b, nodes[:n][::-1], out=nodes[n + 1 :])
+    if math.isfinite(mirror):
+        np.subtract(mirror, nodes[:n][::-1], out=nodes[n + 1 :])
+    else:
+        np.subtract(b, nodes[:n][::-1] - a, out=nodes[n + 1 :])
     weights[n + 1 :] = weights[:n][::-1]
     _validate_rule(grid, nodes, weights)
     return QuadratureRule(grid=grid, nodes=nodes, weights=weights)

@@ -297,6 +297,32 @@ def test_rule_at_extreme_scale_builds():
     assert all(float(w) > 0.0 for _, _, w in rows)
 
 
+@pytest.mark.parametrize("fmt,reference", [("table", reference_table), ("csv", reference_csv)])
+def test_rule_where_a_plus_b_overflows(tmp_path, fmt, reference):
+    # every node and weight is beyond the range the formatter takes in
+    # numpy: each is written by its Python expression
+    out = tmp_path / f"rule.{fmt}"
+    argv = ["rule", "--n", "5", "--a", "1e308", "--b", "1.7e308", "--format", fmt,
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert out.read_bytes() == reference(build_rule(make_grid(1e308, 1.7e308, 5))).encode()
+
+
+def test_rule_json_where_a_plus_b_overflows():
+    # the arrays are written as json.dumps writes them; the error constant
+    # takes (b - a)**7, so the command ends in a construction failure
+    rule = build_rule(make_grid(1e308, 1.7e308, 5))
+    text = b"".join(cli._json_chunks(cli._head(rule), rule.nodes, rule.weights, 0.5)).decode()
+    grid = rule.grid
+    assert text == json.dumps({
+        "schema_version": 1, "n": grid.n, "a": grid.a, "b": grid.b, "h": grid.h,
+        "nodes": rule.nodes.tolist(), "weights": rule.weights.tolist(), "error_constant": 0.5,
+    })
+    cp = run_cli("rule", "--n", "5", "--a", "1e308", "--b", "1.7e308", "--format", "json")
+    assert cp.returncode == 3 and cp.stderr.startswith("construction failed: ")
+    assert cp.stdout == ""
+
+
 # the kernel gates and the JSON error constant take powers of b - a
 @pytest.mark.parametrize("args", [
     ("rule", "--n", "3", "--a", "0", "--b", "1e60", "--format", "json"),

@@ -534,7 +534,6 @@ def test_extreme_spans_build_or_fail_cleanly():
     # spans log-uniform over 1e-300..1e300, left ends from near 0 to 1e16
     # spans away; every build integrates a quintic to within rounding and
     # node placement, every other grid is refused with a library error
-    eps = np.finfo(float).eps
     rng = np.random.default_rng(5)
     built = refused = 0
     for _ in range(300):
@@ -550,18 +549,39 @@ def test_extreme_spans_build_or_fail_cleanly():
             except (ValueError, ConstructionError):
                 refused += 1
                 continue
-            q = apply_rule(rule, horner_quintic(rule.grid.a, rule.grid.b, c))
+            assert_integrates_quintic(rule, c)
         built += 1
-        grid = rule.grid
-        width = grid.b - grid.a
-        assert np.isfinite(rule.nodes).all() and np.isfinite(rule.weights).all()
-        exact = width * math.fsum(ck / (k + 1) for k, ck in enumerate(c))
-        placement = math.ulp(max(abs(grid.a), abs(grid.b))) + eps * width
-        size = math.fsum(abs(ck) for ck in c)
-        slope = math.fsum(k * abs(ck) for k, ck in enumerate(c))
-        assert abs(q - exact) <= 32.0 * eps * width * size + 4.0 * slope * placement, (
-            grid, q, exact)
     assert built >= 150 and refused >= 20
+
+
+def assert_integrates_quintic(rule, c):
+    """The rule integrates the quintic with coefficients c in (t - a)/(b - a)
+    to within rounding and node placement."""
+    eps = np.finfo(float).eps
+    grid = rule.grid
+    q = apply_rule(rule, horner_quintic(grid.a, grid.b, c))
+    width = grid.b - grid.a
+    assert np.isfinite(rule.nodes).all() and np.isfinite(rule.weights).all()
+    exact = width * math.fsum(ck / (k + 1) for k, ck in enumerate(c))
+    placement = math.ulp(max(abs(grid.a), abs(grid.b))) + eps * width
+    size = math.fsum(abs(ck) for ck in c)
+    slope = math.fsum(k * abs(ck) for k, ck in enumerate(c))
+    assert abs(q - exact) <= 32.0 * eps * width * size + 4.0 * slope * placement, (
+        grid, q, exact)
+
+
+def test_grids_where_a_plus_b_overflows_build():
+    # b - a and every node are doubles, a + b is not: the right half is
+    # mirrored as b - (tau - a) and the odd middle node is a + (b - a) / 2
+    rng = np.random.default_rng(8)
+    for n in range(1, 9):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rule = build_rule(make_grid(1e308, 1.7e308, n))
+            assert_integrates_quintic(rule, rng.uniform(-0.5, 0.5, 6).tolist())
+        assert (rule.nodes[1:] > rule.nodes[:-1]).all()
+        if n % 2:
+            assert rule.nodes[n] == 1e308 + 0.5 * (1.7e308 - 1e308)
 
 
 # -------------------------------------------------------------- apply_rule
