@@ -334,9 +334,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConstructionError, OverflowError) as exc:
-        # powers of b - a in the kernel gates and the error constant leave
-        # the double range on extreme intervals: the arguments were valid,
-        # the computation could not follow them
+        # on extreme intervals the kernel gates' powers of b - a, or the
+        # json error constant itself, leave the double range: the arguments
+        # were valid, the result is not a double
         print(f"construction failed: {exc}", file=sys.stderr)
         return 3
 

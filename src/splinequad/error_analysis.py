@@ -19,6 +19,18 @@ It costs O(1) per sample and its terms are of size h^6, like K6, but it
 is the kernel only if the rule is exact.  So the knot check of
 ``kernel_profile`` keeps the global form, which needs no such assumption.
 
+The constant has the same two forms.  By definition c = ((b-a)^7/7 -
+Q[(t-a)^6]) / 720, a difference of two terms of size (b-a)^7 while c is
+of size h^6 (b-a): in double precision it cancels to noise (0.0 on
+[0, 1] from n ~ 1000).  ``error_constant`` uses the local form instead,
+the monospline view of Micchelli & Pinkus (SIAM J. Math. Anal. 8, 1977):
+with u the offset of t in its cell in units of h and g(u) = u^3 (u-1)^3,
+(t-a)^6 - h^6 g(u) is a C2 piecewise quintic, which the rule integrates
+exactly, so c = h^7 (-n/140 - sum (w/h) g(u)) / 720.  Every term is of
+size h, no power of b - a is formed, and like the kernel samples it is
+the constant of a rule exact on the spline space (``exactness_report``
+checks that).
+
 Pure functions over immutable rules; safe to call concurrently.
 """
 
@@ -30,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid_basis import _cell_table
-from .quadrature import _CHUNK, ConstructionError, QuadratureRule, _items
+from .quadrature import _CHUNK, ConstructionError, QuadratureRule
 
 __all__ = [
     "PeanoProfile",
@@ -175,30 +187,49 @@ def kernel_profile(rule: QuadratureRule, samples_per_cell: int = 1000) -> PeanoP
 
 
 def error_constant(rule: QuadratureRule) -> float:
-    """The remainder constant c = (b-a)^7/5040 - sum_k w_k (tau_k - a)^6 / 720.
+    """The remainder constant c, with I[f] - Q[f] = c f''''''(xi) for f in C6.
 
-    In exact arithmetic c is positive for every valid rule: the rule
-    underestimates the integral of (t - a)^6 by exactly 720 c.  In double
-    precision the two terms are O((b-a)^7) while c is O(h^6 (b-a)), so the
-    difference cancels: any result below the rounding floor of the first
-    term, about eps * (b-a)^7 / 5040, is noise (0.0 or negative on [0, 1]
-    from n ~ 1000).  A cancellation-free form is an open ROADMAP item
-    ("Error analysis without cancellation").
+    By definition c = ((b-a)^7/7 - Q[(t-a)^6]) / 720: the rule
+    underestimates the integral of (t - a)^6 by 720 c.  That difference
+    cancels in double precision, so c is taken in the local form (see the
+    module docstring): with x = (tau - a)/h, u = x - floor(x) and
+    p = u (u - 1) at every node,
 
-    The sixth powers go through ``np.float_power``, which calls libm ``pow``
-    element by element like Python's ``**`` (``np.power`` takes a SIMD path
-    whose results differ in the last bit), so the terms and their
-    compensated sum are bit-identical to the per-element Python loop.
+        c = h^7 (-n/140 - sum (w/h) p^3) / 720.
+
+    A two-third cell (7h/15 at its knot, 8h/15 at its midpoint, where
+    p^3 = -1/64) gives h^7/604800, so c is about (b-a) h^6 / 604800.
+    Every w p^3 is <= 0 and g vanishes with two derivatives at u = 0 and
+    u = 1, so a node on a knot counts the same from either cell and the
+    sum cancels nothing beyond the factor 7 between n/120 and n/140.  The
+    local form assumes the rule is exact on the spline space, as every
+    built rule is; ``exactness_report`` checks that assumption.
+
+    The nodes go in blocks of ``_CHUNK``, so the extra memory does not
+    grow with n.  The power of two of h^7 is applied last, by ``ldexp``:
+    c raises ``OverflowError`` only where it exceeds the double range, and
+    is 0.0 only where it lies below the smallest subnormal double (on
+    [0, 1e-45] with n = 3, say).
     """
     grid = rule.grid
-    span = grid.b - grid.a
-    head = span**7 / 5040.0  # raises OverflowError before numpy would make inf
-    terms = rule.weights * np.float_power(rule.nodes - grid.a, 6.0)
-    return head - math.fsum(_items(terms)) / 720.0
+    s = 0.0
+    for start in range(0, len(rule), _CHUNK):
+        x = (rule.nodes[start : start + _CHUNK] - grid.a) / grid.h
+        u = x - np.floor(x)
+        p = u * (u - 1.0)
+        s += float(np.dot(rule.weights[start : start + _CHUNK], p * p * p))
+    total = -grid.n / 140.0 - s / grid.h
+    m, e = math.frexp(grid.h)  # h = m 2^e with 1/2 <= m < 1
+    return math.ldexp(m**7 * total / 720.0, 7 * e)
 
 
 def remainder_bound(rule: QuadratureRule, m6: float) -> float:
-    """Bound |I[f] - Q[f]| <= c * M6 for any f in C6 with |f''''''| <= M6."""
+    """Bound |I[f] - Q[f]| <= c * M6 for any f in C6 with |f''''''| <= M6.
+
+    c is positive wherever it is at least the smallest normal double, so
+    the bound is positive for every M6 > 0 there; it is 0.0 only where c
+    underflows (see ``error_constant``) or M6 is 0.
+    """
     if m6 < 0.0:
         raise ValueError(f"derivative bound must be nonnegative, got {m6}")
     return error_constant(rule) * m6

@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -89,9 +90,15 @@ LIMIT_MIDPOINT_WEIGHT = 8.0 / 15.0
 # per node.
 ARRAY_MIN_NODES = 57
 
-# Rows per chunk the CLI writes, and the element budget of blocked array
-# temporaries (the Peano kernel's knot check).
+# Element budget of blocked array temporaries: the Peano kernel's knot
+# check and the error constant.
 _CHUNK = 1 << 16
+
+# Per-node products checked for complex values at a time on large rules
+# (see apply_rule): a list of 4096 stays in cache, and at n = 10^6 with
+# math.sin it ran as fast as 16384 or 65536 and 20 % faster than a check
+# per product.
+_CHECK_BLOCK = 1 << 12
 
 # Slack for the residue inequality 2(4A - B) + 1/12 >= 1/6, which holds
 # with equality at the first cell.
@@ -547,14 +554,19 @@ def apply_rule(
     on smaller rules, f is called per node with Python floats (read from
     the arrays one at a time) and the products are formed as ``w * f(t)``;
     a complex product, numpy's complex scalars included, raises
-    ``TypeError``.  A scalar-only f therefore works unchanged; an
-    array-capable f should compute elementwise what it computes per node.
+    ``TypeError`` (checked per product below the cut, and per block of
+    ``_CHECK_BLOCK`` products above it).  A scalar-only f therefore works
+    unchanged; an array-capable f should compute elementwise what it
+    computes per node.
     """
     nodes, weights = rule.nodes, rule.weights
     if len(nodes) >= ARRAY_MIN_NODES:
         values = _array_values(f, nodes)
         if values is not None:
             return math.fsum(_items(weights * values))
+        products = map(operator.mul, _items(weights), map(f, _items(nodes)))
+        blocks = iter(lambda: list(islice(products, _CHECK_BLOCK)), [])
+        return math.fsum(chain.from_iterable(map(_real_block, blocks)))
     products = map(operator.mul, _items(weights), map(f, _items(nodes)))
     return math.fsum(map(_real, products))
 
@@ -569,6 +581,19 @@ def _real(product):
     if product.__class__ is not float and isinstance(product, np.complexfloating):
         raise TypeError(f"integrand value is complex: {product!r}")
     return product
+
+
+def _real_block(products: list) -> list:
+    """A block of per-node products, refused as ``_real`` refuses one.
+
+    One pass over the set of their types replaces a Python call per
+    product; only a block holding something other than floats is looked
+    at product by product.
+    """
+    if not {float}.issuperset(map(type, products)):
+        for product in products:
+            _real(product)
+    return products
 
 
 def _array_values(f: Callable, nodes: np.ndarray) -> Optional[np.ndarray]:

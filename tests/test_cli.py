@@ -309,8 +309,9 @@ def test_rule_where_a_plus_b_overflows(tmp_path, fmt, reference):
 
 
 def test_rule_json_where_a_plus_b_overflows():
-    # the arrays are written as json.dumps writes them; the error constant
-    # takes (b - a)**7, so the command ends in a construction failure
+    # the arrays are written as json.dumps writes them; the error constant,
+    # about 5 h^7 / 604800 with h = 1.4e307, is beyond the double range, so
+    # the command ends in a construction failure
     rule = build_rule(make_grid(1e308, 1.7e308, 5))
     text = b"".join(cli._json_chunks(cli._head(rule), rule.nodes, rule.weights, 0.5)).decode()
     grid = rule.grid
@@ -323,11 +324,11 @@ def test_rule_json_where_a_plus_b_overflows():
     assert cp.stdout == ""
 
 
-# the kernel gates and the JSON error constant take powers of b - a
+# the kernel gates take powers of b - a; the JSON error constant, about
+# 1e411 on [0, 1e60] with n = 3, is beyond the double range
 @pytest.mark.parametrize("args", [
     ("rule", "--n", "3", "--a", "0", "--b", "1e60", "--format", "json"),
     ("kernel", "--n", "3", "--a", "0", "--b", "1e60"),
-    ("rule", "--n", "3", "--a", "0", "--b", "1e45", "--format", "json"),
 ])
 def test_overflow_at_extreme_scale_is_a_construction_failure(args):
     cp = run_cli(*args)
@@ -336,3 +337,15 @@ def test_overflow_at_extreme_scale_is_a_construction_failure(args):
     assert cp.stderr.startswith("construction failed: ")
     assert cp.stderr.count("\n") == 1 and cp.stderr.endswith("\n")
     assert cp.stdout == ""
+
+
+def test_rule_json_where_the_error_constant_is_a_double():
+    # (b - a)^7 = 1e315 is beyond the double range, c (about 1.6e306) is
+    # not: no power of b - a is formed, so the document is written
+    cp = run_cli("rule", "--n", "3", "--a", "0", "--b", "1e45", "--format", "json")
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stderr == ""
+    c = json.loads(cp.stdout)["error_constant"]
+    h = 1e45 / 3
+    plateau = h**6 / 604800.0 * 1e45  # (b-a)^7 / (604800 n^6)
+    assert 0.5 * plateau < c < plateau

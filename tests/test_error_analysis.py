@@ -16,7 +16,13 @@ from splinequad.error_analysis import (
 )
 from splinequad.grid_basis import make_grid
 from splinequad.oracle import gauss_legendre_between
-from splinequad.quadrature import ConstructionError, QuadratureRule, apply_rule, build_rule
+from splinequad.quadrature import (
+    _CHUNK,
+    ConstructionError,
+    QuadratureRule,
+    apply_rule,
+    build_rule,
+)
 
 # Frozen from a 60-digit evaluation of the constant's defining formula.
 C_UNIT = {1: 4.9603174603174603175e-07,
@@ -182,21 +188,53 @@ def test_sixth_power_identity(a, b):
         )
 
 
-def test_error_constant_matches_per_element_formula_bit_for_bit():
-    # error_constant vectorizes the sixth powers with np.float_power; this is
-    # the per-element Python loop it replaced.  If a platform's float_power
-    # stops matching libm pow, the constant must fail here, not drift.
+def test_error_constant_matches_global_formula_at_small_n():
+    # the definition (b-a)^7/5040 - sum w (t-a)^6/720 in double precision,
+    # as a reference where its cancellation is mild: it agrees to its own
+    # rounding floor, the head's rounding plus the node placement ulp(|a|)
+    # moving the sum by up to 6 (b-a)^6 ulp / 720
+    eps = np.finfo(float).eps
     rng = np.random.default_rng(303)
     for _ in range(120):
         a = float(rng.uniform(-50.0, 50.0))
         b = a + float(rng.uniform(0.01, 20.0))
-        rule = build_rule(make_grid(a, b, int(rng.integers(1, 3000))))
+        rule = build_rule(make_grid(a, b, int(rng.integers(1, 31))))
         s = math.fsum(
             w * (t - a) ** 6
             for t, w in zip(rule.nodes.tolist(), rule.weights.tolist())
         )
-        expected = (b - a) ** 7 / 5040.0 - s / 720.0
-        assert error_constant(rule).hex() == expected.hex()
+        reference = (b - a) ** 7 / 5040.0 - s / 720.0
+        floor = eps * (b - a) ** 7 / 5040.0 + eps * max(abs(a), abs(b)) * (b - a) ** 6 / 120.0
+        assert abs(error_constant(rule) - reference) <= floor
+
+
+def test_error_constant_memory_does_not_grow_with_n():
+    # the nodes go in blocks of _CHUNK; one whole-array temporary at
+    # n = 10^5 (200001 doubles, 1.6 MB) and the next would pass the bound
+    rule = build_rule(make_grid(0.0, 1.0, 10**5))
+    error_constant(rule)
+    tracemalloc.start()
+    try:
+        error_constant(rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 8 * _CHUNK
+
+
+def test_error_constant_where_c_leaves_the_double_range():
+    # c ~ (b-a) h^6 / 604800: a double on [0, 1e45] although (b-a)^7 is
+    # not, beyond the range on [0, 1e60], subnormal on [0, 1e-44], and
+    # below the smallest subnormal on [0, 1e-45] (about 1.6e-324)
+    unit = error_constant(build_rule(make_grid(0.0, 1.0, 3)))
+    c = error_constant(build_rule(make_grid(0.0, 1e45, 3)))
+    assert c / 1e45**6 / 1e45 == pytest.approx(unit, rel=1e-12)
+    with pytest.raises(OverflowError):
+        error_constant(build_rule(make_grid(0.0, 1e60, 3)))
+    tiny = error_constant(build_rule(make_grid(0.0, 1e-44, 3)))
+    assert 0.0 < tiny < np.finfo(float).tiny
+    assert tiny == pytest.approx(unit * 1e-308, rel=1e-6)
+    assert error_constant(build_rule(make_grid(0.0, 1e-45, 3))) == 0.0
 
 
 def test_error_constant_equals_kernel_integral():
@@ -234,6 +272,21 @@ def test_remainder_bound_covers_sine():
         rule = build_rule(make_grid(0.0, math.pi, n))
         err = abs(apply_rule(rule, math.sin) - 2.0)
         assert err <= remainder_bound(rule, 1.0)
+
+
+def test_remainder_bound_is_positive():
+    # wherever c is at least the smallest normal double: spans 1e-3..1e3
+    # up to |a| = 1e6, and n up to 10^6 on [0, 1]
+    rng = np.random.default_rng(2010)
+    grids = [(0.0, 1.0, 10**k) for k in range(7)]
+    while len(grids) < 200:
+        a = float(rng.uniform(-1e6, 1e6))
+        span = float(10.0 ** rng.uniform(-3.0, 3.0))
+        grids.append((a, a + span, int(10.0 ** rng.uniform(0.0, 3.0))))
+    for a, b, n in grids:
+        rule = build_rule(make_grid(a, b, n))
+        if error_constant(rule) >= np.finfo(float).tiny:
+            assert remainder_bound(rule, 1.0) > 0.0, (a, b, n)
 
 
 def test_remainder_bound_sixth_order_decay():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from splinequad.error_analysis import error_constant
 from splinequad.grid_basis import basis_eval, basis_integral, make_grid
 from splinequad.oracle import (
     cubic_coefficients,
@@ -329,20 +330,21 @@ def test_cubic_rootfree_along_full_build():
 
 # ------------------------------------------- unit-cell table vs 50 digits
 
-def _mp_unit_recursion(mp):
+def _mp_unit_recursion(mp, cells=4):
     """The recursion on unit cells in 50-digit arithmetic.
 
-    Returns the states (A, B) entering cells 1..5, cells 1..4 as
-    (r1, r2, w_lo, w_hi), and for each state the middle closures of a grid
-    whose middle cell it enters: (outer offset, outer weight, midpoint
+    Returns the states (A, B) entering cells 1..cells+1, the solved cells
+    as (r1, r2, w_lo, w_hi), and for each state the middle closures of a
+    grid whose middle cell it enters: (outer offset, outer weight, midpoint
     weight) for odd n, the middle-knot weight for even n.  At 50 digits
-    nothing converges to a plateau, so every cell is solved.
+    the residues reach their plateau only on entering cell 7, so up to
+    cell 6 every cell is solved.
     """
     with mp.workdps(50):
         sixth = mp.mpf(1) / 6
         A, B = mp.mpf(1) / 24, mp.mpf(1) / 8
-        states, cells, odd, even = [], [], [], []
-        for k in range(1, 6):
+        states, solved, odd, even = [], [], [], []
+        for k in range(1, cells + 2):
             states.append((A, B))
             p = 108 * A + 12 * B - 1
             d = 156 * A - 36 * B + 1
@@ -354,7 +356,7 @@ def _mp_unit_recursion(mp):
                 / (15 * d),
             ))
             even.append(4 * (A + B - sixth))
-            if k == 5:
+            if k == cells + 1:
                 break
             q0 = 1 - 24 * B + 24 * A
             q1 = 2 * (12 * B + 108 * A - 1)
@@ -364,10 +366,44 @@ def _mp_unit_recursion(mp):
             beta = 1 - r2
             w_hi = (1 - 2 * r1) / (60 * beta**2 * (1 - beta) ** 2 * (r2 - r1))
             w_lo = (4 * A - w_hi * beta**5) / (1 - r1) ** 5
-            cells.append((r1, r2, w_lo, w_hi))
+            solved.append((r1, r2, w_lo, w_hi))
             A = sixth - (w_lo * r1**4 * (10 - 9 * r1) + w_hi * r2**4 * (10 - 9 * r2)) / 4
             B = sixth - (w_lo * r1**5 + w_hi * r2**5) / 4
-        return states, cells, odd, even
+        return states, solved, odd, even
+
+
+def _mp_error_constant(mp, a, b, n):
+    """c = (b-a)^7/5040 - sum w (tau-a)^6/720, the definition, evaluated
+    in 50 digits on the 50-digit rule for [a, b] with n cells.
+
+    Cells 1..min(n//2, 6) come from the recursion; from cell 7 on the
+    50-digit residues stay at their plateau, so those cells are two-third
+    cells and the middle closure takes the state entering cell 7.
+    """
+    half = n // 2
+    p = min(half, 6)
+    _, solved, odd, even = _mp_unit_recursion(mp, p)
+    with mp.workdps(50):
+        plateau = (0, mp.mpf(1) / 2, mp.mpf(7) / 15, mp.mpf(8) / 15)
+        x, w = [], []  # left half: offsets from a and weights, in units of h
+        for k in range(half):
+            r1, r2, w_lo, w_hi = solved[k] if k < p else plateau
+            x += [k + r1, k + r2]
+            w += [w_lo, w_hi]
+        if n % 2:
+            r1, w_out, w_mid = odd[p]
+            x.append(half + r1)
+            w.append(w_out)
+            x_mid = mp.mpf(n) / 2
+        else:
+            x_mid, w_mid = mp.mpf(half), even[p]
+        x = x + [x_mid] + [n - t for t in reversed(x)]
+        w = w + [w_mid] + w[::-1]
+        a, b = mp.mpf(a), mp.mpf(b)
+        h = (b - a) / n
+        taus = [a + h * t for t in x]
+        s = mp.fsum(h * wi * (tau - a) ** 6 for tau, wi in zip(taus, w))
+        return (b - a) ** 7 / 5040 - s / 720
 
 
 def test_unit_cell_table_matches_50_digit_recursion():
@@ -418,6 +454,52 @@ def test_scaled_rule_weights_match_50_digit_recursion():
             h = mp.mpf(rule.grid.h)
             worst = max(abs(rule.weights[i] - h * r) / (h * r) for i, r in zip(at, ref))
         assert worst <= 4 * eps, (rule.grid, float(worst) / eps)
+
+
+def _placement_slack(rule):
+    """Relative change of the local-form c, to first order, when every node
+    moves by ulp(max(|a|, |b|)): with g(u) = u^3 (u-1)^3 and
+    c = h^7 S / 720, that is sum (w/h) |g'(u)| ulp/h over S.  A node on a
+    knot or a cell midpoint has g' = 0 and adds nothing."""
+    grid = rule.grid
+    x = (rule.nodes - grid.a) / grid.h
+    u = x - np.floor(x)
+    slope = np.abs(3.0 * (u * (u - 1.0)) ** 2 * (2.0 * u - 1.0))
+    s = 720.0 * error_constant(rule) / grid.h**7
+    ulp = np.spacing(max(abs(grid.a), abs(grid.b)))
+    return float(np.dot(rule.weights / grid.h, slope)) / s * ulp / grid.h
+
+
+@pytest.mark.parametrize("a,b", [(0.0, 1.0), (-3.0, 17.0), (1e6, 1e6 + 1.0)])
+def test_error_constant_matches_50_digit_definition(a, b):
+    # to a relative 1e-10 plus the placement slack, which is below 1e-11
+    # near the origin; on [1e6, 1e6 + 1] the stored nodes are placed to
+    # ulp(1e6) = 1.2e-10 and the slack reaches 6e-9 at n = 2
+    mp = pytest.importorskip("mpmath")
+    for n in (1, 2, 3, 4, 5, 8, 9, 10, 11, 100, 1001, 10**4):
+        rule = build_rule(make_grid(a, b, n))
+        c = error_constant(rule)
+        ref = _mp_error_constant(mp, a, b, n)
+        tol = 1e-10 + _placement_slack(rule)
+        assert float(abs(c - ref) / ref) <= tol, (n, c, float(ref))
+
+
+def test_error_constant_per_parity_from_ten_cells():
+    # from n = 10 the prefix cells and the middle closure no longer change,
+    # and every further cell is a two-third cell adding h^7/604800, so
+    # c/h^7 - n/604800 is one constant per parity of n; at 50 digits the
+    # even and the odd constant, -1.5556891501669e-6, are the same
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        const = {n % 2: _mp_error_constant(mp, 0, n, n) - mp.mpf(n) / 604800
+                 for n in (10, 11)}
+        assert abs(const[0] - const[1]) <= mp.mpf(10) ** -40
+        for n in (12, 13):
+            moved = _mp_error_constant(mp, 0, n, n) - mp.mpf(n) / 604800 - const[n % 2]
+            assert abs(moved) <= mp.mpf(10) ** -40
+    for n in list(range(10, 41)) + [99, 100, 1001, 10**4, 10**6]:
+        c = error_constant(build_rule(make_grid(0.0, float(n), n)))  # h = 1
+        assert abs(c - n / 604800 - float(const[n % 2])) <= 1e-12 * n / 604800, n
 
 
 # --------------------------------------------- cross-checks rule <-> oracle

@@ -25,6 +25,7 @@ from splinequad.quadrature import (
     middle_even,
     middle_odd,
     middle_quadratic,
+    _CHECK_BLOCK,
     _MIDDLE_EVEN,
     _MIDDLE_ODD,
     _PREFIX_OFFSETS,
@@ -711,6 +712,22 @@ def test_apply_refuses_numpy_complex_values(n):
         apply_rule(rule, lambda t: np.exp(1j * t))
     with pytest.raises(TypeError, match="complex"):  # complex left of 0 only
         apply_rule(rule, np.emath.sqrt)
+
+
+def test_apply_refuses_a_numpy_complex_value_past_the_first_block():
+    # a scalar-only f on a large rule: the products are checked a block at
+    # a time, and the one complex value sits in the second block
+    rule = build_rule(make_grid(0.0, 1.0, 40000))
+    at = float(rule.nodes[_CHECK_BLOCK + 7])
+    assert len(rule) > 2 * _CHECK_BLOCK
+
+    def f(t):
+        if not isinstance(t, float):
+            raise TypeError("scalars only")
+        return np.complex128(complex(t, 1.0)) if t == at else math.cos(t)
+
+    with pytest.raises(TypeError, match="complex"):
+        apply_rule(rule, f)
 
 
 @pytest.mark.parametrize("n", (2, CUT_N + 1))
