@@ -2,9 +2,10 @@
 
 The rule for n cells uses 2n + 1 nodes, is exact on the whole 4n + 2
 dimensional spline space, and is produced by a closed-form recursion (no
-numerical solver).  Verification tooling lives in :mod:`splinequad.oracle`
-and :mod:`splinequad.error_analysis`; the command line is
-``python -m splinequad``.
+numerical solver).  The package exports the library surface: grids, the
+rule and its application, and the error analysis.  The verification kit
+lives in :mod:`splinequad.oracle`, the basis in
+:mod:`splinequad.grid_basis`; the command line is ``python -m splinequad``.
 """
 
 from .error_analysis import (
@@ -14,56 +15,20 @@ from .error_analysis import (
     peano_kernel,
     remainder_bound,
 )
-from .grid_basis import (
-    SplineCoefficients,
-    UniformKnotGrid,
-    basis_eval,
-    basis_integral,
-    blend_eval,
-    make_grid,
-)
-from .oracle import (
-    ExactnessReport,
-    cubic_rootfree_check,
-    exactness_report,
-    limit_rule_deviation,
-    middle_system_residual,
-    random_spline,
-    reference_integral,
-)
-from .quadrature import (
-    ConstructionError,
-    QuadratureRule,
-    ResidueState,
-    apply_rule,
-    build_rule,
-    build_rule_with_trace,
-)
+from .grid_basis import UniformKnotGrid, make_grid
+from .quadrature import ConstructionError, QuadratureRule, apply_rule, build_rule
 
 __all__ = [
     "ConstructionError",
-    "ExactnessReport",
     "PeanoProfile",
     "QuadratureRule",
-    "ResidueState",
-    "SplineCoefficients",
     "UniformKnotGrid",
     "apply_rule",
-    "basis_eval",
-    "basis_integral",
-    "blend_eval",
     "build_rule",
-    "build_rule_with_trace",
-    "cubic_rootfree_check",
     "error_constant",
-    "exactness_report",
     "kernel_profile",
-    "limit_rule_deviation",
     "make_grid",
-    "middle_system_residual",
     "peano_kernel",
-    "random_spline",
-    "reference_integral",
     "remainder_bound",
 ]
 

@@ -228,16 +228,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
             worst_rand = max(worst_rand, abs(q - spline.exact_integral()) / scale)
     report("exactness.random_spline_relative", worst_rand, gate_for(1e-12))
 
-    # residue invariants along every visited state
+    # residue invariants, the root-free cubic and the odd middle system at
+    # every state of the unit-cell table; every build reads a prefix of them
     residue_ok = True
-    for n in (args.n_max, 10_000):
-        _, trace = quadrature.build_rule_with_trace(make_grid(0.0, 1.0, n))
-        for st in trace.states:
-            try:
-                st.validate()
-            except ConstructionError:
-                residue_ok = False
-            residue_ok &= oracle.cubic_rootfree_check(st, 1.0 / n)
+    for st, closure in zip(quadrature.TABLE.states, quadrature.TABLE.middle_odd):
+        try:
+            st.validate()
+        except ConstructionError:
+            residue_ok = False
+        residue_ok &= oracle.cubic_rootfree_check(st, 1.0)
+        residual = oracle.middle_system_residual(st.A, st.B, 1.0, *closure)
+        residue_ok &= max(map(abs, residual)) <= 1e-10
     print(f"residues.invariants_and_cubic status={'PASS' if residue_ok else 'FAIL'}")
     failures += 0 if residue_ok else 1
 

@@ -21,6 +21,7 @@ from .grid_basis import (
     _cell_shapes,
     _cell_table,
     basis_integral,
+    make_grid,
 )
 from .quadrature import QuadratureRule, ResidueState
 
@@ -210,24 +211,20 @@ def middle_system_residual(
     The candidate solution places outer nodes at offsets alpha and
     h - alpha with weight w_out each and the midpoint node with w_mid;
     the equations demand that those nodes collect A, B and 1/6 of the
-    three basis functions alive there.
+    three basis functions alive there: the two spanning it and the cell
+    before it, and one of its own two bumps (the other is its mirror
+    image).  They are evaluated with the basis shapes of the one-cell grid
+    [0, h], not with the closed forms the recursion solves.
+
+    Raises
+    ------
+    ValueError
+        If h is not positive, where ``make_grid`` has no grid.
     """
-    if h <= 0.0:
-        raise ValueError("cell width must be positive")
-    g = h - alpha
-    r1 = (g**5 + alpha**5) / (4.0 * h**6) * w_out + w_mid / (128.0 * h) - A
-    r2 = (
-        (g**4 * (9.0 * alpha + h) + alpha**4 * (10.0 * h - 9.0 * alpha))
-        / (4.0 * h**6) * w_out
-        + 11.0 * w_mid / (128.0 * h)
-        - B
-    )
-    r3 = (
-        10.0 * alpha**2 * g * g / h**5 * w_out
-        + 5.0 * w_mid / (16.0 * h)
-        - 1.0 / 6.0
-    )
-    return r1, r2, r3
+    grid = make_grid(0.0, h, 1)
+    shapes = _cell_shapes(grid, np.array([alpha, 0.5 * h, h - alpha]))
+    q = np.array([w_out, w_mid, w_out]) @ shapes
+    return float(q[0] - A), float(q[1] - B), float(q[2] - 1.0 / 6.0)
 
 
 def cubic_coefficients(state: ResidueState, h: float) -> tuple[float, float, float, float]:

@@ -19,19 +19,20 @@ cells are both the most accurate double-precision answer and O(1) work.
 The recursion does not change under translation or scaling: the residues
 do not depend on a or h, and a cell's node offsets and weights are h
 times those of a unit cell. So the module runs it once, at import, on
-cells of unit width (``_UNIT``): the states entering cells 1-5, the
-offsets and weights of the four prefix cells, and the even and odd
-middle-cell closures for each state. The states, the roots and weights
-and the middle-cell exactness system are validated there, once. A build
-is then ``a + h * table``: prefix nodes (a + (k-1) h) + h * offset with
-weights h * w, the two-third fill, the middle closure scaled by h, and
-the mirror (a + b) - tau, or b - (tau - a) where a + b overflows. No
-power of h is ever formed, so every span
-whose cells and nodes are representable builds; on h = 1 grids the
-result is bit-identical to running the recursion cell by cell. Each build
-still checks what rounding after the scaling can break: nodes strictly
-increasing, weights positive, weights summing to b - a, and the extreme
-nodes strictly inside (a, b).
+cells of unit width, into one frozen record, ``TABLE``: the states
+entering cells 1-5, the offsets and weights of the four prefix cells, and
+the even and odd middle-cell closures for each state. The states, the
+roots and the weights are checked there, once; the residual of the
+middle-cell exactness system is audited independently, by
+``oracle.middle_system_residual`` in ``splinequad check``. A build is then
+``a + h * table``: prefix nodes (a + (k-1) h) + h * offset with weights
+h * w, the two-third fill, the middle closure scaled by h, and the mirror
+(a + b) - tau, or b - (tau - a) where a + b overflows. No power of h is
+ever formed, so every span whose cells and nodes are representable
+builds; on h = 1 grids the result is bit-identical to running the
+recursion cell by cell. Each build still checks what rounding after the
+scaling can break: nodes strictly increasing, weights positive, weights
+summing to b - a, and the extreme nodes strictly inside (a, b).
 
 Rules are immutable once built; ``apply_rule`` is pure. The table is
 computed once and never written afterwards, so builds share no mutable
@@ -53,20 +54,15 @@ from .grid_basis import UniformKnotGrid
 __all__ = [
     "ConstructionError",
     "ResidueState",
-    "QuadraticCoeffs",
     "QuadratureRule",
-    "RecursionTrace",
+    "UnitTable",
+    "TABLE",
     "ARRAY_MIN_NODES",
     "CONVERGENCE_TOL",
     "LIMIT_KNOT_WEIGHT",
     "LIMIT_MIDPOINT_WEIGHT",
     "initial_residues",
-    "interior_quadratic",
-    "middle_quadratic",
-    "middle_even",
-    "middle_odd",
     "build_rule",
-    "build_rule_with_trace",
     "apply_rule",
 ]
 
@@ -153,52 +149,6 @@ class ResidueState:
 
 
 @dataclass(frozen=True)
-class QuadraticCoeffs:
-    """Monomial coefficients q0 + q1*x + q2*x^2 of a node-producing factor."""
-
-    q0: float
-    q1: float
-    q2: float
-    kind: str  # "interior" or "middle-odd"
-
-    def discriminant(self) -> float:
-        return self.q1 * self.q1 - 4.0 * self.q2 * self.q0
-
-    def roots(self) -> tuple[float, float]:
-        """Both real roots, ascending.
-
-        The larger-magnitude root is computed with the sign-safe formula
-        and the other from the product of roots, so neither suffers
-        cancellation however q2 moves along the recursion.  Middle-cell
-        quadratics have roots placed symmetrically about -q1/(2 q2); that
-        symmetry is used directly for them, which keeps the pair exactly
-        symmetric in floating point.
-        """
-        disc = self.discriminant()
-        if disc < 0.0:
-            raise ConstructionError(
-                f"negative discriminant {disc!r} in {self.kind} quadratic"
-            )
-        if self.kind == "middle-odd":
-            center = -0.5 * self.q1 / self.q2
-            delta = math.sqrt(disc) / (2.0 * abs(self.q2))
-            return center - delta, center + delta
-        t = -0.5 * (self.q1 + math.copysign(math.sqrt(disc), self.q1))
-        r_a = t / self.q2
-        r_b = self.q0 / t if t != 0.0 else 0.0
-        return (r_a, r_b) if r_a <= r_b else (r_b, r_a)
-
-
-@dataclass(frozen=True)
-class RecursionTrace:
-    """Diagnostics from a build: every distinct residue state visited and
-    the cell index (if any) from which the two-third plateau was emitted."""
-
-    states: tuple[ResidueState, ...]
-    limit_start: Optional[int]
-
-
-@dataclass(frozen=True)
 class QuadratureRule:
     """An immutable (2n+1)-node rule over a grid.
 
@@ -230,44 +180,21 @@ def initial_residues() -> ResidueState:
     return ResidueState(k=1, A=1.0 / 24.0, B=1.0 / 8.0)
 
 
-def interior_quadratic(state: ResidueState, h: float) -> QuadraticCoeffs:
-    """Quadratic whose roots are the two node offsets inside a generic cell."""
-    A, B = state.A, state.B
-    return QuadraticCoeffs(
-        q0=h * h * (1.0 - 24.0 * B + 24.0 * A),
-        q1=2.0 * h * (12.0 * B + 108.0 * A - 1.0),
-        q2=1.0 - 480.0 * A + 576.0 * A * A + 576.0 * B * B - 1152.0 * A * B,
-        kind="interior",
-    )
+def _solve_cell(state: ResidueState) -> tuple[float, float, float, float]:
+    """Offsets and weights ``(r1, r2, w_lo, w_hi)`` of the unit cell entered
+    in ``state``.
 
+    The offsets are the roots of the node quadratic q0 + q1 x + q2 x^2,
 
-def middle_quadratic(state: ResidueState, h: float) -> QuadraticCoeffs:
-    """Quadratic for the two outer nodes of the middle cell when n is odd.
+        q0 = 1 - 24B + 24A,  q1 = 2 (12B + 108A - 1),
+        q2 = 1 - 480A + 576A^2 + 576B^2 - 1152AB;
 
-    Obtained by eliminating the outer weight from the two closed forms the
-    3x3 middle system reduces to; its roots sum to h, i.e. they sit
-    symmetrically about the cell midpoint.
-    """
-    A, B = state.A, state.B
-    p = 108.0 * A + 12.0 * B - 1.0
-    return QuadraticCoeffs(
-        q0=h * h * (24.0 * A - 24.0 * B + 1.0),
-        q1=2.0 * h * p,
-        q2=-2.0 * p,
-        kind="middle-odd",
-    )
+    the larger-magnitude root comes from the sign-safe formula and the
+    other from the product of the roots, so neither suffers cancellation
+    however q2 moves along the recursion.  The lower weight is recovered
+    from the exactness equation for the left-spanning basis function,
 
-
-def _solve_cell(state: ResidueState, h: float, k: int) -> tuple[float, float, float, float]:
-    """Offsets-from-left-knot and weights ``(r1, r2, w_lo, w_hi)`` of cell k.
-
-    The whole recursion is translation invariant, so it works in offsets;
-    absolute node coordinates appear only when a rule is assembled.  Both
-    offsets are roots of :func:`interior_quadratic`; the lower weight is
-    recovered from the exactness equation for the left-spanning basis
-    function,
-
-        w_lo * (h - r1)^5 + w_hi * (h - r2)^5 = 4 h^6 A,
+        w_lo (1 - r1)^5 + w_hi (1 - r2)^5 = 4A,
 
     rather than from its closed form.  The two are algebraically identical,
     but the closed form divides the difference of two converging quantities
@@ -276,31 +203,33 @@ def _solve_cell(state: ResidueState, h: float, k: int) -> tuple[float, float, fl
     state at the plateau gives the exact two-third cell.
 
     Raises ``ConstructionError`` if the discriminant is negative, a root
-    leaves (0, h), or a weight is not positive: all signs of corrupted
+    leaves (0, 1), or a weight is not positive: all signs of corrupted
     residues.
     """
     if state.converged:
-        return 0.0, 0.5 * h, LIMIT_KNOT_WEIGHT * h, LIMIT_MIDPOINT_WEIGHT * h
-    try:
-        r1, r2 = interior_quadratic(state, h).roots()
-    except ConstructionError as exc:
-        raise ConstructionError(str(exc), k) from None
-    if not 0.0 < r1 < r2 < h:
-        raise ConstructionError(
-            f"roots ({r1!r}, {r2!r}) outside the open cell (0, {h})", k
-        )
-    beta = h - r2
-    w_hi = h**5 * (h - 2.0 * r1) / (
-        60.0 * beta * beta * (h - beta) ** 2 * (r2 - r1)
-    )
-    w_lo = (4.0 * h**6 * state.A - w_hi * beta**5) / (h - r1) ** 5
+        return 0.0, 0.5, LIMIT_KNOT_WEIGHT, LIMIT_MIDPOINT_WEIGHT
+    A, B = state.A, state.B
+    q0 = 1.0 - 24.0 * B + 24.0 * A
+    q1 = 2.0 * (12.0 * B + 108.0 * A - 1.0)
+    q2 = 1.0 - 480.0 * A + 576.0 * A * A + 576.0 * B * B - 1152.0 * A * B
+    disc = q1 * q1 - 4.0 * q2 * q0
+    if disc < 0.0:
+        raise ConstructionError(f"negative discriminant {disc!r} in the node quadratic", state.k)
+    t = -0.5 * (q1 + math.copysign(math.sqrt(disc), q1))
+    r_a, r_b = t / q2, q0 / t if t != 0.0 else 0.0
+    r1, r2 = (r_a, r_b) if r_a <= r_b else (r_b, r_a)
+    if not 0.0 < r1 < r2 < 1.0:
+        raise ConstructionError(f"roots ({r1!r}, {r2!r}) outside the open cell (0, 1)", state.k)
+    beta = 1.0 - r2
+    w_hi = (1.0 - 2.0 * r1) / (60.0 * beta * beta * (1.0 - beta) ** 2 * (r2 - r1))
+    w_lo = (4.0 * A - w_hi * beta**5) / (1.0 - r1) ** 5
     if not (w_lo > 0.0 and w_hi > 0.0):
-        raise ConstructionError(f"nonpositive weight ({w_lo!r}, {w_hi!r})", k)
+        raise ConstructionError(f"nonpositive weight ({w_lo!r}, {w_hi!r})", state.k)
     return r1, r2, w_lo, w_hi
 
 
 def _update_cell(
-    state: ResidueState, h: float, r1: float, r2: float, w_lo: float, w_hi: float
+    state: ResidueState, r1: float, r2: float, w_lo: float, w_hi: float
 ) -> ResidueState:
     """Residues entering the next cell, from one cell's offsets and weights.
 
@@ -308,10 +237,10 @@ def _update_cell(
     functions spanning it and the next cell; the new state is validated
     and a violation raises ``ConstructionError``.
     """
-    d5_lo = r1**4 * (10.0 * h - 9.0 * r1) / (4.0 * h**6)
-    d5_hi = r2**4 * (10.0 * h - 9.0 * r2) / (4.0 * h**6)
-    d6_lo = r1**5 / (4.0 * h**6)
-    d6_hi = r2**5 / (4.0 * h**6)
+    d5_lo = r1**4 * (10.0 - 9.0 * r1) / 4.0
+    d5_hi = r2**4 * (10.0 - 9.0 * r2) / 4.0
+    d6_lo = r1**5 / 4.0
+    d6_hi = r2**5 / 4.0
     new = ResidueState(
         k=state.k + 1,
         A=1.0 / 6.0 - w_lo * d5_lo - w_hi * d5_hi,
@@ -321,140 +250,114 @@ def _update_cell(
     return new
 
 
-def middle_even(state: ResidueState, h: float) -> float:
-    """Weight of the single node at the middle knot (n even).
+def _middle_even(state: ResidueState) -> float:
+    """Weight of the node at the middle knot of an even grid, per unit h.
 
     The basis function centered on the middle knot spans the cells on both
     sides.  The left cell leaves A uncollected; the mirrored right cell
     collects 1/6 - B of it (reflection swaps the two spanning shapes), so
-    the knot node, where the function's value is 1/(4h), must supply
-    A - (1/6 - B).  Hence w = 4h(A + B - 1/6).
+    the knot node, where the function's value is 1/4, must supply
+    A - (1/6 - B).  Hence w = 4(A + B - 1/6).
     """
-    w = 4.0 * h * (state.A + state.B - 1.0 / 6.0)
+    w = 4.0 * (state.A + state.B - 1.0 / 6.0)
     if not w > 0.0:
         raise ConstructionError(f"nonpositive middle weight {w!r}", state.k)
     return w
 
 
-def middle_odd(
-    state: ResidueState, grid: UniformKnotGrid, m: int
-) -> tuple[float, float, float, float, float, float]:
-    """Nodes and weights of the three-node middle cell (n odd, cell m).
+def _middle_odd(state: ResidueState) -> tuple[float, float, float]:
+    """Outer offset and the weights ``(r1, w_out, w_mid)`` of the three-node
+    middle unit cell of an odd grid, entered in ``state``.
 
-    Returns ``(tau_lo, tau_mid, tau_hi, w_lo, w_mid, w_hi)`` with
-    ``tau_mid = (a+b)/2``, the outer nodes symmetric about it and
-    ``w_hi = w_lo``.  The outer-node offset comes from
-    :func:`middle_quadratic`; the weights come from the closed forms
+    The outer nodes sit at r1 and 1 - r1 with weight w_out each, the
+    midpoint node has w_mid.  r1 is the lower root of c + 2p x - 2p x^2,
+    obtained by eliminating the outer weight from the two closed forms the
+    3x3 middle system reduces to: 1/2 - sqrt(p^2 + 2pc) / (2|p|).  The
+    weights come from the closed forms
 
-        w_out = h p^2 / (30 d),    p = 108A + 12B - 1,  d = 156A - 36B + 1,
-        w_mid = 4h (1152AB + 264A - 576A^2 - 576B^2 - 24B + 1) / (15 d),
+        w_out = p^2 / (30 d),    p = 108A + 12B - 1,  d = 156A - 36B + 1,
+        w_mid = 4 (1152AB + 264A - 576A^2 - 576B^2 - 24B + 1) / (15 d),
 
-    which stay well-conditioned for every reachable state.  The returned
-    six-tuple is checked against the 3x3 exactness system for the middle
-    cell; a residual above 1e-10 raises ``ConstructionError``.
-
-    Near the residue plateau the outer offset underflows below what the
-    node coordinates can represent and the outer nodes coincide with the
-    cell's knots (matching the two-third limit); they stay strictly
-    inside the cell whenever the offset is representable.
+    which stay well-conditioned for every reachable state.  Once
+    c = 24A - 24B + 1 is below the plateau floor, r1 is 0: the true offset
+    is not representable next to the knot coordinates, and the outer nodes
+    coincide with the cell's knots (matching the two-third limit).
     """
-    n = grid.n
-    if n % 2 != 1 or m != (n + 1) // 2:
-        raise ValueError(f"middle cell of an odd grid is {(n + 1) // 2}, got {m}")
-    h = grid.h
     A, B = state.A, state.B
-    if abs(24.0 * A - 24.0 * B + 1.0) <= CONVERGENCE_TOL:
+    p = 108.0 * A + 12.0 * B - 1.0
+    c = 24.0 * A - 24.0 * B + 1.0
+    if abs(c) <= CONVERGENCE_TOL:
         r1 = 0.0
     else:
-        try:
-            r1, _ = middle_quadratic(state, h).roots()
-        except ConstructionError as exc:
-            raise ConstructionError(str(exc), m) from None
-        if not 0.0 < r1 < 0.5 * h:
+        disc = p * p + 2.0 * p * c
+        if disc < 0.0:
             raise ConstructionError(
-                f"middle offset {r1!r} outside (0, h/2)", m
+                f"negative discriminant {disc!r} in the middle quadratic", state.k
             )
-    p = 108.0 * A + 12.0 * B - 1.0
+        r1 = 0.5 - math.sqrt(disc) / (2.0 * abs(p))
+        if not 0.0 < r1 < 0.5:
+            raise ConstructionError(f"middle offset {r1!r} outside (0, 1/2)", state.k)
     d = 156.0 * A - 36.0 * B + 1.0
-    w_out = h * p * p / (30.0 * d)
+    w_out = p * p / (30.0 * d)
     w_mid = (
-        4.0 * h
+        4.0
         * (1152.0 * A * B + 264.0 * A - 576.0 * A * A - 576.0 * B * B - 24.0 * B + 1.0)
         / (15.0 * d)
     )
     if not (w_out > 0.0 and w_mid > 0.0):
-        raise ConstructionError(f"nonpositive weight ({w_out!r}, {w_mid!r})", m)
-    res = _middle_system_residuals(A, B, h, r1, w_out, w_mid)
-    if max(abs(r) for r in res) > 1e-10:
-        raise ConstructionError(
-            f"middle system residuals {res} exceed 1e-10", m
-        )
-    x = grid.a + (m - 1) * h
-    tau_mid = 0.5 * (grid.a + grid.b)
-    return x + r1, tau_mid, grid.a + m * h - r1, w_out, w_mid, w_out
+        raise ConstructionError(f"nonpositive weight ({w_out!r}, {w_mid!r})", state.k)
+    return r1, w_out, w_mid
 
 
-def _middle_system_residuals(
-    A: float, B: float, h: float, alpha: float, w_out: float, w_mid: float
-) -> tuple[float, float, float]:
-    """Residuals of the three middle-cell exactness equations."""
-    g = h - alpha
-    r1 = (g**5 + alpha**5) / (4.0 * h**6) * w_out + w_mid / (128.0 * h) - A
-    r2 = (
-        (g**4 * (9.0 * alpha + h) + alpha**4 * (10.0 * h - 9.0 * alpha))
-        / (4.0 * h**6) * w_out
-        + 11.0 * w_mid / (128.0 * h)
-        - B
-    )
-    r3 = (
-        10.0 * alpha**2 * g * g / h**5 * w_out
-        + 5.0 * w_mid / (16.0 * h)
-        - 1.0 / 6.0
-    )
-    return r1, r2, r3
+@dataclass(frozen=True)
+class UnitTable:
+    """The recursion run on cells of unit width.
 
-
-def _unit_table():
-    """Run the recursion once on cells of unit width.
-
-    Returns the states entering cells 1..P, where P is the first cell
-    entered at the plateau; the offsets and weights of prefix cells
-    1..P-1, interleaved as (r1, r2) and (w_lo, w_hi) per cell; and, for the
-    state entering each cell k, the middle closure of a grid whose middle
-    is cell k: the knot weight when n is even (k >= 2), and the outer
-    offset, outer weight and midpoint weight when n is odd.
+    ``states`` are the states entering cells 1..P, P the first cell
+    entered at the plateau; ``offsets`` and ``weights`` (read-only arrays)
+    hold prefix cells 1..P-1, as (r1, r2) and (w_lo, w_hi) per cell.  For
+    the state entering cell k + 1, ``middle_even[k]`` is the middle-knot
+    weight of an even grid whose middle knot that cell starts at (NaN at
+    k = 0, where no even grid has its middle), and ``middle_odd[k]`` the
+    closure ``(r1, w_out, w_mid)`` of an odd grid whose middle is that cell.
     """
+
+    states: tuple[ResidueState, ...]
+    offsets: np.ndarray
+    weights: np.ndarray
+    middle_even: tuple[float, ...]
+    middle_odd: tuple[tuple[float, float, float], ...]
+
+
+def _unit_table() -> UnitTable:
+    """Run the recursion once, from the first cell to the plateau."""
     state = initial_residues()
     state.validate()
     states = [state]
     offsets, weights = [], []
     while not state.converged:
-        r1, r2, w_lo, w_hi = _solve_cell(state, 1.0, state.k)
+        r1, r2, w_lo, w_hi = _solve_cell(state)
         offsets += (r1, r2)
         weights += (w_lo, w_hi)
-        state = _update_cell(state, 1.0, r1, r2, w_lo, w_hi)
+        state = _update_cell(state, r1, r2, w_lo, w_hi)
         states.append(state)
-    even = (math.nan,) + tuple(middle_even(s, 1.0) for s in states[1:])
-    odd = []
-    for s in states:
-        r1, _, _, w_out, w_mid, _ = middle_odd(s, _UNIT, 1)
-        odd.append((r1, w_out, w_mid))
     offsets, weights = np.array(offsets), np.array(weights)
     offsets.setflags(write=False)
     weights.setflags(write=False)
-    return tuple(states), offsets, weights, even, tuple(odd)
+    return UnitTable(
+        states=tuple(states),
+        offsets=offsets,
+        weights=weights,
+        middle_even=(math.nan,) + tuple(map(_middle_even, states[1:])),
+        middle_odd=tuple(map(_middle_odd, states)),
+    )
 
 
-# One cell of unit width, on which the table is solved.
-_UNIT = UniformKnotGrid(a=0.0, b=1.0, n=1, h=1.0)
-_STATES, _PREFIX_OFFSETS, _PREFIX_WEIGHTS, _MIDDLE_EVEN, _MIDDLE_ODD = _unit_table()
-# Prefix cells before the plateau (4), and the cell index of each prefix node.
-_PREFIX = len(_STATES) - 1
-_PREFIX_CELL = np.repeat(np.arange(_PREFIX), 2)
+TABLE = _unit_table()
 
 
 def build_rule(grid: UniformKnotGrid) -> QuadratureRule:
-    """Construct the full 2n+1-node rule for a grid from the unit-cell table.
+    """Construct the full 2n+1-node rule for a grid from ``TABLE``.
 
     Left-half cells 1..min(n//2, 4) take the table's prefix cells, scaled
     by h; the remaining left-half cells are exact two-third cells; the
@@ -472,12 +375,12 @@ def build_rule(grid: UniformKnotGrid) -> QuadratureRule:
     """
     a, b, n, h = grid.a, grid.b, grid.n, grid.h
     half = n // 2
-    p = min(half, _PREFIX)
+    p = min(half, len(TABLE.states) - 1)
     nodes = np.empty(2 * n + 1)
     weights = np.empty(2 * n + 1)
     knots = a + np.arange(half + 1) * h  # x_0 .. x_half
-    nodes[: 2 * p] = knots[_PREFIX_CELL[: 2 * p]] + h * _PREFIX_OFFSETS[: 2 * p]
-    weights[: 2 * p] = h * _PREFIX_WEIGHTS[: 2 * p]
+    nodes[: 2 * p] = knots[:p].repeat(2) + h * TABLE.offsets[: 2 * p]
+    weights[: 2 * p] = h * TABLE.weights[: 2 * p]
     fill = knots[p:half]
     nodes[2 * p : 2 * half : 2] = fill
     np.add(fill, 0.5 * h, out=nodes[2 * p + 1 : 2 * half : 2])
@@ -486,9 +389,9 @@ def build_rule(grid: UniformKnotGrid) -> QuadratureRule:
     mirror = a + b  # beyond the double range on some grids: [1e308, 1.7e308]
     if n % 2 == 0:
         nodes[n] = knots[half]
-        weights[n] = h * _MIDDLE_EVEN[p]
+        weights[n] = h * TABLE.middle_even[p]
     else:
-        r1, w_out, w_mid = _MIDDLE_ODD[p]
+        r1, w_out, w_mid = TABLE.middle_odd[p]
         nodes[n - 1] = knots[half] + h * r1
         nodes[n] = 0.5 * mirror if math.isfinite(mirror) else a + 0.5 * (b - a)
         weights[n - 1] = h * w_out
@@ -500,23 +403,6 @@ def build_rule(grid: UniformKnotGrid) -> QuadratureRule:
     weights[n + 1 :] = weights[:n][::-1]
     _validate_rule(grid, nodes, weights)
     return QuadratureRule(grid=grid, nodes=nodes, weights=weights)
-
-
-def build_rule_with_trace(
-    grid: UniformKnotGrid,
-) -> tuple[QuadratureRule, RecursionTrace]:
-    """Construct the rule and return the recursion diagnostics with it.
-
-    The trace holds the table's states that the grid uses: those entering
-    cells 1..min(n//2 + 1, 5). ``limit_start`` is 5, the first two-third
-    cell, when the left half reaches it, and None otherwise.
-    """
-    half = grid.n // 2
-    trace = RecursionTrace(
-        states=_STATES[: min(half, _PREFIX) + 1],
-        limit_start=_PREFIX + 1 if half > _PREFIX else None,
-    )
-    return build_rule(grid), trace
 
 
 def _validate_rule(grid: UniformKnotGrid, nodes: np.ndarray, weights: np.ndarray) -> None:

@@ -19,17 +19,12 @@ from splinequad.oracle import (
     reference_integral,
 )
 from splinequad.quadrature import (
+    TABLE,
     QuadratureRule,
     ResidueState,
     apply_rule,
     build_rule,
-    build_rule_with_trace,
     initial_residues,
-    _MIDDLE_EVEN,
-    _MIDDLE_ODD,
-    _PREFIX_OFFSETS,
-    _PREFIX_WEIGHTS,
-    _STATES,
 )
 
 
@@ -289,6 +284,14 @@ def test_middle_system_rejects_bad_width():
         middle_system_residual(0.1, 0.15, -1.0, 0.1, 0.4, 0.5)
 
 
+def test_middle_system_holds_for_every_odd_closure_of_the_table():
+    # the closed forms the table is built from solve the system evaluated
+    # from the basis shapes, for the state entering each cell
+    for state, closure in zip(TABLE.states, TABLE.middle_odd):
+        res = middle_system_residual(state.A, state.B, 1.0, *closure)
+        assert max(abs(r) for r in res) <= 1e-10, state
+
+
 # ------------------------------------------------------------- cubic factor
 
 def test_cubic_coefficients_initial_state():
@@ -322,9 +325,9 @@ def test_cubic_detects_roots():
 
 
 def test_cubic_rootfree_along_full_build():
-    _, trace = build_rule_with_trace(make_grid(0.0, 1.0, 10_000))
-    assert len(trace.states) <= 8
-    for st in trace.states:
+    """Every state of the unit-cell table, on cells of the width of an
+    n = 10^4 build: every build visits a prefix of these states."""
+    for st in TABLE.states:
         assert cubic_rootfree_check(st, 1e-4)
 
 
@@ -372,9 +375,9 @@ def _mp_unit_recursion(mp, cells=4):
         return states, solved, odd, even
 
 
-def _mp_error_constant(mp, a, b, n):
-    """c = (b-a)^7/5040 - sum w (tau-a)^6/720, the definition, evaluated
-    in 50 digits on the 50-digit rule for [a, b] with n cells.
+def _mp_unit_rule(mp, n):
+    """The 50-digit rule for n cells of unit width: the offsets from a of
+    its first n + 1 nodes and their weights (the rest mirror).
 
     Cells 1..min(n//2, 6) come from the recursion; from cell 7 on the
     50-digit residues stay at their plateau, so those cells are two-third
@@ -385,20 +388,24 @@ def _mp_error_constant(mp, a, b, n):
     _, solved, odd, even = _mp_unit_recursion(mp, p)
     with mp.workdps(50):
         plateau = (0, mp.mpf(1) / 2, mp.mpf(7) / 15, mp.mpf(8) / 15)
-        x, w = [], []  # left half: offsets from a and weights, in units of h
+        x, w = [], []
         for k in range(half):
             r1, r2, w_lo, w_hi = solved[k] if k < p else plateau
             x += [k + r1, k + r2]
             w += [w_lo, w_hi]
         if n % 2:
             r1, w_out, w_mid = odd[p]
-            x.append(half + r1)
-            w.append(w_out)
-            x_mid = mp.mpf(n) / 2
-        else:
-            x_mid, w_mid = mp.mpf(half), even[p]
-        x = x + [x_mid] + [n - t for t in reversed(x)]
-        w = w + [w_mid] + w[::-1]
+            return x + [half + r1, mp.mpf(n) / 2], w + [w_out, w_mid]
+        return x + [mp.mpf(half)], w + [even[p]]
+
+
+def _mp_error_constant(mp, a, b, n):
+    """c = (b-a)^7/5040 - sum w (tau-a)^6/720, the definition, evaluated
+    in 50 digits on the 50-digit rule for [a, b] with n cells."""
+    x, w = _mp_unit_rule(mp, n)
+    with mp.workdps(50):
+        x = x + [n - t for t in reversed(x[:n])]
+        w = w + w[:n][::-1]
         a, b = mp.mpf(a), mp.mpf(b)
         h = (b - a) / n
         taus = [a + h * t for t in x]
@@ -415,45 +422,45 @@ def test_unit_cell_table_matches_50_digit_recursion():
         return float(abs(x - ref) / ref)
 
     # offsets are in units of h, so absolute; weights relative
-    assert len(_STATES) == len(states)
-    for state, (A, B) in zip(_STATES, states):
+    assert len(TABLE.states) == len(states)
+    for state, (A, B) in zip(TABLE.states, states):
         assert abs(state.A - A) <= eps and abs(state.B - B) <= eps
     for k, (r1, r2, w_lo, w_hi) in enumerate(cells):
-        assert abs(_PREFIX_OFFSETS[2 * k] - r1) <= eps
-        assert abs(_PREFIX_OFFSETS[2 * k + 1] - r2) <= eps
-        assert rel(_PREFIX_WEIGHTS[2 * k], w_lo) <= 3 * eps
-        assert rel(_PREFIX_WEIGHTS[2 * k + 1], w_hi) <= 3 * eps
-    for (r1, w_out, w_mid), ref in zip(_MIDDLE_ODD, odd):
+        assert abs(TABLE.offsets[2 * k] - r1) <= eps
+        assert abs(TABLE.offsets[2 * k + 1] - r2) <= eps
+        assert rel(TABLE.weights[2 * k], w_lo) <= 3 * eps
+        assert rel(TABLE.weights[2 * k + 1], w_hi) <= 3 * eps
+    for (r1, w_out, w_mid), ref in zip(TABLE.middle_odd, odd):
         assert abs(r1 - ref[0]) <= eps
         assert rel(w_out, ref[1]) <= 3 * eps and rel(w_mid, ref[2]) <= 3 * eps
-    for w, ref in zip(_MIDDLE_EVEN[1:], even[1:]):
+    for w, ref in zip(TABLE.middle_even[1:], even[1:]):
         assert rel(w, ref) <= 3 * eps
 
 
 def test_scaled_rule_weights_match_50_digit_recursion():
-    # a weight h * w(table) carries the table's error plus one rounding
+    # every node and weight, the two-third fill included: a node lies
+    # within 2 ulp(max(|a|, |b|)) of a + h (k - 1 + r) in 50 digits, with h
+    # the grid's double, or of its mirror a + b - tau; a weight h * w(table)
+    # carries the table's error plus one rounding
     mp = pytest.importorskip("mpmath")
     eps = np.finfo(float).eps
-    _, cells, odd, even = _mp_unit_recursion(mp)
     rng = np.random.default_rng(17)
     for _ in range(100):
         n = int(rng.integers(1, 65))
         a = float(rng.uniform(-1e3, 1e3))
         rule = build_rule(make_grid(a, a + float(10.0 ** rng.uniform(-3.0, 3.0)), n))
-        half = n // 2
-        p = min(half, 4)
-        ref = [w for cell in cells[:p] for w in cell[2:]]
-        at = list(range(2 * p))
-        if n % 2 == 0:
-            ref.append(even[p])
-            at.append(n)
-        else:
-            ref += odd[p][1:]
-            at += [n - 1, n]
+        grid = rule.grid
+        x, w = _mp_unit_rule(mp, n)
         with mp.workdps(50):
-            h = mp.mpf(rule.grid.h)
-            worst = max(abs(rule.weights[i] - h * r) / (h * r) for i, r in zip(at, ref))
-        assert worst <= 4 * eps, (rule.grid, float(worst) / eps)
+            lo, hi, h = mp.mpf(grid.a), mp.mpf(grid.b), mp.mpf(grid.h)
+            taus = [lo + h * t for t in x]
+            taus += [lo + hi - t for t in reversed(taus[:n])]
+            ws = [h * wi for wi in w + w[:n][::-1]]
+            node_err = max(abs(mp.mpf(float(t)) - r) for t, r in zip(rule.nodes, taus))
+            weight_err = max(abs(mp.mpf(float(v)) - r) / r for v, r in zip(rule.weights, ws))
+        ulp = math.ulp(max(abs(grid.a), abs(grid.b)))
+        assert node_err <= 2 * ulp, (grid, float(node_err) / ulp)
+        assert weight_err <= 4 * eps, (grid, float(weight_err) / eps)
 
 
 def _placement_slack(rule):
