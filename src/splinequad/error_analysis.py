@@ -18,6 +18,11 @@ integrates that spline exactly, so only the nodes of t's cell remain.
 It costs O(1) per sample and its terms are of size h^6, like K6, but it
 is the kernel only if the rule is exact.  So the knot check of
 ``kernel_profile`` keeps the global form, which needs no such assumption.
+It runs in O(n) time all the same: the knots go in blocks, and the nodes
+left of a block enter through six moments about its left knot, carried
+from block to block by a binomial shift whose terms are all positive.
+A profile takes at most ``MAX_KERNEL_SAMPLES`` samples and refuses a
+larger request before it allocates anything.
 
 The constant has the same two forms.  By definition c = ((b-a)^7/7 -
 Q[(t-a)^6]) / 720, a difference of two terms of size (b-a)^7 while c is
@@ -40,8 +45,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid_basis import _cell_table
+from .grid_basis import _by_row, _cell_table
 from .quadrature import _CHUNK, ConstructionError, QuadratureRule
 
 __all__ = [
@@ -50,7 +56,20 @@ __all__ = [
     "kernel_profile",
     "error_constant",
     "remainder_bound",
+    "MAX_KERNEL_SAMPLES",
 ]
+
+# The most samples (samples_per_cell * n + 1) one kernel profile takes; see
+# kernel_profile for the memory it bounds.
+MAX_KERNEL_SAMPLES = 1 << 22
+
+# Knots per block of the knot check's moment carry.
+_KNOT_BLOCK = 16
+
+# C(k, i) at [k, i] and the power k - i that goes with it, for i <= k;
+# zero above the diagonal
+_BINOMIAL = np.array([[math.comb(k, i) for i in range(6)] for k in range(6)], dtype=float)
+_BINOMIAL_ORDER = np.maximum(np.subtract.outer(np.arange(6), np.arange(6)), 0)
 
 
 @dataclass(frozen=True)
@@ -112,23 +131,129 @@ def _kernel_values(rule: QuadratureRule, ts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _knot_values(rule: QuadratureRule) -> np.ndarray:
+    """The global form of ``peano_kernel`` at the n + 1 knots, in O(n) time.
+
+    The knots go in blocks of ``_KNOT_BLOCK``.  At the left knot o of every
+    block the moments M_k(o) = sum over tau < o of w (o - tau)^k, k = 0..5,
+    are known; a knot x of the block then takes
+
+        sum over tau < x of w (x - tau)^5
+            = sum_k C(5, k) (x - o)^(5-k) M_k(o) + sum over o <= tau < x,
+
+    the last sum taken directly over the block's own nodes.  The moments
+    move from one left knot to a later one by the binomial shift
+    M_k(o + L) = sum_i C(k, i) L^(k-i) M_i(o), whose terms are all positive
+    for positive weights, so the carry cancels nothing; it runs as a
+    doubling scan over the blocks.  This is the global form regrouped,
+    with no assumption that the rule is exact, and it equals
+    ``_kernel_values(rule, grid.knots())`` up to rounding.  The direct sums
+    go through temporaries of about ``_CHUNK`` elements; the rest is O(n)
+    memory.
+    """
+    grid = rule.grid
+    u = grid.knots() - grid.a
+    s = rule.nodes - grid.a
+    B = _KNOT_BLOCK
+    edges = u[::B]                                  # left knot of each block
+    nb = len(edges)
+    blocks = np.clip(np.searchsorted(edges, s, side="right") - 1, 0, nb - 1)
+    own, w = _by_row(nb, blocks, s, rule.weights)
+    # row b + 1 starts as the moments of block b's own nodes about its right
+    # edge (padding slots have weight 0)
+    moments = np.zeros((nb, 6))
+    d = edges[1:, None] - own[:-1]
+    wd = w[:-1]
+    for k in range(6):
+        moments[1:, k] = wd.sum(axis=1)
+        wd = wd * d
+    # doubling scan: row b collects every block left of edges[b]
+    step = 1
+    while step < nb - 1:
+        shift = _shift(edges[1 + step :] - edges[1:-step])
+        moments[1 + step :] += np.einsum("bki,bi->bk", shift, moments[1:-step])
+        step *= 2
+    # far nodes by their moments (sum_k C(5, k) (x - o)^(5-k) M_k, by
+    # Horner in x - o), then each block's own nodes directly
+    knots = np.pad(u, (0, nb * B - len(u)), mode="edge").reshape(nb, B)
+    x = knots - edges[:, None]
+    far = np.zeros_like(x)
+    for k in range(6):
+        far = far * x + math.comb(5, k) * moments[:, k, None]
+    rows = max(1, _CHUNK // (B * own.shape[1]))
+    near = np.empty((nb, B))
+    for i in range(0, nb, rows):
+        dx = knots[i : i + rows, :, None] - own[i : i + rows, None, :]
+        np.clip(dx, 0.0, None, out=dx)
+        near[i : i + rows] = np.einsum("bm,bkm->bk", w[i : i + rows], dx**5)
+    total = (far + near).ravel()[: len(u)]
+    return u**6 / 720.0 - total / 120.0
+
+
+def _shift(length: np.ndarray) -> np.ndarray:
+    """Matrices S, one per length, that move the moments M_0..M_5 about o
+    to moments about o + length: (S M)_k = sum_i C(k, i) length^(k-i) M_i,
+    every entry nonnegative for a nonnegative length."""
+    powers = length[:, None] ** np.arange(6)
+    return powers[:, _BINOMIAL_ORDER] * _BINOMIAL
+
+
 def _cell_kernel_values(
     h: float, v: np.ndarray, s: np.ndarray, w: np.ndarray
 ) -> np.ndarray:
-    """The local form of K6 at offsets v into a cell of width h.
+    """The local form of K6 at the offsets v (c, k) of c cells of width h.
 
-    Row i of s and w holds the node offsets and weights of the cell that
-    v[i] lies in.  With g(s) = (v - s)_+^5 - H(s), where H is the cubic
-    Hermite piece with value v^5 and slope -5v^4 at s = 0 and value and
-    slope 0 at s = h, K6 = (integral of g over the cell - sum of w g(s))
-    / 120, and the integral is v^6/6 - v^5 h/2 + 5 v^4 h^2/12.
+    Row j of s and w (c, m) holds the node offsets and weights of the cell
+    that row j of v lies in.  With g(s) = (v - s)_+^5 - H(s), where H is the
+    cubic Hermite piece with value v^5 and slope -5v^4 at s = 0 and value
+    and slope 0 at s = h, K6 = (integral of g over the cell - sum of
+    w g(s)) / 120, and the integral is v^6/6 - v^5 h/2 + 5 v^4 h^2/12.
+
+    The samples broadcast against the cell table: the factors of s alone
+    are formed once per node, and the (m, c, k) terms keep k innermost;
+    only the sum over a cell's nodes runs with m innermost, in the order
+    of a one-sample-per-row contraction, so every value has the bits of
+    that per-sample evaluation.
     """
-    v2 = v[:, None]
-    r = s / h
-    hermite = (1.0 - r) ** 2 * v2**4 * (v2 * (1.0 + 2.0 * r) - 5.0 * s)
-    g = np.clip(v2 - s, 0.0, None) ** 5 - hermite
-    integral = v**4 * (v * v / 6.0 - v * h / 2.0 + 5.0 * h * h / 12.0)
-    return (integral - np.einsum("ij,ij->i", w, g)) / 120.0
+    st = s.T[:, :, None]
+    r = st / h
+    v4 = v**4
+    # hermite = (1 - r)^2 v^4 (v (1 + 2r) - 5s) and g = (v - s)_+^5 -
+    # hermite, each formed in place in one (m, c, k) buffer
+    hermite = v * (1.0 + 2.0 * r)
+    hermite -= 5.0 * st
+    hermite *= (1.0 - r) ** 2 * v4
+    g = np.subtract(v, st)
+    np.clip(g, 0.0, None, out=g)
+    np.power(g, 5, out=g)
+    g -= hermite
+    integral = v4 * (v * v / 6.0 - v * h / 2.0 + 5.0 * h * h / 12.0)
+    g = np.ascontiguousarray(g.transpose(1, 2, 0))
+    return (integral - np.einsum("cm,ckm->ck", w, g)) / 120.0
+
+
+def _local_samples(rule: QuadratureRule, samples_per_cell: int) -> np.ndarray:
+    """(t, K6) at samples_per_cell uniform points per cell and at b, in the
+    local form, as one (samples_per_cell * n + 1, 2) array."""
+    grid = rule.grid
+    offsets, weights = _cell_table(grid, rule.nodes, rule.weights)
+    samples = np.empty((samples_per_cell * grid.n + 1, 2))
+    samples[:, 0] = np.linspace(grid.a, grid.b, len(samples))
+    # row j: the samples of cell j and the first of cell j + 1, which is b
+    # for the last cell
+    windows = sliding_window_view(samples[:, 0], samples_per_cell + 1)
+    windows = windows[::samples_per_cell]
+    left = grid.a + np.arange(grid.n) * grid.h
+    vals = samples[:-1].reshape(grid.n, samples_per_cell, 2)[:, :, 1]
+    rows = max(1, _CHUNK // ((samples_per_cell + 1) * offsets.shape[1]))
+    for j in range(0, grid.n, rows):
+        v = windows[j : j + rows] - left[j : j + rows, None]
+        block = _cell_kernel_values(
+            grid.h, v, offsets[j : j + rows], weights[j : j + rows]
+        )
+        vals[j : j + rows] = block[:, :-1]
+    samples[-1, 1] = block[-1, -1]
+    return samples
 
 
 def kernel_profile(rule: QuadratureRule, samples_per_cell: int = 1000) -> PeanoProfile:
@@ -138,25 +263,39 @@ def kernel_profile(rule: QuadratureRule, samples_per_cell: int = 1000) -> PeanoP
     (t - x)_+^5 equals, outside cell j, a C1 spline that is the cubic
     Hermite piece on cell j (see ``_cell_kernel_values``).  The rule
     integrates that spline exactly, so only cell j's nodes enter K6(t):
-    each sample costs O(1) time and memory, and no term larger than h^6
-    cancels.  The local form equals the kernel only for a rule that is
-    exact on the spline space.
+    each sample costs O(1) time, and no term larger than h^6 cancels.  The
+    local form equals the kernel only for a rule that is exact on the
+    spline space.  The samples of a block of cells are computed together,
+    (cells, samples_per_cell, nodes per cell) at a time against the
+    cell table, in temporaries of about ``_CHUNK`` elements.
+
+    At most ``MAX_KERNEL_SAMPLES`` = 2^22 samples (samples_per_cell * n + 1)
+    are taken; a larger request is refused with ``ValueError`` before
+    anything is allocated.  The profile holds 16 bytes per sample (24
+    while the sample points are laid out), and the rule, the cell table
+    and the knot check about 250 bytes per cell, so at the cap the
+    ``kernel`` command peaks near 0.5 GB with 2 samples per cell (n = 2^21
+    - 1) and near 130 MB with 64 (n = 65535).
 
     The profile is validated before it is returned: the kernel must be
     nonnegative up to rounding and must vanish at every knot.  The knot
-    check evaluates the global form (``peano_kernel``, in blocks of knots,
-    O(n^2) time in bounded memory), which assumes nothing about the rule,
-    so a rule that fails to integrate the truncated powers at the knots is
-    rejected.  The thresholds scale with (b-a)^6, plus a term for
-    node-coordinate rounding (nodes stored far from the origin carry
-    offsets only to ulp(|a|), which perturbs the kernel by up to
-    ~(b-a)^5 * ulp(|a|) / 24).  On unit intervals near the origin they
-    reduce to the bare 1e-15 / 1e-14 floors.
+    check evaluates the global form (the definition, as ``peano_kernel``),
+    which assumes nothing about the rule, so a rule that fails to
+    integrate the truncated powers at the knots is rejected.  It runs in
+    O(n) time: the nodes left of a block of knots enter through their
+    moments about the block's left knot, carried from block to block by a
+    binomial shift with positive terms (see ``_knot_values``).  The
+    thresholds scale with (b-a)^6, plus a term for node-coordinate
+    rounding (nodes stored far from the origin carry offsets only to
+    ulp(|a|), which perturbs the kernel by up to ~(b-a)^5 * ulp(|a|) / 24).
+    On unit intervals near the origin they reduce to the bare 1e-15 / 1e-14
+    floors.
 
     Raises
     ------
     ValueError
-        If samples_per_cell < 2 or a node lies outside [a, b].
+        If samples_per_cell < 2, if more than ``MAX_KERNEL_SAMPLES``
+        samples are asked for, or if a node lies outside [a, b].
     OverflowError
         If (b-a)^6 leaves the double range (b - a above about 1e51), before
         any sample is computed.
@@ -167,23 +306,25 @@ def kernel_profile(rule: QuadratureRule, samples_per_cell: int = 1000) -> PeanoP
     if samples_per_cell < 2:
         raise ValueError("need at least two samples per cell")
     grid = rule.grid
+    count = samples_per_cell * grid.n + 1
+    if count > MAX_KERNEL_SAMPLES:
+        raise ValueError(
+            f"kernel profile of {count} samples requested, over the cap of "
+            f"{MAX_KERNEL_SAMPLES} (samples_per_cell * n + 1)"
+        )
     span = grid.b - grid.a
     # span**6 raises OverflowError where the kernel's terms would overflow
     scale = max(1.0, span**6)
     placement = span**5 * max(abs(grid.a), abs(grid.b), 1.0) * 2e-17
-    ts = np.linspace(grid.a, grid.b, samples_per_cell * grid.n + 1)
-    cells = np.minimum(np.arange(len(ts)) // samples_per_cell, grid.n - 1)
-    offsets, weights = _cell_table(grid, rule.nodes, rule.weights)
-    v = ts - (grid.a + cells * grid.h)
-    vals = _cell_kernel_values(grid.h, v, offsets[cells], weights[cells])
-    if vals.min() < -(1e-15 * scale + placement):
-        raise ConstructionError(f"kernel dips to {vals.min()!r}")
-    knot_vals = _kernel_values(rule, grid.knots())
+    samples = _local_samples(rule, samples_per_cell)
+    if samples[:, 1].min() < -(1e-15 * scale + placement):
+        raise ConstructionError(f"kernel dips to {samples[:, 1].min()!r}")
+    knot_vals = _knot_values(rule)
     if np.max(np.abs(knot_vals)) > 1e-14 * scale + placement:
         raise ConstructionError(
             f"kernel fails to vanish at a knot: {np.max(np.abs(knot_vals))!r}"
         )
-    return PeanoProfile(rule=rule, samples=np.column_stack([ts, vals]))
+    return PeanoProfile(rule=rule, samples=samples)
 
 
 def error_constant(rule: QuadratureRule) -> float:

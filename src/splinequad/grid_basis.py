@@ -172,36 +172,56 @@ def _cell_shapes(grid: UniformKnotGrid, u: np.ndarray) -> np.ndarray:
     )
 
 
-def _cell_table(
-    grid: UniformKnotGrid, points: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted points grouped by cell, as two (n, m) arrays.
-
-    Row j - 1 holds the offsets t - x_{j-1} and the weights of the points
-    that ``cell_of`` puts in cell j (the cell on the right at an interior
-    knot, cell n at b), so local evaluation sees the same offsets as
-    ``basis_eval``.  m is the largest number of points in one cell; unused
-    slots hold offset 0 and weight 0.
+def _locate(grid: UniformKnotGrid, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """0-based cells and offsets of the points, placed as ``cell_of`` places
+    them: in the cell on the right at an interior knot, in cell n at b.
 
     Raises
     ------
     ValueError
         If a point lies outside [a, b] (or is NaN).
     """
-    if not (grid.a <= points.min() and points.max() <= grid.b):
+    if points.size and not (grid.a <= points.min() and points.max() <= grid.b):
         raise ValueError(f"points outside [{grid.a}, {grid.b}]")
     cells = np.floor((points - grid.a) / grid.h)
     np.clip(cells, 0, grid.n - 1, out=cells)
     offsets = points - (grid.a + cells * grid.h)
-    cells = cells.astype(np.intp)
-    order = np.argsort(cells, kind="stable")
-    cells = cells[order]
-    slots = np.arange(len(cells)) - np.searchsorted(cells, cells)
+    return cells.astype(np.intp), offsets
+
+
+def _by_row(rows: int, keys: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each column regrouped into a zero-padded (rows, m) array.
+
+    Row k holds, in their original order, the entries whose key is k; m is
+    the most entries of one row.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    slots = np.arange(len(keys)) - np.searchsorted(keys, keys)
     m = int(slots.max()) + 1
-    table = np.zeros((2, grid.n, m))
-    table[0, cells, slots] = offsets[order]
-    table[1, cells, slots] = weights[order]
-    return table[0], table[1]
+    tables = np.zeros((len(columns), rows, m))
+    for table, column in zip(tables, columns):
+        table[keys, slots] = column[order]
+    return tuple(tables)
+
+
+def _cell_table(
+    grid: UniformKnotGrid, points: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted points grouped by cell, as two (n, m) arrays.
+
+    Row j - 1 holds the offsets t - x_{j-1} and the weights of the points
+    that ``cell_of`` puts in cell j (see ``_locate``), so local evaluation
+    sees the same offsets as ``basis_eval``.  m is the largest number of
+    points in one cell; unused slots hold offset 0 and weight 0.
+
+    Raises
+    ------
+    ValueError
+        If a point lies outside [a, b] (or is NaN).
+    """
+    cells, offsets = _locate(grid, points)
+    return _by_row(grid.n, cells, offsets, weights)
 
 
 def basis_eval(grid: UniformKnotGrid, i: int, t: float) -> float:
@@ -232,6 +252,14 @@ def basis_integral(grid: UniformKnotGrid, i: int) -> float:
     if i == 2 or i == grid.dimension - 1:
         return 1.0 / 8.0
     return 1.0 / 6.0
+
+
+def _basis_integrals(grid: UniformKnotGrid) -> np.ndarray:
+    """``basis_integral`` of every index, as one array of length 4n + 2."""
+    out = np.full(grid.dimension, 1.0 / 6.0)
+    out[[0, -1]] = 1.0 / 24.0
+    out[[1, -2]] = 1.0 / 8.0
+    return out
 
 
 def blend_eval(grid: UniformKnotGrid, k: int, t: float) -> float:
@@ -278,10 +306,27 @@ class SplineCoefficients:
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
 
-    def value(self, t: float) -> float:
+    def value(self, t):
         """Evaluate the spline at t (only the six basis functions active on
-        the containing cell contribute)."""
+        the containing cell contribute).
+
+        t is a float or an ndarray of points.  An array is evaluated in one
+        pass: the points are placed in cells as ``cell_of`` places them and
+        the six shapes of each cell (``_cell_shapes``) are contracted with
+        that cell's six coefficients, so ``apply_rule`` takes its array path.
+        The array result equals the float one to a few ulps of
+        sum |c_i D_i(t)|.
+
+        Raises
+        ------
+        ValueError
+            If t (any point of an array t) lies outside [a, b].
+        """
         grid = self.grid
+        if isinstance(t, np.ndarray):
+            cells, u = _locate(grid, t)
+            c = self.c[4 * cells[..., None] + np.arange(6)]
+            return np.einsum("...s,...s->...", c, _cell_shapes(grid, u))
         _check_point(grid, t)
         j = grid.cell_of(t)
         u = t - (grid.a + (j - 1) * grid.h)
@@ -292,6 +337,4 @@ class SplineCoefficients:
 
     def exact_integral(self) -> float:
         """Integral by linearity: sum of c_i times the known basis integrals."""
-        return math.fsum(
-            ci * basis_integral(self.grid, i + 1) for i, ci in enumerate(self.c)
-        )
+        return math.fsum((self.c * _basis_integrals(self.grid)).tolist())

@@ -18,9 +18,9 @@ import numpy as np
 from .grid_basis import (
     SplineCoefficients,
     UniformKnotGrid,
+    _basis_integrals,
     _cell_shapes,
     _cell_table,
-    basis_integral,
     make_grid,
 )
 from .quadrature import QuadratureRule, ResidueState
@@ -107,27 +107,20 @@ def reference_integral(f, grid: UniformKnotGrid, points_per_cell: int = 4) -> fl
     return gauss_legendre_between(f, grid.knots().tolist(), points_per_cell)
 
 
-def _splitmix64(seed: int, index: int) -> int:
-    """index-th output of the SplitMix64 stream seeded with seed."""
-    x = (seed + (index + 1) * _SM64_GAMMA) & _U64
-    x = ((x ^ (x >> 30)) * _SM64_M1) & _U64
-    x = ((x ^ (x >> 27)) * _SM64_M2) & _U64
-    return x ^ (x >> 31)
-
-
 def random_spline(grid: UniformKnotGrid, seed: int) -> SplineCoefficients:
     """Deterministic pseudo-random coefficients in [-1, 1].
 
     Coefficient i is 2*u - 1 where u is the top 53 bits of the i-th
-    SplitMix64 output divided by 2^53; pure integer arithmetic, so every
-    platform reproduces the same vector bit for bit.
+    SplitMix64 output divided by 2^53.  The stream is drawn in unsigned
+    64-bit integer arithmetic, which wraps modulo 2^64 as the generator
+    does, so every platform reproduces the same vector bit for bit.
     """
-    c = np.array(
-        [
-            2.0 * ((_splitmix64(seed, i) >> 11) * 2.0**-53) - 1.0
-            for i in range(grid.dimension)
-        ]
-    )
+    x = np.arange(1, grid.dimension + 1, dtype=np.uint64) * np.uint64(_SM64_GAMMA)
+    x += np.uint64(seed & _U64)
+    x = (x ^ (x >> 30)) * np.uint64(_SM64_M1)
+    x = (x ^ (x >> 27)) * np.uint64(_SM64_M2)
+    x ^= x >> 31
+    c = 2.0 * ((x >> 11).astype(float) * 2.0**-53) - 1.0
     return SplineCoefficients(grid=grid, c=c)
 
 
@@ -158,9 +151,10 @@ def exactness_report(rule: QuadratureRule) -> ExactnessReport:
     ``basis_eval`` places it, the six basis functions alive on each cell
     are evaluated at that cell's nodes as one (n, m, 6) array (m the most
     nodes in one cell), contracted with the weights, and the per-cell sums
-    are added into the 4n + 2 quadrature values by basis index.  Each value
-    is then compared with ``basis_integral``; the worst index is the first
-    with the largest residual.  Cost O(1) per basis function.
+    are added into the 4n + 2 quadrature values by basis index.  The values
+    are then compared with the array of the 4n + 2 basis integrals (the
+    values of ``basis_integral``); the worst index is the first with the
+    largest residual.  Cost O(1) per basis function.
 
     Raises
     ------
@@ -172,8 +166,7 @@ def exactness_report(rule: QuadratureRule) -> ExactnessReport:
     per_cell = np.einsum("jm,jms->js", weights, _cell_shapes(grid, offsets))
     index = 4 * np.arange(grid.n)[:, None] + np.arange(6)
     q = np.bincount(index.ravel(), per_cell.ravel(), minlength=grid.dimension)
-    exact = np.array([basis_integral(grid, i) for i in range(1, grid.dimension + 1)])
-    resid = np.abs(q - exact)
+    resid = np.abs(q - _basis_integrals(grid))
     worst = int(np.argmax(resid))
     return ExactnessReport(
         n=grid.n,

@@ -233,6 +233,15 @@ def test_kernel_rejects_bad_flags():
     assert run_cli("kernel", "--n", "2", "--a", "3", "--b", "1").returncode == 2
 
 
+def test_kernel_refuses_more_samples_than_the_cap():
+    # n = 2^16 at the default 64 samples per cell: 2^22 + 1 samples
+    cp = run_cli("kernel", "--n", str(1 << 16))
+    assert cp.returncode == 2
+    assert cp.stdout == ""
+    assert cp.stderr.startswith("error: ")
+    assert "4194305 samples" in cp.stderr and "cap of 4194304" in cp.stderr
+
+
 # ------------------------------------------------------------------ check
 
 def test_check_small_run_passes():

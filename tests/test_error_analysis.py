@@ -6,9 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from splinequad import error_analysis
 from splinequad.error_analysis import (
+    MAX_KERNEL_SAMPLES,
     PeanoProfile,
     _kernel_values,
+    _knot_values,
     error_constant,
     kernel_profile,
     peano_kernel,
@@ -131,6 +134,62 @@ def test_global_kernel_blocks_cover_every_point():
     np.testing.assert_allclose(_kernel_values(bad, knots), ref, rtol=0, atol=1e-17)
     with pytest.raises(ConstructionError):
         kernel_profile(bad, samples_per_cell=4)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-3.0, 17.0), (-1.0e6, -1.0e6 + 3.7)])
+@pytest.mark.parametrize("n", [1, 200, 255, 256, 257, 2000, 20000])
+def test_knot_check_matches_global_kernel(a, b, n):
+    # the blocked-moment knot values against the global form, to 1 % of
+    # the gate the profile applies to them; at n = 20000 on the knots of
+    # the first blocks, around a middle block edge and at the end
+    rule = build_rule(make_grid(a, b, n))
+    knots = rule.grid.knots()
+    at = np.arange(n + 1)
+    if n > 2000:
+        at = np.unique(np.r_[0:40, 9990:10030, n - 300 : n + 1])
+    diff = np.abs(_knot_values(rule)[at] - _kernel_values(rule, knots[at]))
+    span = b - a
+    placement = span**5 * max(abs(a), abs(b), 1.0) * 2e-17
+    assert np.max(diff) <= 1e-2 * (1e-14 * max(1.0, span**6) + placement)
+
+
+@pytest.mark.parametrize("n, cell, eps", [(40, 33, 1e-4), (2000, 1000, -1e-5)])
+def test_knot_check_rejects_a_weight_off_in_the_last_or_a_middle_block(n, cell, eps):
+    # n = 40: the last block of 16 knots starts at knot 32, so a node of
+    # cell 33 reaches the knots only as a node of their own block; n =
+    # 2000: a node of a middle cell reaches the later knots only through
+    # the moments carried from block to block
+    grid = make_grid(0.0, 1.0, n)
+    good = build_rule(grid)
+    weights = good.weights.copy()
+    weights[np.searchsorted(good.nodes, (cell - 0.5) / n)] *= 1.0 + eps
+    bad = QuadratureRule(grid=grid, nodes=good.nodes, weights=weights)
+    with pytest.raises(ConstructionError, match="vanish at a knot"):
+        kernel_profile(bad, samples_per_cell=4)
+
+
+def test_profile_refuses_more_samples_than_the_cap_before_allocating():
+    # 64 samples per cell at n = 2^16 is one sample over the 2^22 cap
+    requests = [(build_rule(make_grid(0.0, 1.0, 1 << 16)), 64),
+                (build_rule(make_grid(0.0, 1.0, 1)), 1 << 22)]
+    tracemalloc.start()
+    try:
+        for r, per_cell in requests:
+            tracemalloc.reset_peak()
+            with pytest.raises(ValueError, match=f"{per_cell * r.grid.n + 1} samples") as info:
+                kernel_profile(r, samples_per_cell=per_cell)
+            assert str(MAX_KERNEL_SAMPLES) in str(info.value)
+            assert tracemalloc.get_traced_memory()[1] < 64 << 10
+    finally:
+        tracemalloc.stop()
+
+
+def test_profile_takes_exactly_the_cap(monkeypatch):
+    monkeypatch.setattr(error_analysis, "MAX_KERNEL_SAMPLES", 401)
+    rule = build_rule(make_grid(0.0, 1.0, 4))
+    assert kernel_profile(rule, samples_per_cell=100).samples.shape == (401, 2)
+    with pytest.raises(ValueError, match="cap of 401"):
+        kernel_profile(rule, samples_per_cell=101)
 
 
 def test_profile_memory_is_linear_in_samples():

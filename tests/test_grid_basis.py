@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from splinequad.grid_basis import (
     SplineCoefficients,
+    _basis_integrals,
     basis_eval,
     basis_integral,
     blend_eval,
     make_grid,
 )
 from splinequad.oracle import reference_integral
+from splinequad.quadrature import apply_rule, build_rule
 
 
 # ---------------------------------------------------------------- make_grid
@@ -340,6 +342,55 @@ def test_spline_exact_integral_by_linearity():
         spline.c[i] * basis_integral(grid, i + 1) for i in range(grid.dimension)
     )
     assert spline.exact_integral() == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 200])
+def test_spline_exact_integral_equals_per_index_products(n):
+    # the shared array of basis integrals gives the same products as the
+    # scalar definition, and fsum makes the order immaterial
+    grid = make_grid(-2.0, 5.0, n)
+    expected = [basis_integral(grid, i) for i in range(1, grid.dimension + 1)]
+    assert _basis_integrals(grid).tolist() == expected
+    c = np.random.default_rng(n).uniform(-1e3, 1e3, grid.dimension)
+    spline = SplineCoefficients(grid=grid, c=c)
+    assert spline.exact_integral() == math.fsum(
+        ci * basis_integral(grid, i + 1) for i, ci in enumerate(c)
+    )
+
+
+def test_spline_value_array_matches_scalar():
+    # points at a, at b, at every interior knot and inside the cells; the
+    # array path agrees with the per-point path to a few ulps of
+    # sum |c_i D_i(t)| (the value of the spline with coefficients |c_i|,
+    # the D_i being nonnegative)
+    rng = np.random.default_rng(2024)
+    worst = 0.0
+    for _ in range(40):
+        a = float(rng.uniform(-1e6, 1e6))
+        grid = make_grid(a, a + float(10.0 ** rng.uniform(-3, 3)), int(rng.integers(1, 60)))
+        c = rng.uniform(-1.0, 1.0, grid.dimension)
+        spline = SplineCoefficients(grid=grid, c=c)
+        size = SplineCoefficients(grid=grid, c=np.abs(c))
+        t = np.concatenate([grid.knots(), rng.uniform(grid.a, grid.b, 50)])
+        values = spline.value(t)
+        assert values.shape == t.shape
+        for ti, vi in zip(t.tolist(), values.tolist()):
+            err = abs(vi - spline.value(ti)) / (size.value(ti) * np.finfo(float).eps)
+            worst = max(worst, err)
+    assert worst <= 4.0
+
+
+def test_spline_value_array_refuses_points_outside():
+    grid = make_grid(0.0, 1.0, 3)
+    spline = SplineCoefficients(grid=grid, c=np.ones(grid.dimension))
+    for t in ([0.5, 1.0 + 1e-9], [-1e-9, 0.5], [0.5, np.nan]):
+        with pytest.raises(ValueError, match="outside"):
+            spline.value(np.array(t))
+    # apply_rule's array call fails, and the per-node path reports the
+    # first node outside the grid
+    wide = build_rule(make_grid(0.0, 2.0, 40))
+    with pytest.raises(ValueError, match=r"^point 1\.0[0-9]* outside \[0\.0, 1\.0\]"):
+        apply_rule(wide, spline.value)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -102,6 +102,27 @@ def test_random_spline_frozen_stream():
     assert np.all(np.abs(s.c) <= 1.0)
 
 
+def _splitmix64(seed: int, index: int) -> int:
+    """index-th output of the SplitMix64 stream seeded with seed, in Python
+    integers: the scalar reference for the vectorized generator."""
+    mask = (1 << 64) - 1
+    x = (seed + (index + 1) * 0x9E3779B97F4A7C15) & mask
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+    return x ^ (x >> 31)
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**62 - 1])
+@pytest.mark.parametrize("n", [1, 50, 200])
+def test_random_spline_equals_scalar_splitmix64(seed, n):
+    grid = make_grid(0.0, 1.0, n)
+    expected = [
+        2.0 * ((_splitmix64(seed, i) >> 11) * 2.0**-53) - 1.0
+        for i in range(grid.dimension)
+    ]
+    assert random_spline(grid, seed).c.tolist() == expected
+
+
 def test_random_spline_integral_matches_reference():
     grid = make_grid(0.0, 2.0, 4)
     spline = random_spline(grid, 7)
