@@ -252,11 +252,11 @@ def _layout(values: np.ndarray, mode: str):
 
     # rows by layout: fixed point with exponent g, or the exponent form
     low, high = _FIXED_RANGE[mode]
-    if len(X) and X.min() == X.max():
-        g = int(X[0])
-        groups = [(g if low <= g <= high else None, slice(None))]
+    key = np.where((X >= low) & (X <= high), X, high + 1)  # last: exponent form
+    if len(key) and key.min() == key.max():
+        g = int(key[0])
+        groups = [(g if g <= high else None, slice(None))]
     else:
-        key = np.where((X >= low) & (X <= high), X, high + 1)  # last: exponent form
         order = np.argsort(key, kind="stable")
         ends = np.flatnonzero(np.diff(key[order])) + 1
         groups = [(int(key[rows[0]]), rows) for rows in np.split(order, ends) if rows.size]

@@ -14,9 +14,11 @@ left of t.  It holds for any rule, but its terms are of size (b-a)^6
 while K6 is of size h^6.  The local form, used for the samples of
 ``kernel_profile``, subtracts from the truncated power at t the C1 spline
 that equals it outside t's cell; a rule exact on the spline space
-integrates that spline exactly, so only the nodes of t's cell remain.
-It costs O(1) per sample and its terms are of size h^6, like K6, but it
-is the kernel only if the rule is exact.  So the knot check of
+integrates that spline exactly, so only the nodes of t's cell remain,
+and they enter through two numbers per cell and their own truncated
+powers (``_cell_kernel_values``).  It costs O(1) per sample and its
+terms are of size h^6, like K6, but it is the kernel only if the rule is
+exact.  So the knot check of
 ``kernel_profile`` keeps the global form, which needs no such assumption.
 It runs in O(n) time all the same: the knots go in blocks, and the nodes
 left of a block enter through six moments about its left knot, carried
@@ -45,10 +47,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid_basis import _by_row, _cell_table
-from .quadrature import _CHUNK, ConstructionError, QuadratureRule
+from .grid_basis import _by_row, _locate
+from .quadrature import ConstructionError, QuadratureRule
 
 __all__ = [
     "PeanoProfile",
@@ -62,6 +63,10 @@ __all__ = [
 # The most samples (samples_per_cell * n + 1) one kernel profile takes; see
 # kernel_profile for the memory it bounds.
 MAX_KERNEL_SAMPLES = 1 << 22
+
+# Element budget of blocked array temporaries: the kernel samples, the
+# knot check and the error constant.
+_CHUNK = 1 << 16
 
 # Knots per block of the knot check's moment carry.
 _KNOT_BLOCK = 16
@@ -131,7 +136,7 @@ def _kernel_values(rule: QuadratureRule, ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _knot_values(rule: QuadratureRule) -> np.ndarray:
+def _knot_values(rule: QuadratureRule, cells: np.ndarray) -> np.ndarray:
     """The global form of ``peano_kernel`` at the n + 1 knots, in O(n) time.
 
     The knots go in blocks of ``_KNOT_BLOCK``.  At the left knot o of every
@@ -147,7 +152,9 @@ def _knot_values(rule: QuadratureRule) -> np.ndarray:
     for positive weights, so the carry cancels nothing; it runs as a
     doubling scan over the blocks.  This is the global form regrouped,
     with no assumption that the rule is exact, and it equals
-    ``_kernel_values(rule, grid.knots())`` up to rounding.  The direct sums
+    ``_kernel_values(rule, grid.knots())`` up to rounding.  The nodes of
+    cell c (``grid_basis._locate``) are the own nodes of block
+    c // ``_KNOT_BLOCK``.  The direct sums
     go through temporaries of about ``_CHUNK`` elements; the rest is O(n)
     memory.
     """
@@ -157,8 +164,7 @@ def _knot_values(rule: QuadratureRule) -> np.ndarray:
     B = _KNOT_BLOCK
     edges = u[::B]                                  # left knot of each block
     nb = len(edges)
-    blocks = np.clip(np.searchsorted(edges, s, side="right") - 1, 0, nb - 1)
-    own, w = _by_row(nb, blocks, s, rule.weights)
+    own, w = _by_row(nb, cells // B, s, rule.weights)
     # row b + 1 starts as the moments of block b's own nodes about its right
     # edge (padding slots have weight 0)
     moments = np.zeros((nb, 6))
@@ -204,55 +210,58 @@ def _cell_kernel_values(
     """The local form of K6 at the offsets v (c, k) of c cells of width h.
 
     Row j of s and w (c, m) holds the node offsets and weights of the cell
-    that row j of v lies in.  With g(s) = (v - s)_+^5 - H(s), where H is the
-    cubic Hermite piece with value v^5 and slope -5v^4 at s = 0 and value
-    and slope 0 at s = h, K6 = (integral of g over the cell - sum of
-    w g(s)) / 120, and the integral is v^6/6 - v^5 h/2 + 5 v^4 h^2/12.
+    that row j of v lies in.  Outside the cell, (v - s)_+^5 as a function
+    of s is a C1 spline whose piece on the cell is the cubic Hermite piece
+    with value v^5 and slope -5v^4 at s = 0, value and slope 0 at s = h.
+    The rule integrates that spline exactly, and the piece is linear in
+    the nodes, so with r = s/h
 
-    The samples broadcast against the cell table: the factors of s alone
-    are formed once per node, and the (m, c, k) terms keep k innermost;
-    only the sum over a cell's nodes runs with m innermost, in the order
-    of a one-sample-per-row contraction, so every value has the bits of
-    that per-sample evaluation.
+        120 K6 = v^4 (v^2/6 + alpha v + beta) - sum w (v - s)_+^5,
+        alpha = sum w (1 - r)^2 (1 + 2r) - h/2,
+        beta = 5h^2/12 - 5 sum w (1 - r)^2 s,
+
+    with alpha and beta once per cell (``_alpha_beta``).
     """
-    st = s.T[:, :, None]
-    r = st / h
-    v4 = v**4
-    # hermite = (1 - r)^2 v^4 (v (1 + 2r) - 5s) and g = (v - s)_+^5 -
-    # hermite, each formed in place in one (m, c, k) buffer
-    hermite = v * (1.0 + 2.0 * r)
-    hermite -= 5.0 * st
-    hermite *= (1.0 - r) ** 2 * v4
-    g = np.subtract(v, st)
-    np.clip(g, 0.0, None, out=g)
-    np.power(g, 5, out=g)
-    g -= hermite
-    integral = v4 * (v * v / 6.0 - v * h / 2.0 + 5.0 * h * h / 12.0)
-    g = np.ascontiguousarray(g.transpose(1, 2, 0))
-    return (integral - np.einsum("cm,ckm->ck", w, g)) / 120.0
+    alpha, beta = _alpha_beta(h, s, w)
+    out = (v / 6.0 + alpha) * v + beta
+    out *= (v * v) ** 2
+    for sm, wm in zip(s.T, w.T):
+        d = np.maximum(v - sm[:, None], 0.0)
+        out -= (d * d) ** 2 * d * wm[:, None]
+    out /= 120.0
+    return out
 
 
-def _local_samples(rule: QuadratureRule, samples_per_cell: int) -> np.ndarray:
+def _alpha_beta(h: float, s: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """alpha and beta of ``_cell_kernel_values`` for the cells whose node
+    offsets and weights are the rows of s and w, as (c, 1) columns; 7h/30
+    and h^2/12 on a two-third cell (7h/15 at 0, 8h/15 at h/2)."""
+    r = s / h
+    q = w * (1.0 - r) ** 2
+    alpha = np.sum(q * (1.0 + 2.0 * r), axis=1, keepdims=True) - h / 2.0
+    beta = 5.0 * h * h / 12.0 - 5.0 * np.sum(q * s, axis=1, keepdims=True)
+    return alpha, beta
+
+
+def _local_samples(
+    rule: QuadratureRule, samples_per_cell: int, cells: np.ndarray, offsets: np.ndarray
+) -> np.ndarray:
     """(t, K6) at samples_per_cell uniform points per cell and at b, in the
-    local form, as one (samples_per_cell * n + 1, 2) array."""
+    local form, as one (samples_per_cell * n + 1, 2) array; cells and
+    offsets place the rule's nodes (see ``grid_basis._locate``)."""
     grid = rule.grid
-    offsets, weights = _cell_table(grid, rule.nodes, rule.weights)
     samples = np.empty((samples_per_cell * grid.n + 1, 2))
     samples[:, 0] = np.linspace(grid.a, grid.b, len(samples))
-    # row j: the samples of cell j and the first of cell j + 1, which is b
-    # for the last cell
-    windows = sliding_window_view(samples[:, 0], samples_per_cell + 1)
-    windows = windows[::samples_per_cell]
+    s, w = _by_row(grid.n, cells, offsets, rule.weights)
+    t = samples[:-1, 0].reshape(grid.n, samples_per_cell)
+    vals = samples[:-1, 1].reshape(grid.n, samples_per_cell)
     left = grid.a + np.arange(grid.n) * grid.h
-    vals = samples[:-1].reshape(grid.n, samples_per_cell, 2)[:, :, 1]
-    rows = max(1, _CHUNK // ((samples_per_cell + 1) * offsets.shape[1]))
+    rows = max(1, _CHUNK // (samples_per_cell * s.shape[1]))
     for j in range(0, grid.n, rows):
-        v = windows[j : j + rows] - left[j : j + rows, None]
-        block = _cell_kernel_values(
-            grid.h, v, offsets[j : j + rows], weights[j : j + rows]
-        )
-        vals[j : j + rows] = block[:, :-1]
-    samples[-1, 1] = block[-1, -1]
+        v = t[j : j + rows] - left[j : j + rows, None]
+        vals[j : j + rows] = _cell_kernel_values(grid.h, v, s[j : j + rows], w[j : j + rows])
+    v = samples[-1:, :1] - left[-1]
+    samples[-1, 1] = _cell_kernel_values(grid.h, v, s[-1:], w[-1:])[0, 0]
     return samples
 
 
@@ -261,13 +270,13 @@ def kernel_profile(rule: QuadratureRule, samples_per_cell: int = 1000) -> PeanoP
 
     Samples use the local form.  For t in cell j the truncated power
     (t - x)_+^5 equals, outside cell j, a C1 spline that is the cubic
-    Hermite piece on cell j (see ``_cell_kernel_values``).  The rule
-    integrates that spline exactly, so only cell j's nodes enter K6(t):
-    each sample costs O(1) time, and no term larger than h^6 cancels.  The
-    local form equals the kernel only for a rule that is exact on the
-    spline space.  The samples of a block of cells are computed together,
-    (cells, samples_per_cell, nodes per cell) at a time against the
-    cell table, in temporaries of about ``_CHUNK`` elements.
+    Hermite piece on cell j.  The rule integrates that spline exactly, so
+    only cell j's nodes enter K6(t), through alpha_j and beta_j and their
+    own truncated powers (see ``_cell_kernel_values``): each sample costs
+    O(1) time, and no term larger than h^6 cancels.  The local form equals
+    the kernel only for a rule that is exact on the spline space.  The
+    nodes are placed in cells once (``grid_basis._locate``), for the
+    samples and the knot check alike.
 
     At most ``MAX_KERNEL_SAMPLES`` = 2^22 samples (samples_per_cell * n + 1)
     are taken; a larger request is refused with ``ValueError`` before
@@ -316,10 +325,12 @@ def kernel_profile(rule: QuadratureRule, samples_per_cell: int = 1000) -> PeanoP
     # span**6 raises OverflowError where the kernel's terms would overflow
     scale = max(1.0, span**6)
     placement = span**5 * max(abs(grid.a), abs(grid.b), 1.0) * 2e-17
-    samples = _local_samples(rule, samples_per_cell)
+    cells, offsets = _locate(grid, rule.nodes)
+    samples = _local_samples(rule, samples_per_cell, cells, offsets)
+    del offsets  # the knot check, where the profile peaks, needs the cells only
     if samples[:, 1].min() < -(1e-15 * scale + placement):
         raise ConstructionError(f"kernel dips to {samples[:, 1].min()!r}")
-    knot_vals = _knot_values(rule)
+    knot_vals = _knot_values(rule, cells)
     if np.max(np.abs(knot_vals)) > 1e-14 * scale + placement:
         raise ConstructionError(
             f"kernel fails to vanish at a knot: {np.max(np.abs(knot_vals))!r}"

@@ -110,11 +110,6 @@ def _check_index(grid: UniformKnotGrid, i: int) -> None:
         raise ValueError(f"basis index {i} outside [1, {grid.dimension}]")
 
 
-def _check_point(grid: UniformKnotGrid, t: float) -> None:
-    if not grid.a <= t <= grid.b:
-        raise ValueError(f"point {t} outside [{grid.a}, {grid.b}]")
-
-
 def _local(u: float, h: float) -> float:
     # cell location can round u a hair outside [0, h]; the pieces are
     # continuous, so clamping is value-neutral
@@ -175,6 +170,7 @@ def _cell_shapes(grid: UniformKnotGrid, u: np.ndarray) -> np.ndarray:
 def _locate(grid: UniformKnotGrid, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """0-based cells and offsets of the points, placed as ``cell_of`` places
     them: in the cell on the right at an interior knot, in cell n at b.
+    Every array audit places nodes here, once per rule.
 
     Raises
     ------
@@ -205,25 +201,6 @@ def _by_row(rows: int, keys: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarr
     return tuple(tables)
 
 
-def _cell_table(
-    grid: UniformKnotGrid, points: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted points grouped by cell, as two (n, m) arrays.
-
-    Row j - 1 holds the offsets t - x_{j-1} and the weights of the points
-    that ``cell_of`` puts in cell j (see ``_locate``), so local evaluation
-    sees the same offsets as ``basis_eval``.  m is the largest number of
-    points in one cell; unused slots hold offset 0 and weight 0.
-
-    Raises
-    ------
-    ValueError
-        If a point lies outside [a, b] (or is NaN).
-    """
-    cells, offsets = _locate(grid, points)
-    return _by_row(grid.n, cells, offsets, weights)
-
-
 def basis_eval(grid: UniformKnotGrid, i: int, t: float) -> float:
     """Evaluate the basis function D_i at a point t in [a, b].
 
@@ -238,7 +215,6 @@ def basis_eval(grid: UniformKnotGrid, i: int, t: float) -> float:
         If i is outside [1, 4n+2] or t outside [a, b].
     """
     _check_index(grid, i)
-    _check_point(grid, t)
     j = grid.cell_of(t)
     return _eval_on_cell(grid, i, j, t - (grid.a + (j - 1) * grid.h))
 
@@ -327,7 +303,6 @@ class SplineCoefficients:
             cells, u = _locate(grid, t)
             c = self.c[4 * cells[..., None] + np.arange(6)]
             return np.einsum("...s,...s->...", c, _cell_shapes(grid, u))
-        _check_point(grid, t)
         j = grid.cell_of(t)
         u = t - (grid.a + (j - 1) * grid.h)
         lo = 4 * j - 3          # six active indices: 4j-3 .. 4j+2

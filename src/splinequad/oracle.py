@@ -19,8 +19,9 @@ from .grid_basis import (
     SplineCoefficients,
     UniformKnotGrid,
     _basis_integrals,
+    _by_row,
     _cell_shapes,
-    _cell_table,
+    _locate,
     make_grid,
 )
 from .quadrature import QuadratureRule, ResidueState
@@ -127,34 +128,34 @@ def random_spline(grid: UniformKnotGrid, seed: int) -> SplineCoefficients:
 def node_cell_counts(rule: QuadratureRule) -> tuple[int, ...]:
     """Nodes per cell under the half-open convention [x_{j-1}, x_j).
 
-    A node sitting on an interior knot counts toward the cell on its
-    right; a node within a couple of ulps below a knot (mirror arithmetic
-    can shave one bit) is attributed the same way.  The last cell is
+    Nodes are placed as ``basis_eval`` places them (``grid_basis._locate``,
+    which raises ``ValueError`` for a node outside [a, b]); a node whose
+    offset lies within rounding of h (mirror arithmetic can shave a bit
+    off a knot node) counts toward the next cell, and the last cell is
     closed on the right.
     """
-    grid = rule.grid
-    n = grid.n
-    knots = grid.knots()
-    idx = np.searchsorted(knots, rule.nodes, side="right") - 1
+    return _node_counts(rule.grid, *_locate(rule.grid, rule.nodes))
+
+
+def _node_counts(grid: UniformKnotGrid, cells: np.ndarray, offsets: np.ndarray) -> tuple[int, ...]:
+    """``node_cell_counts`` from the cells and offsets of ``_locate``."""
     scale = abs(grid.a) + abs(grid.b) + (grid.b - grid.a)
-    nxt = np.minimum(idx + 1, n)
-    snap = (idx + 1 <= n - 1) & (knots[nxt] - rule.nodes <= 4e-16 * scale)
-    idx = np.where(snap, idx + 1, idx)
-    idx = np.clip(idx, 0, n - 1)
-    return tuple(int(v) for v in np.bincount(idx, minlength=n))
+    snap = (cells < grid.n - 1) & (grid.h - offsets <= 4e-16 * scale)
+    return tuple(np.bincount(cells + snap, minlength=grid.n).tolist())
 
 
 def exactness_report(rule: QuadratureRule) -> ExactnessReport:
     """Worst basis-integration residual of a rule, plus its node layout.
 
-    The audit runs per cell: every node is placed in a cell as
-    ``basis_eval`` places it, the six basis functions alive on each cell
-    are evaluated at that cell's nodes as one (n, m, 6) array (m the most
-    nodes in one cell), contracted with the weights, and the per-cell sums
-    are added into the 4n + 2 quadrature values by basis index.  The values
-    are then compared with the array of the 4n + 2 basis integrals (the
-    values of ``basis_integral``); the worst index is the first with the
-    largest residual.  Cost O(1) per basis function.
+    The audit runs per cell: every node is placed in a cell once, as
+    ``basis_eval`` places it, for the residual and the node counts alike;
+    the six basis functions alive on each cell are evaluated at that
+    cell's nodes as one (n, m, 6) array (m the most nodes in one cell),
+    contracted with the weights, and the per-cell sums are added into the
+    4n + 2 quadrature values by basis index.  The values are then compared
+    with the array of the 4n + 2 basis integrals (the values of
+    ``basis_integral``); the worst index is the first with the largest
+    residual.  Cost O(1) per basis function.
 
     Raises
     ------
@@ -162,8 +163,9 @@ def exactness_report(rule: QuadratureRule) -> ExactnessReport:
         If a node lies outside [a, b], where the basis is not defined.
     """
     grid = rule.grid
-    offsets, weights = _cell_table(grid, rule.nodes, rule.weights)
-    per_cell = np.einsum("jm,jms->js", weights, _cell_shapes(grid, offsets))
+    cells, offsets = _locate(grid, rule.nodes)
+    table, weights = _by_row(grid.n, cells, offsets, rule.weights)
+    per_cell = np.einsum("jm,jms->js", weights, _cell_shapes(grid, table))
     index = 4 * np.arange(grid.n)[:, None] + np.arange(6)
     q = np.bincount(index.ravel(), per_cell.ravel(), minlength=grid.dimension)
     resid = np.abs(q - _basis_integrals(grid))
@@ -172,7 +174,7 @@ def exactness_report(rule: QuadratureRule) -> ExactnessReport:
         n=grid.n,
         max_basis_residual=float(resid[worst]),
         worst_index=worst + 1,
-        per_interval_node_counts=node_cell_counts(rule),
+        per_interval_node_counts=_node_counts(grid, cells, offsets),
     )
 
 

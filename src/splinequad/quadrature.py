@@ -86,10 +86,6 @@ LIMIT_MIDPOINT_WEIGHT = 8.0 / 15.0
 # per node.
 ARRAY_MIN_NODES = 57
 
-# Element budget of blocked array temporaries: the Peano kernel's knot
-# check and the error constant.
-_CHUNK = 1 << 16
-
 # Per-node products checked for complex values at a time on large rules
 # (see apply_rule): a list of 4096 stays in cache, and at n = 10^6 with
 # math.sin it ran as fast as 16384 or 65536 and 20 % faster than a check

@@ -8,8 +8,10 @@ import pytest
 
 from splinequad import error_analysis
 from splinequad.error_analysis import (
+    _CHUNK,
     MAX_KERNEL_SAMPLES,
     PeanoProfile,
+    _alpha_beta,
     _kernel_values,
     _knot_values,
     error_constant,
@@ -17,10 +19,9 @@ from splinequad.error_analysis import (
     peano_kernel,
     remainder_bound,
 )
-from splinequad.grid_basis import make_grid
+from splinequad.grid_basis import _by_row, _locate, make_grid
 from splinequad.oracle import gauss_legendre_between
 from splinequad.quadrature import (
-    _CHUNK,
     ConstructionError,
     QuadratureRule,
     apply_rule,
@@ -120,6 +121,46 @@ def test_profile_local_form_matches_global_kernel_on_unit_interval():
         assert np.max(np.abs(local - ref)) <= 1e-6 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("h", [1.0, 0.1, 0.3, 3.7, 2.0**-20, 1e-3, 1e3])
+def test_alpha_beta_of_a_two_third_cell(h):
+    # 7h/15 at the left knot and 8h/15 at the midpoint: alpha = 7h/30 to a
+    # few ulps, and beta = h^2/12 to a few ulps of the 5h^2/12 it is
+    # taken from
+    alpha, beta = _alpha_beta(h, np.array([[0.0, h / 2]]), np.array([[7 * h / 15, 8 * h / 15]]))
+    assert abs(alpha[0, 0] - 7 * h / 30) <= 4 * np.spacing(7 * h / 30)
+    assert abs(beta[0, 0] - h * h / 12) <= 4 * np.spacing(5 * h * h / 12)
+
+
+def test_alpha_beta_on_the_plateau_cells_of_a_built_rule():
+    # on [0, 40] every node of a plateau cell is a double of the table,
+    # two per cell from cell 10 to cell 30
+    rule = build_rule(make_grid(0.0, 40.0, 40))
+    s, w = _by_row(40, *_locate(rule.grid, rule.nodes), rule.weights)
+    alpha, beta = _alpha_beta(1.0, s[9:30], w[9:30])
+    assert np.max(np.abs(alpha - 7 / 30)) <= 4 * np.spacing(7 / 30)
+    assert np.max(np.abs(beta - 1 / 12)) <= 4 * np.spacing(5 / 12)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-3.0, 17.0)])
+def test_profile_matches_50_digit_definition(a, b):
+    # every sample against (t-a)^6/720 - sum w (t - tau)_+^5/120 in 50
+    # digits, over the rule's own double nodes and weights, to 1e-9 h^6
+    mp = pytest.importorskip("mpmath")
+    for n in list(range(1, 11)) + [40]:
+        rule = build_rule(make_grid(a, b, n))
+        samples = kernel_profile(rule, samples_per_cell=6).samples
+        h6 = rule.grid.h**6
+        with mp.workdps(50):
+            lo = mp.mpf(a)
+            nodes = [mp.mpf(t) for t in rule.nodes.tolist()]
+            weights = [mp.mpf(w) for w in rule.weights.tolist()]
+            for t, k6 in samples.tolist():
+                t = mp.mpf(t)
+                s = mp.fsum(w * (t - tau) ** 5 for tau, w in zip(nodes, weights) if tau < t)
+                ref = (t - lo) ** 6 / 720 - s / 120
+                assert abs(k6 - ref) <= 1e-9 * h6, (n, float(t), k6, float(ref))
+
+
 def test_global_kernel_blocks_cover_every_point():
     # n = 200 has 401 nodes, so the 201 knots take two blocks; a perturbed
     # weight makes every knot value past it nonzero
@@ -147,7 +188,8 @@ def test_knot_check_matches_global_kernel(a, b, n):
     at = np.arange(n + 1)
     if n > 2000:
         at = np.unique(np.r_[0:40, 9990:10030, n - 300 : n + 1])
-    diff = np.abs(_knot_values(rule)[at] - _kernel_values(rule, knots[at]))
+    cells = _locate(rule.grid, rule.nodes)[0]
+    diff = np.abs(_knot_values(rule, cells)[at] - _kernel_values(rule, knots[at]))
     span = b - a
     placement = span**5 * max(abs(a), abs(b), 1.0) * 2e-17
     assert np.max(diff) <= 1e-2 * (1e-14 * max(1.0, span**6) + placement)

@@ -249,6 +249,54 @@ def test_node_counts_on_plateau_grids():
         assert n // 2 <= counts.index(3) <= n - 1
 
 
+def _snapped_counts(rule):
+    """Nodes per cell by a searchsorted against the knots, a node within
+    4e-16 (|a| + |b| + b - a) below an interior knot snapped to its right:
+    an earlier placement, kept as the reference for ``node_cell_counts``."""
+    grid = rule.grid
+    n = grid.n
+    knots = grid.knots()
+    idx = np.searchsorted(knots, rule.nodes, side="right") - 1
+    scale = abs(grid.a) + abs(grid.b) + (grid.b - grid.a)
+    nxt = np.minimum(idx + 1, n)
+    snap = (idx + 1 <= n - 1) & (knots[nxt] - rule.nodes <= 4e-16 * scale)
+    idx = np.where(snap, idx + 1, idx)
+    idx = np.clip(idx, 0, n - 1)
+    return tuple(int(v) for v in np.bincount(idx, minlength=n))
+
+
+def _layout_ok(counts, n):
+    return sum(counts) == 2 * n + 1 and counts.count(3) == 1 and counts.count(2) == n - 1
+
+
+def test_node_counts_equal_the_snapped_placement_near_the_origin():
+    for n in range(1, 2001):
+        for a, b in ((0.0, float(n)), (0.0, 1.0), (-3.0, 17.0)):
+            rule = build_rule(make_grid(a, b, n))
+            assert node_cell_counts(rule) == _snapped_counts(rule), (a, b, n)
+
+
+def test_node_counts_decide_the_layout_as_the_snapped_placement_far_out():
+    # far from the origin a node within rounding of a knot can fall on
+    # either side under the two placements, so the cell that holds the 3
+    # may move by one; the layout decision may not
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        a = float(rng.uniform(-1e6, 1e6))
+        n = int(rng.integers(1, 301))
+        rule = build_rule(make_grid(a, a + float(10.0 ** rng.uniform(-3.0, 3.0)), n))
+        counts = node_cell_counts(rule)
+        assert _layout_ok(counts, n) == _layout_ok(_snapped_counts(rule), n), (a, n)
+        assert counts == exactness_report(rule).per_interval_node_counts
+
+
+def test_node_counts_reject_nodes_outside_the_interval():
+    rule = QuadratureRule(grid=make_grid(0.0, 1.0, 1), nodes=[0.1, 0.5, 1.5],
+                          weights=[0.3, 0.4, 0.3])
+    with pytest.raises(ValueError, match="outside"):
+        node_cell_counts(rule)
+
+
 # ------------------------------------------------------- limit-rule distance
 
 def test_limit_deviation_plateau_rows():
