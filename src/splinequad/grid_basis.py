@@ -311,5 +311,9 @@ class SplineCoefficients:
         )
 
     def exact_integral(self) -> float:
-        """Integral by linearity: sum of c_i times the known basis integrals."""
-        return math.fsum((self.c * _basis_integrals(self.grid)).tolist())
+        """Integral by linearity: sum of c_i times the known basis integrals,
+        summed as ``apply_rule`` sums its products (the correctly rounded
+        sum of the double products, equal to their ``math.fsum``)."""
+        from .quadrature import _fsum_products  # quadrature imports this module
+
+        return _fsum_products(self.c, _basis_integrals(self.grid))

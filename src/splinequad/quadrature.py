@@ -92,6 +92,27 @@ ARRAY_MIN_NODES = 57
 # per product.
 _CHECK_BLOCK = 1 << 12
 
+# Arrays of at least this many products are summed by error-free
+# extraction (see _fsum_products), shorter ones by math.fsum alone.  On a
+# 2-vCPU x86-64 VM (Python 3.11, numpy 2.4) the two break even near 1000
+# products of a quintic and 1400 of a rational; at the cut extraction is
+# 30 % faster on both, a margin that keeps every sum from running slower.
+_EXTRACT_MIN = 1 << 11
+
+# Products extracted at a time: a block and its temporaries (about 0.4 MB)
+# stay in cache, and at 2*10^6 + 1 products 2^14 ran as fast as 2^15 and
+# 30 % faster than 2^12, whose per-block numpy calls cost more.
+_SUM_BLOCK = 1 << 14
+
+# sigma = 2^(e + _SUM_SHIFT) for a block whose largest |r| is below 2^e:
+# 2^_SUM_SHIFT exceeds the block length + 2, so the q of one pass sum to a
+# double exactly (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008).
+_SUM_SHIFT = (_SUM_BLOCK + 2).bit_length()
+
+# A block's remainders go to the final math.fsum as they are once fewer
+# than this many are nonzero: a pass costs what fsum takes for about 300.
+_SUM_REST = 128
+
 # Slack for the residue inequality 2(4A - B) + 1/12 >= 1/6, which holds
 # with equality at the first cell.
 _RESIDUE_SLACK = 1e-14
@@ -419,11 +440,13 @@ def _validate_rule(grid: UniformKnotGrid, nodes: np.ndarray, weights: np.ndarray
 def apply_rule(
     rule: QuadratureRule, f: Callable[[np.ndarray | float], np.ndarray | float]
 ) -> float:
-    """Apply the rule to a function: the compensated sum of w_i * f(tau_i).
+    """Apply the rule to a function: the sum of w_i * f(tau_i).
 
     Exact (to rounding) for any C1 quintic spline on the rule's grid, and
-    for any quintic polynomial.  The summation is compensated (one
-    ``math.fsum``) so that exactness checks are not polluted by
+    for any quintic polynomial.  The result is the correctly rounded sum of
+    the double products w_i * f(tau_i), equal to ``math.fsum`` of them bit
+    for bit (its exceptions included), so the summation adds at most half
+    an ulp of the result and exactness checks are not polluted by
     accumulation error.
 
     Calling convention: on a rule with at least ``ARRAY_MIN_NODES`` nodes,
@@ -445,12 +468,70 @@ def apply_rule(
     if len(nodes) >= ARRAY_MIN_NODES:
         values = _array_values(f, nodes)
         if values is not None:
-            return math.fsum(_items(weights * values))
+            return _fsum_products(weights, values)
         products = map(operator.mul, _items(weights), map(f, _items(nodes)))
         blocks = iter(lambda: list(islice(products, _CHECK_BLOCK)), [])
         return math.fsum(chain.from_iterable(map(_real_block, blocks)))
     products = map(operator.mul, _items(weights), map(f, _items(nodes)))
     return math.fsum(map(_real, products))
+
+
+def _fsum_products(weights: np.ndarray, values: np.ndarray) -> float:
+    """``math.fsum((weights * values).tolist())``, bit for bit and exceptions
+    included, without a Python float per product on long arrays.
+
+    From ``_EXTRACT_MIN`` double products on, each block is reduced by
+    error-free extraction (ExtractVector of Rump, Ogita & Oishi): with
+    sigma = 2^(e + _SUM_SHIFT) above every |r| of the block,
+    q = (sigma + r) - sigma holds r's leading bits, ``q.sum()`` is exact,
+    and r - q is exact and at least 2^37 times smaller than the largest r.
+    Zeros are dropped after each pass.  Once fewer than ``_SUM_REST``
+    remainders are left, or sigma would be subnormal, they go to the final
+    ``math.fsum`` with the pass sums, whose exact sum is the products'.
+
+    ``math.fsum`` of the products themselves decides where the two sums
+    could differ: a product that is inf or nan, a product at 2^emax or
+    above (fsum may overflow), and an exact-zero total (fsum's sign of
+    zero).
+    """
+    n = len(weights)
+    if n < _EXTRACT_MIN or np.result_type(weights, values) != np.float64:
+        return math.fsum(_items(weights * values))
+    # every |product| below 2^emax keeps sigma finite and the products'
+    # absolute sum below 2^1023, where neither summation can overflow
+    emax = 1023 - max(_SUM_SHIFT, (n + 2).bit_length())
+    huge, emin = math.ldexp(1.0, emax), -1022 - _SUM_SHIFT
+    partials = []
+    for r in _product_blocks(weights, values):
+        while len(r) >= _SUM_REST:
+            big = max(r.max(), -r.min())
+            if not big < huge:  # inf, nan, or where fsum may overflow
+                return _plain_fsum(weights, values)
+            e = math.frexp(big)[1]
+            if e < emin:  # sigma would be subnormal
+                break
+            sigma = math.ldexp(1.0, e + _SUM_SHIFT)
+            q = r + sigma
+            q -= sigma
+            partials.append(q.sum())
+            r -= q
+            r = r[r != 0.0]
+        partials += r.tolist()
+    total = math.fsum(partials)
+    return total if total != 0.0 else _plain_fsum(weights, values)
+
+
+def _plain_fsum(weights: np.ndarray, values: np.ndarray) -> float:
+    """``math.fsum`` of the products, formed ``_SUM_BLOCK`` at a time."""
+    return math.fsum(chain.from_iterable(map(_items, _product_blocks(weights, values))))
+
+
+def _product_blocks(weights: np.ndarray, values: np.ndarray) -> Iterable[np.ndarray]:
+    """``weights * values``, ``_SUM_BLOCK`` products at a time."""
+    return (
+        weights[i : i + _SUM_BLOCK] * values[i : i + _SUM_BLOCK]
+        for i in range(0, len(weights), _SUM_BLOCK)
+    )
 
 
 def _real(product):

@@ -358,6 +358,20 @@ def test_spline_exact_integral_equals_per_index_products(n):
     )
 
 
+@pytest.mark.parametrize("n", list(range(1, 51)) + [10**5])
+def test_spline_exact_integral_bit_identical_to_fsum_of_the_products(n):
+    # 4n + 2 products: the shorter ones take math.fsum, 10^5 cells the
+    # array sum that apply_rule uses
+    rng = np.random.default_rng([n, 3])
+    grid = make_grid(-2.0, 5.0, n)
+    for c in (rng.uniform(-1e3, 1e3, grid.dimension),
+              np.ldexp(rng.uniform(-1.0, 1.0, grid.dimension),
+                       rng.integers(-60, 60, grid.dimension))):
+        spline = SplineCoefficients(grid=grid, c=c)
+        old = math.fsum((spline.c * _basis_integrals(grid)).tolist())
+        assert spline.exact_integral().hex() == old.hex()
+
+
 def test_spline_value_array_matches_scalar():
     # points at a, at b, at every interior knot and inside the cells; the
     # array path agrees with the per-point path to a few ulps of

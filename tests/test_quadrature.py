@@ -21,6 +21,11 @@ from splinequad.quadrature import (
     build_rule,
     initial_residues,
     _CHECK_BLOCK,
+    _EXTRACT_MIN,
+    _SUM_BLOCK,
+    _SUM_REST,
+    _SUM_SHIFT,
+    _fsum_products,
     _middle_even,
     _middle_odd,
     _solve_cell,
@@ -761,6 +766,174 @@ def test_rule_invariants_property(a, width, n):
     assert np.all(rule.weights > 0)
     assert rule.nodes[0] > a and rule.nodes[-1] < b
     assert math.fsum(rule.weights.tolist()) == pytest.approx(width, rel=1e-12)
+
+
+# ------------------------------------------ the sum of the products w * f
+
+def assert_sums_as_fsum(weights, values):
+    """_fsum_products gives math.fsum of the products bit for bit, or raises
+    the exception fsum raises."""
+    weights, values = np.asarray(weights, dtype=float), np.asarray(values)
+    assert weights.shape == values.shape
+    with np.errstate(over="ignore"):  # products beyond the double range are inf
+        try:
+            expected = math.fsum((weights * values).tolist())
+        except (OverflowError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                _fsum_products(weights, values)
+        else:
+            assert _fsum_products(weights, values).hex() == expected.hex()
+
+
+def spread_values(rng, size, lo, hi):
+    """Random signs and mantissas with binary exponents uniform in [lo, hi]."""
+    mantissas = rng.uniform(0.5, 1.0, size) * rng.choice((-1.0, 1.0), size)
+    return np.ldexp(mantissas, rng.integers(lo, hi, size, endpoint=True))
+
+
+# at the cut and at the block ends, +-1, and where a block's tail holds
+# about _SUM_REST products
+SUM_LENGTHS = (
+    _EXTRACT_MIN - 1, _EXTRACT_MIN, _EXTRACT_MIN + 1,
+    _SUM_BLOCK - 1, _SUM_BLOCK, _SUM_BLOCK + 1,
+    _SUM_BLOCK + _SUM_REST - 1, _SUM_BLOCK + _SUM_REST,
+    2 * _SUM_BLOCK - 1, 2 * _SUM_BLOCK, 2 * _SUM_BLOCK + 1,
+)
+
+
+@pytest.mark.parametrize("n", SUM_LENGTHS)
+def test_sum_equals_fsum_on_seeded_arrays(n):
+    rng = np.random.default_rng([n, 11])
+    weights = rng.uniform(0.1, 1.0, n)
+    families = {
+        "narrow": lambda: spread_values(rng, n, -3, 3),
+        "wide": lambda: spread_values(rng, n, -300, 300),
+        # the products' absolute sum stays below 2^1023
+        "whole range": lambda: spread_values(rng, n, -1074, 1000),
+        "subnormal": lambda: np.ldexp(rng.integers(-2**20, 2**20, n).astype(float), -1074),
+        "normal and subnormal": lambda: np.where(
+            rng.uniform(size=n) < 0.5, spread_values(rng, n, -1074, -1020),
+            spread_values(rng, n, -10, 10)),
+        "one huge among tiny": lambda: np.concatenate(
+            [spread_values(rng, n - 1, -1000, -900), [1e300]])[rng.permutation(n)],
+        "exp over +-700": lambda: np.exp(rng.uniform(-700.0, 700.0, n)),
+        "mostly zeros": lambda: np.where(rng.uniform(size=n) < 0.99, 0.0,
+                                         spread_values(rng, n, -60, 60)),
+    }
+    for make in families.values():
+        for _ in range(3):
+            values = make()
+            assert_sums_as_fsum(weights, values)
+            assert_sums_as_fsum(np.ones(n), values)
+
+
+@pytest.mark.parametrize("n", (_EXTRACT_MIN, _SUM_BLOCK + 1, 2 * _SUM_BLOCK + 1))
+def test_sum_of_exact_cancellation_is_fsums_zero(n):
+    rng = np.random.default_rng([n, 12])
+    half = spread_values(rng, n // 2, -200, 200)
+    half[:2] = 1.0, 2.0**-80
+    pairs = np.concatenate([half, -half, np.zeros(n % 2)])
+    for values in (pairs, pairs[rng.permutation(n)], np.full(n, -0.0),
+                   np.where(pairs > 0.0, 0.0, -0.0)):
+        assert_sums_as_fsum(np.ones(n), values)
+    assert _fsum_products(np.ones(n), pairs).hex() == "0x0.0p+0"
+
+
+def test_sum_gives_a_zero_total_the_sign_fsum_gives(monkeypatch):
+    # CPython's fsum returns +0.0 for every exact-zero total, as the sum of
+    # the extracted partials does; an fsum that keeps the IEEE sign of zero
+    # (-0.0 when every input is -0.0) must decide a zero total from the
+    # products themselves
+    fsum = math.fsum
+
+    def signed_fsum(items):
+        items = list(items)
+        return fsum(items) or math.copysign(0.0, sum(items, -0.0))
+
+    monkeypatch.setattr(math, "fsum", signed_fsum)
+    n = _SUM_BLOCK + 1
+    for values in (np.full(n, -0.0), np.zeros(n), np.r_[-1.0, np.full(n - 2, -0.0), 1.0]):
+        assert _fsum_products(np.ones(n), values).hex() == signed_fsum(values.tolist()).hex()
+    assert _fsum_products(np.ones(n), np.full(n, -0.0)).hex() == "-0x0.0p+0"
+
+
+@pytest.mark.parametrize("n", (_EXTRACT_MIN, _SUM_BLOCK + 1, 2 * _SUM_BLOCK + 1))
+def test_sum_of_nonfinite_products_is_fsums(n):
+    rng = np.random.default_rng([n, 13])
+    base = spread_values(rng, n, -20, 20)
+    at = rng.choice(n, 2, replace=False)
+    for specials in ((math.inf,), (-math.inf,), (math.nan,), (math.inf, -math.inf),
+                     (math.nan, math.inf), (math.inf, math.inf)):
+        values = base.copy()
+        values[at[: len(specials)]] = specials
+        assert_sums_as_fsum(np.ones(n), values)
+    values = base.copy()
+    values[n - 1] = math.inf
+    values[0] = math.inf
+    values[n // 2] = -math.inf
+    with pytest.raises(ValueError, match="inf"):
+        _fsum_products(np.ones(n), values)
+    values[n // 2] = math.nan
+    assert math.isnan(_fsum_products(np.ones(n), values))
+
+
+@pytest.mark.parametrize("n", (_EXTRACT_MIN, _SUM_BLOCK + 1, 2 * _SUM_BLOCK + 1))
+def test_sum_overflows_as_fsum_does(n):
+    rng = np.random.default_rng([n, 14])
+    shift = max(_SUM_SHIFT, (n + 2).bit_length())
+    top = 1023 - shift  # products below 2^top take the extraction
+    big = np.ldexp(rng.uniform(0.5, 1.0, n), top)
+    signs = rng.choice((-1.0, 1.0), n)
+    cases = {
+        "all positive, overflows": np.full(n, 1e308),
+        "intermediate overflow only": np.r_[1e308, 1e308, -1e308, np.zeros(n - 3)],
+        "huge, cancelling": np.r_[big[: n // 2], -big[: n // 2], np.zeros(n % 2)],
+        "just below the guard": big * signs,
+        "just above the guard": 2.0 * big * signs,
+        "at the top of the range": np.ldexp(rng.uniform(0.5, 1.0, n), 1023) * signs,
+    }
+    raised = 0
+    for values in cases.values():
+        try:
+            math.fsum(values.tolist())
+        except OverflowError:
+            raised += 1
+        assert_sums_as_fsum(np.ones(n), values)
+    assert raised >= 2
+    with pytest.raises(OverflowError):
+        _fsum_products(np.ones(n), np.full(n, 1e308))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    specials=st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                      max_size=40),
+    n=st.sampled_from(SUM_LENGTHS),
+    lo=st.integers(-1074, 1000),
+    width=st.integers(0, 2100),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sum_equals_fsum_property(specials, n, lo, width, seed):
+    # arbitrary floats (hypothesis favours the edges: +-0, subnormals, the
+    # largest finite, inf, nan) scattered over random products
+    rng = np.random.default_rng(seed)
+    values = spread_values(rng, n, lo, min(lo + width, 1000))
+    values[rng.integers(0, n, len(specials))] = specials
+    assert_sums_as_fsum(np.ones(n), values)
+    assert_sums_as_fsum(rng.uniform(0.5, 2.0, n), values)
+
+
+def test_apply_array_path_holds_one_array_of_values():
+    # the products are formed a block at a time, never as a full-length
+    # weights * values
+    rule = build_rule(make_grid(0.0, 1.0, 100_000))
+    tracemalloc.start()
+    try:
+        apply_rule(rule, lambda t: 2.0 * t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rule.nodes.nbytes + (1 << 20)
 
 
 # ------------------------------------------------- exactness on the basis
