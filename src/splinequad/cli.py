@@ -69,11 +69,6 @@ class RuleDocument:
         weights = np.asarray(self.weights, dtype=float)
         return b"".join(_json_chunks(head, nodes, weights, self.error_constant)).decode()
 
-    @classmethod
-    def from_json(cls, text: str) -> "RuleDocument":
-        data = json.loads(text)
-        return cls(**data)
-
 
 # The document's scalar fields, in output order.
 _HEAD_FIELDS = ("schema_version", "n", "a", "b", "h")

@@ -16,7 +16,7 @@ while K6 is of size h^6.  The local form, used for the samples of
 that equals it outside t's cell; a rule exact on the spline space
 integrates that spline exactly, so only the nodes of t's cell remain,
 and they enter through two numbers per cell and their own truncated
-powers (``_cell_kernel_values``).  It costs O(1) per sample and its
+powers (``_cell_kernel``).  It costs O(1) per sample and its
 terms are of size h^6, like K6, but it is the kernel only if the rule is
 exact.  So the knot check of
 ``kernel_profile`` keeps the global form, which needs no such assumption.
@@ -117,25 +117,6 @@ def peano_kernel(rule: QuadratureRule, t: float) -> float:
     return u**6 / 720.0 - math.fsum(terms) / 120.0
 
 
-def _kernel_values(rule: QuadratureRule, ts: np.ndarray) -> np.ndarray:
-    """The global form of ``peano_kernel`` at the points ts.
-
-    Points go in blocks of at most ``_CHUNK`` (points x nodes) elements, so
-    the temporaries stay bounded; each block takes only the nodes left of
-    its largest point.  The cost is O(len(ts) * nodes) time.
-    """
-    s = rule.nodes - rule.grid.a
-    rows = max(1, _CHUNK // len(s))
-    out = np.empty(len(ts))
-    for i in range(0, len(ts), rows):
-        u = ts[i : i + rows] - rule.grid.a
-        left = s < u.max()
-        d = u[:, None] - s[left]
-        np.clip(d, 0.0, None, out=d)
-        out[i : i + rows] = u**6 / 720.0 - (d**5) @ rule.weights[left] / 120.0
-    return out
-
-
 def _knot_values(rule: QuadratureRule, cells: np.ndarray) -> np.ndarray:
     """The global form of ``peano_kernel`` at the n + 1 knots, in O(n) time.
 
@@ -152,7 +133,7 @@ def _knot_values(rule: QuadratureRule, cells: np.ndarray) -> np.ndarray:
     for positive weights, so the carry cancels nothing; it runs as a
     doubling scan over the blocks.  This is the global form regrouped,
     with no assumption that the rule is exact, and it equals
-    ``_kernel_values(rule, grid.knots())`` up to rounding.  The nodes of
+    ``peano_kernel`` at each knot up to rounding.  The nodes of
     cell c (``grid_basis._locate``) are the own nodes of block
     c // ``_KNOT_BLOCK``.  The direct sums
     go through temporaries of about ``_CHUNK`` elements; the rest is O(n)
@@ -204,7 +185,7 @@ def _shift(length: np.ndarray) -> np.ndarray:
     return powers[:, _BINOMIAL_ORDER] * _BINOMIAL
 
 
-def _cell_kernel_values(
+def _cell_kernel(
     h: float, v: np.ndarray, s: np.ndarray, w: np.ndarray
 ) -> np.ndarray:
     """The local form of K6 at the offsets v (c, k) of c cells of width h.
@@ -233,7 +214,7 @@ def _cell_kernel_values(
 
 
 def _alpha_beta(h: float, s: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """alpha and beta of ``_cell_kernel_values`` for the cells whose node
+    """alpha and beta of ``_cell_kernel`` for the cells whose node
     offsets and weights are the rows of s and w, as (c, 1) columns; 7h/30
     and h^2/12 on a two-third cell (7h/15 at 0, 8h/15 at h/2)."""
     r = s / h
@@ -259,9 +240,9 @@ def _local_samples(
     rows = max(1, _CHUNK // (samples_per_cell * s.shape[1]))
     for j in range(0, grid.n, rows):
         v = t[j : j + rows] - left[j : j + rows, None]
-        vals[j : j + rows] = _cell_kernel_values(grid.h, v, s[j : j + rows], w[j : j + rows])
+        vals[j : j + rows] = _cell_kernel(grid.h, v, s[j : j + rows], w[j : j + rows])
     v = samples[-1:, :1] - left[-1]
-    samples[-1, 1] = _cell_kernel_values(grid.h, v, s[-1:], w[-1:])[0, 0]
+    samples[-1, 1] = _cell_kernel(grid.h, v, s[-1:], w[-1:])[0, 0]
     return samples
 
 
@@ -272,7 +253,7 @@ def kernel_profile(rule: QuadratureRule, samples_per_cell: int = 1000) -> PeanoP
     (t - x)_+^5 equals, outside cell j, a C1 spline that is the cubic
     Hermite piece on cell j.  The rule integrates that spline exactly, so
     only cell j's nodes enter K6(t), through alpha_j and beta_j and their
-    own truncated powers (see ``_cell_kernel_values``): each sample costs
+    own truncated powers (see ``_cell_kernel``): each sample costs
     O(1) time, and no term larger than h^6 cancels.  The local form equals
     the kernel only for a rule that is exact on the spline space.  The
     nodes are placed in cells once (``grid_basis._locate``), for the

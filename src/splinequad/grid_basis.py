@@ -14,6 +14,7 @@ everything here is safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,6 @@ __all__ = [
     "make_grid",
     "basis_eval",
     "basis_integral",
-    "blend_eval",
 ]
 
 
@@ -94,77 +94,47 @@ def make_grid(a: float, b: float, n: int) -> UniformKnotGrid:
     return UniformKnotGrid(a=a, b=b, n=n, h=(b - a) / n)
 
 
-def _decode(i: int) -> tuple[int, int]:
-    """Map basis index i to (k, r) with i = 4(k-1) + r, r in {1, 2, 3, 4}.
-
-    r identifies which of the four per-knot shapes D_{4k-3} .. D_{4k} the
-    index refers to; k runs from 1 to n+1 for r in {1, 2} and 1 to n for
-    r in {3, 4}.
-    """
-    k = (i + 3) // 4
-    return k, i - 4 * (k - 1)
-
-
 def _check_index(grid: UniformKnotGrid, i: int) -> None:
     if not 1 <= i <= grid.dimension:
         raise ValueError(f"basis index {i} outside [1, {grid.dimension}]")
 
 
-def _local(u: float, h: float) -> float:
+def _shapes(h: float, u):
+    """The six basis functions alive on a cell of width h, at the local
+    coordinate u in [0, h] (a float, or an ndarray of them).
+
+    Entry s is D_{4j-3+s} on cell j = [x_{j-1}, x_j], with u = t - x_{j-1}:
+    D_{4j-3} and D_{4j-2} decay from the cell's left knot, D_{4j-1} and
+    D_{4j} are the scaled Bernstein bumps supported on the cell alone, and
+    D_{4j+1} and D_{4j+2} rise toward its right knot.  Local coordinates
+    keep wide or far-from-origin grids from losing precision.
+    """
+    g = h - u
+    return (
+        g**5 / (4.0 * h**6),                        # D_{4j-3}, decaying
+        g**4 * (h + 9.0 * u) / (4.0 * h**6),        # D_{4j-2}, decaying
+        10.0 * u**2 * g**3 / h**6,                  # D_{4j-1}
+        10.0 * u**3 * g**2 / h**6,                  # D_{4j}
+        u**4 * (10.0 * h - 9.0 * u) / (4.0 * h**6),  # D_{4j+1}, rising
+        u**5 / (4.0 * h**6),                        # D_{4j+2}, rising
+    )
+
+
+def _place(grid: UniformKnotGrid, t: float) -> tuple[int, float]:
+    """The cell j of t, as ``cell_of`` places it, and t's local coordinate
+    there, clamped to [0, h]."""
+    j = grid.cell_of(t)
+    u = t - (grid.a + (j - 1) * grid.h)
     # cell location can round u a hair outside [0, h]; the pieces are
     # continuous, so clamping is value-neutral
-    return min(max(u, 0.0), h)
-
-
-def _eval_on_cell(grid: UniformKnotGrid, i: int, j: int, u: float) -> float:
-    """Value of D_i at local coordinate u inside cell j = [x_{j-1}, x_j].
-
-    Evaluation uses u = t - x_{j-1} rather than absolute coordinates so
-    that wide or far-from-origin grids do not lose precision.
-    """
-    h = grid.h
-    k, r = _decode(i)
-    u = _local(u, h)
-    if r == 1:
-        if j == k - 1:          # rising piece on [x_{k-2}, x_{k-1}]
-            return u**4 * (10.0 * h - 9.0 * u) / (4.0 * h**6)
-        if j == k:              # decaying piece on [x_{k-1}, x_k]
-            return (h - u) ** 5 / (4.0 * h**6)
-        return 0.0
-    if r == 2:
-        if j == k - 1:
-            return u**5 / (4.0 * h**6)
-        if j == k:
-            return (h - u) ** 4 * (h + 9.0 * u) / (4.0 * h**6)
-        return 0.0
-    if j != k:
-        return 0.0
-    if r == 3:                  # scaled Bernstein bumps, single-cell support
-        return 10.0 * u**2 * (h - u) ** 3 / h**6
-    return 10.0 * u**3 * (h - u) ** 2 / h**6
+    return j, min(max(u, 0.0), grid.h)
 
 
 def _cell_shapes(grid: UniformKnotGrid, u: np.ndarray) -> np.ndarray:
-    """The six basis functions alive on a cell at local coordinates u.
-
-    Array form of ``_eval_on_cell`` with the same closed forms and the same
-    clamping: entry [..., s] is D_{4j-3+s} on cell j, so the result has
-    shape ``u.shape + (6,)``.
-    """
-    h = grid.h
-    u = np.clip(u, 0.0, h)
-    g = h - u
-    return np.stack(
-        [
-            g**5 / (4.0 * h**6),                        # D_{4j-3}, decaying
-            g**4 * (h + 9.0 * u) / (4.0 * h**6),        # D_{4j-2}, decaying
-            10.0 * u**2 * g**3 / h**6,                  # D_{4j-1}
-            10.0 * u**3 * g**2 / h**6,                  # D_{4j}
-            u**4 * (10.0 * h - 9.0 * u) / (4.0 * h**6),  # D_{4j+1}, rising
-            u**5 / (4.0 * h**6),                        # D_{4j+2}, rising
-        ],
-        axis=-1,
-    )
+    """``_shapes`` at the local coordinates u, clamped to [0, h] as
+    ``_place`` clamps, stacked on a last axis: the result has shape
+    ``u.shape + (6,)``."""
+    return np.stack(_shapes(grid.h, np.clip(u, 0.0, grid.h)), axis=-1)
 
 
 def _locate(grid: UniformKnotGrid, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,8 +185,9 @@ def basis_eval(grid: UniformKnotGrid, i: int, t: float) -> float:
         If i is outside [1, 4n+2] or t outside [a, b].
     """
     _check_index(grid, i)
-    j = grid.cell_of(t)
-    return _eval_on_cell(grid, i, j, t - (grid.a + (j - 1) * grid.h))
+    j, u = _place(grid, t)
+    s = i - (4 * j - 3)
+    return _shapes(grid.h, u)[s] if 0 <= s < 6 else 0.0
 
 
 def basis_integral(grid: UniformKnotGrid, i: int) -> float:
@@ -236,33 +207,6 @@ def _basis_integrals(grid: UniformKnotGrid) -> np.ndarray:
     out[[0, -1]] = 1.0 / 24.0
     out[[1, -2]] = 1.0 / 8.0
     return out
-
-
-def blend_eval(grid: UniformKnotGrid, k: int, t: float) -> float:
-    """The nonnegative blend 2*D_{4k+1} - 2*D_{4k+2} + D_{4k-1}/2 - D_{4k}
-    on cell k.
-
-    On [x_{k-1}, x_k] this combination is nonnegative and vanishes exactly
-    at the cell midpoint (a double root); it is the certificate that rules
-    with fewer than two nodes per cell cannot integrate the space.
-
-    Only k = 1 .. n-1 is accepted: for larger k the participating indices
-    no longer all have interior integrals, and the blend loses its meaning.
-    """
-    n = grid.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"blend interval index {k} outside [1, {n - 1}]")
-    x_lo = grid.a + (k - 1) * grid.h
-    x_hi = grid.a + k * grid.h
-    if not x_lo <= t <= x_hi:
-        raise ValueError(f"point {t} outside cell [{x_lo}, {x_hi}]")
-    u = t - x_lo
-    return (
-        2.0 * _eval_on_cell(grid, 4 * k + 1, k, u)
-        - 2.0 * _eval_on_cell(grid, 4 * k + 2, k, u)
-        + 0.5 * _eval_on_cell(grid, 4 * k - 1, k, u)
-        - _eval_on_cell(grid, 4 * k, k, u)
-    )
 
 
 @dataclass(frozen=True)
@@ -286,11 +230,13 @@ class SplineCoefficients:
         """Evaluate the spline at t (only the six basis functions active on
         the containing cell contribute).
 
-        t is a float or an ndarray of points.  An array is evaluated in one
-        pass: the points are placed in cells as ``cell_of`` places them and
-        the six shapes of each cell (``_cell_shapes``) are contracted with
-        that cell's six coefficients, so ``apply_rule`` takes its array path.
-        The array result equals the float one to a few ulps of
+        t is a float or an ndarray of points.  Either way each point is
+        placed in a cell j as ``cell_of`` places it, and the six shapes
+        alive there (``_shapes``) meet the coefficients c_{4j-3} .. c_{4j+2}.
+        A float t gives the ``math.fsum`` of the six products.  An array is
+        evaluated in one pass, the shapes stacked (``_cell_shapes``) and
+        contracted with each cell's coefficients, so ``apply_rule`` takes
+        its array path; its result equals the float one to a few ulps of
         sum |c_i D_i(t)|.
 
         Raises
@@ -303,12 +249,9 @@ class SplineCoefficients:
             cells, u = _locate(grid, t)
             c = self.c[4 * cells[..., None] + np.arange(6)]
             return np.einsum("...s,...s->...", c, _cell_shapes(grid, u))
-        j = grid.cell_of(t)
-        u = t - (grid.a + (j - 1) * grid.h)
-        lo = 4 * j - 3          # six active indices: 4j-3 .. 4j+2
-        return math.fsum(
-            self.c[i - 1] * _eval_on_cell(grid, i, j, u) for i in range(lo, lo + 6)
-        )
+        j, u = _place(grid, t)
+        c = self.c[4 * j - 4 : 4 * j + 2].tolist()
+        return math.fsum(map(operator.mul, c, _shapes(grid.h, u)))
 
     def exact_integral(self) -> float:
         """Integral by linearity: sum of c_i times the known basis integrals,

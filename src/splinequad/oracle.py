@@ -1,11 +1,13 @@
 """Independent brute-force checks for the quadrature construction.
 
 Everything here deliberately avoids the recursion it is used to audit:
-reference integrals come from composite Gauss-Legendre with hard-coded
-nodes, random splines from a counter-based generator with documented
-constants, and the cubic-factor check from direct sign analysis on
-monotone pieces.  All functions are pure; audits over many grid sizes can
-run concurrently.
+the basis audits evaluate the closed-form basis shapes of ``grid_basis``
+at the nodes, random splines come from a counter-based generator with
+documented constants, and the cubic-factor check from direct sign
+analysis on monotone pieces.  The composite Gauss-Legendre reference
+integrator, which only the tests use, lives with them
+(``tests/references.py``).  All functions are pure; audits over many
+grid sizes can run concurrently.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from .quadrature import QuadratureRule, ResidueState
 
 __all__ = [
     "ExactnessReport",
-    "reference_integral",
-    "gauss_legendre_between",
     "random_spline",
     "exactness_report",
     "node_cell_counts",
@@ -38,28 +38,6 @@ __all__ = [
     "cubic_coefficients",
     "cubic_rootfree_check",
 ]
-
-# Gauss-Legendre abscissae/weights on [-1, 1].  Fixed constants rather
-# than anything computed at run time, so the reference integrator shares
-# no code path with the library under test.
-_GL_POINTS = {
-    3: (
-        (-0.77459666924148338, 0.0, 0.77459666924148338),
-        (0.55555555555555556, 0.88888888888888889, 0.55555555555555556),
-    ),
-    4: (
-        (-0.86113631159405258, -0.33998104358485626,
-         0.33998104358485626, 0.86113631159405258),
-        (0.34785484513745386, 0.65214515486254614,
-         0.65214515486254614, 0.34785484513745386),
-    ),
-    5: (
-        (-0.90617984593866399, -0.53846931010568309, 0.0,
-         0.53846931010568309, 0.90617984593866399),
-        (0.23692688505618909, 0.47862867049936647, 0.56888888888888889,
-         0.47862867049936647, 0.23692688505618909),
-    ),
-}
 
 # SplitMix64: additive constant and finalizer multipliers.
 _SM64_GAMMA = 0x9E3779B97F4A7C15
@@ -76,36 +54,6 @@ class ExactnessReport:
     max_basis_residual: float
     worst_index: int
     per_interval_node_counts: tuple[int, ...]
-
-
-def gauss_legendre_between(f, breakpoints, points: int = 4) -> float:
-    """Composite Gauss-Legendre over consecutive pairs of breakpoints.
-
-    Exact (to rounding) for piecewise polynomials of degree 2*points - 1
-    whose pieces break only at the given points.
-    """
-    if points not in _GL_POINTS:
-        raise ValueError(f"supported point counts: {sorted(_GL_POINTS)}")
-    xs, ws = _GL_POINTS[points]
-    terms = []
-    for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
-        mid = 0.5 * (lo + hi)
-        rad = 0.5 * (hi - lo)
-        for x, w in zip(xs, ws):
-            terms.append(rad * w * f(mid + rad * x))
-    return math.fsum(terms)
-
-
-def reference_integral(f, grid: UniformKnotGrid, points_per_cell: int = 4) -> float:
-    """Integral of f over [a, b] by composite Gauss-Legendre on the cells.
-
-    With the default 4 points per cell the result is exact through degree
-    7 on each cell, strictly dominating the quintic pieces of any spline
-    in the space.
-    """
-    if points_per_cell < 3:
-        raise ValueError("need at least three points per cell")
-    return gauss_legendre_between(f, grid.knots().tolist(), points_per_cell)
 
 
 def random_spline(grid: UniformKnotGrid, seed: int) -> SplineCoefficients:

@@ -61,16 +61,15 @@ __all__ = [
     "CONVERGENCE_TOL",
     "LIMIT_KNOT_WEIGHT",
     "LIMIT_MIDPOINT_WEIGHT",
-    "initial_residues",
     "build_rule",
     "apply_rule",
 ]
 
-# Cancellation floor for 1 - 24B + 24A (and its middle-cell variant
-# 24A - 24B + 1).  The true quantity decays quadratically along the
-# recursion: ~4e-8 at cell 4, ~6e-17 at cell 5, so anything below this
-# threshold is rounding noise and the residues have reached their double
-# precision plateau.
+# Cancellation floor for 1 - 24B + 24A (``ResidueState.converged``, which
+# the cell solve and the odd middle closure both read).  The true quantity
+# decays quadratically along the recursion: ~4e-8 at cell 4, ~6e-17 at
+# cell 5, so anything below this threshold is rounding noise and the
+# residues have reached their double precision plateau.
 CONVERGENCE_TOL = 1e-13
 
 # Per-unit-h weights of the two-third limit rule.
@@ -192,11 +191,6 @@ class QuadratureRule:
         return self.nodes.shape[0]
 
 
-def initial_residues() -> ResidueState:
-    """State entering the first cell: the full boundary integrals 1/24, 1/8."""
-    return ResidueState(k=1, A=1.0 / 24.0, B=1.0 / 8.0)
-
-
 def _solve_cell(state: ResidueState) -> tuple[float, float, float, float]:
     """Offsets and weights ``(r1, r2, w_lo, w_hi)`` of the unit cell entered
     in ``state``.
@@ -295,17 +289,18 @@ def _middle_odd(state: ResidueState) -> tuple[float, float, float]:
         w_out = p^2 / (30 d),    p = 108A + 12B - 1,  d = 156A - 36B + 1,
         w_mid = 4 (1152AB + 264A - 576A^2 - 576B^2 - 24B + 1) / (15 d),
 
-    which stay well-conditioned for every reachable state.  Once
-    c = 24A - 24B + 1 is below the plateau floor, r1 is 0: the true offset
-    is not representable next to the knot coordinates, and the outer nodes
-    coincide with the cell's knots (matching the two-third limit).
+    which stay well-conditioned for every reachable state.  Once the state
+    has converged (c = 1 - 24B + 24A below the plateau floor), r1 is 0: the
+    true offset is not representable next to the knot coordinates, and the
+    outer nodes coincide with the cell's knots (matching the two-third
+    limit).
     """
     A, B = state.A, state.B
     p = 108.0 * A + 12.0 * B - 1.0
-    c = 24.0 * A - 24.0 * B + 1.0
-    if abs(c) <= CONVERGENCE_TOL:
+    if state.converged:
         r1 = 0.0
     else:
+        c = 24.0 * A - 24.0 * B + 1.0
         disc = p * p + 2.0 * p * c
         if disc < 0.0:
             raise ConstructionError(
@@ -348,7 +343,8 @@ class UnitTable:
 
 def _unit_table() -> UnitTable:
     """Run the recursion once, from the first cell to the plateau."""
-    state = initial_residues()
+    # the first cell collects the full boundary integrals, 1/24 and 1/8
+    state = ResidueState(k=1, A=1.0 / 24.0, B=1.0 / 8.0)
     state.validate()
     states = [state]
     offsets, weights = [], []
@@ -452,12 +448,13 @@ def apply_rule(
     Calling convention: on a rule with at least ``ARRAY_MIN_NODES`` nodes,
     f is first called once with the whole node array (read-only, shape
     ``(2n+1,)``).  Its result is used when it is an ndarray of that shape
-    with a real dtype (bool, integer or float); in every other case (f
-    raises, a floating-point error included: division by zero, overflow or
-    an invalid operation such as the root of a negative number; or f
-    returns a scalar, a list, another shape or a complex array), and always
-    on smaller rules, f is called per node with Python floats (read from
-    the arrays one at a time) and the products are formed as ``w * f(t)``;
+    whose dtype float64 takes in (bool, integer, or float of at most 64
+    bits); in every other case (f raises, a floating-point error included:
+    division by zero, overflow or an invalid operation such as the root of
+    a negative number; or f returns a scalar, a list, another shape, or a
+    complex or long double array), and always on smaller rules, f is
+    called per node with Python floats (read from the arrays one at a
+    time) and the products are formed as ``w * f(t)``;
     a complex product, numpy's complex scalars included, raises
     ``TypeError`` (checked per product below the cut, and per block of
     ``_CHECK_BLOCK`` products above it).  A scalar-only f therefore works
@@ -478,7 +475,9 @@ def apply_rule(
 
 def _fsum_products(weights: np.ndarray, values: np.ndarray) -> float:
     """``math.fsum((weights * values).tolist())``, bit for bit and exceptions
-    included, without a Python float per product on long arrays.
+    included, without a Python float per product on long arrays.  The
+    weights are float64 and the values of a dtype float64 takes in (as
+    ``_array_values`` admits them), so the products are doubles.
 
     From ``_EXTRACT_MIN`` double products on, each block is reduced by
     error-free extraction (ExtractVector of Rump, Ogita & Oishi): with
@@ -495,7 +494,7 @@ def _fsum_products(weights: np.ndarray, values: np.ndarray) -> float:
     zero).
     """
     n = len(weights)
-    if n < _EXTRACT_MIN or np.result_type(weights, values) != np.float64:
+    if n < _EXTRACT_MIN:
         return math.fsum(_items(weights * values))
     # every |product| below 2^emax keeps sigma finite and the products'
     # absolute sum below 2^1023, where neither summation can overflow
@@ -560,7 +559,8 @@ def _real_block(products: list) -> list:
 
 
 def _array_values(f: Callable, nodes: np.ndarray) -> Optional[np.ndarray]:
-    """f(nodes) when it is a real ndarray shaped like nodes, else None."""
+    """f(nodes) when it is an ndarray shaped like nodes whose dtype float64
+    takes in (``np.result_type`` of it and float64 is float64), else None."""
     try:
         # numpy would turn 1/0, overflow and sqrt(-1) into inf/nan with a
         # warning where Python floats raise; raising here sends such an f to
@@ -572,7 +572,7 @@ def _array_values(f: Callable, nodes: np.ndarray) -> Optional[np.ndarray]:
     if (
         isinstance(values, np.ndarray)
         and values.shape == nodes.shape
-        and values.dtype.kind in "biuf"
+        and np.can_cast(values.dtype, np.float64)
     ):
         return values
     return None

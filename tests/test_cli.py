@@ -11,6 +11,8 @@ import pytest
 
 from splinequad import build_rule, cli, error_constant, kernel_profile, make_grid
 
+from references import rule_document_from_json
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -275,7 +277,7 @@ def test_rule_document_from_json():
     from splinequad import build_rule, make_grid
 
     doc = RuleDocument.from_rule(build_rule(make_grid(0.0, 2.0, 2)))
-    again = RuleDocument.from_json(doc.to_json())
+    again = rule_document_from_json(doc.to_json())
     assert again == doc
 
 

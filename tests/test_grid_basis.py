@@ -1,5 +1,6 @@
 """Tests for grid construction and the quintic basis."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -13,11 +14,12 @@ from splinequad.grid_basis import (
     _basis_integrals,
     basis_eval,
     basis_integral,
-    blend_eval,
     make_grid,
 )
-from splinequad.oracle import reference_integral
+from splinequad.oracle import random_spline
 from splinequad.quadrature import apply_rule, build_rule
+
+from references import blend_eval, reference_integral
 
 
 # ---------------------------------------------------------------- make_grid
@@ -392,6 +394,27 @@ def test_spline_value_array_matches_scalar():
             err = abs(vi - spline.value(ti)) / (size.value(ti) * np.finfo(float).eps)
             worst = max(worst, err)
     assert worst <= 4.0
+
+
+# sha256 of the .hex() texts of basis_eval at every index and of a random
+# spline's scalar value, at the knots and at seeded points of three grids,
+# frozen from the per-index closed forms the scalar paths used before the
+# six shapes were written once
+SCALAR_BITS_SHA256 = "715ab59cd0c707a1b9df22b1f3eae53d9c52ff6fd3ef6a780b1bead327501ad8"
+
+
+def test_scalar_basis_and_spline_bits_are_pinned():
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(20261018)
+    for a, b, n in [(0.0, 1.0, 7), (-3.0, 17.0, 27), (-100000.37, -99995.8, 11)]:
+        grid = make_grid(a, b, n)
+        ts = np.minimum(grid.knots(), b).tolist() + rng.uniform(a, b, 200).tolist()
+        spline = random_spline(grid, 5)
+        for t in ts:
+            for i in range(1, grid.dimension + 1):
+                digest.update(basis_eval(grid, i, t).hex().encode() + b" ")
+            digest.update(spline.value(t).hex().encode() + b"\n")
+    assert digest.hexdigest() == SCALAR_BITS_SHA256
 
 
 def test_spline_value_array_refuses_points_outside():

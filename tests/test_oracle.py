@@ -11,12 +11,10 @@ from splinequad.oracle import (
     cubic_coefficients,
     cubic_rootfree_check,
     exactness_report,
-    gauss_legendre_between,
     limit_rule_deviation,
     middle_system_residual,
     node_cell_counts,
     random_spline,
-    reference_integral,
 )
 from splinequad.quadrature import (
     TABLE,
@@ -24,8 +22,9 @@ from splinequad.quadrature import (
     ResidueState,
     apply_rule,
     build_rule,
-    initial_residues,
 )
+
+from references import gauss_legendre_between, reference_integral
 
 
 # -------------------------------------------------------- reference integral
@@ -364,7 +363,7 @@ def test_middle_system_holds_for_every_odd_closure_of_the_table():
 # ------------------------------------------------------------- cubic factor
 
 def test_cubic_coefficients_initial_state():
-    assert cubic_coefficients(initial_residues(), 1.0) == pytest.approx(
+    assert cubic_coefficients(TABLE.states[0], 1.0) == pytest.approx(
         (-1.0, 4.0, -3.0, -10.0), abs=1e-14
     )
 
@@ -377,12 +376,12 @@ def test_cubic_coefficients_limit_state():
 
 
 def test_cubic_rootfree_for_key_states():
-    assert cubic_rootfree_check(initial_residues(), 1.0)
+    assert cubic_rootfree_check(TABLE.states[0], 1.0)
     assert cubic_rootfree_check(ResidueState(k=9, A=29.0 / 240.0, B=39.0 / 240.0), 1.0)
 
 
 def test_cubic_rootfree_scale_invariant():
-    state = initial_residues()
+    state = TABLE.states[0]
     for h in (0.125, 1.0, 2.0, 17.0):
         assert cubic_rootfree_check(state, h)
 

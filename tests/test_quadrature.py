@@ -19,7 +19,6 @@ from splinequad.quadrature import (
     ResidueState,
     apply_rule,
     build_rule,
-    initial_residues,
     _CHECK_BLOCK,
     _EXTRACT_MIN,
     _SUM_BLOCK,
@@ -126,7 +125,7 @@ def _chain(k_max):
     """Run the recursion cell by cell for k = 1..k_max on unit cells:
     (state entering cell k, (r1, r2, w_lo, w_hi)) per cell, and the state
     entering cell k_max + 1."""
-    state = initial_residues()
+    state = TABLE.states[0]
     out = []
     for k in range(1, k_max + 1):
         cell = _solve_cell(state)
@@ -138,7 +137,7 @@ def _chain(k_max):
 # ------------------------------------------------------------ residue state
 
 def test_initial_residues():
-    state = initial_residues()
+    state = TABLE.states[0]
     assert state.k == 1
     assert state.A == 1.0 / 24.0
     assert state.B == 0.125
@@ -169,7 +168,7 @@ def test_limit_state_is_fixed_point_of_update():
 
 def test_interior_quadratic_initial_coefficients():
     # at the initial state the node quadratic is -1 + 10x - 15x^2
-    r1, r2, _, _ = _solve_cell(initial_residues())
+    r1, r2, _, _ = _solve_cell(TABLE.states[0])
     assert r1 == pytest.approx((5.0 - math.sqrt(10.0)) / 15.0, abs=2e-16)
     assert r2 == pytest.approx((5.0 + math.sqrt(10.0)) / 15.0, abs=2e-16)
 
@@ -190,7 +189,7 @@ def test_interior_quadratic_discriminant_nonnegative_along_chain():
 def test_middle_quadratic_roots_symmetric():
     # the outer nodes sit at r1 and 1 - r1, symmetric by construction; for
     # n = 1 they are the Gauss-Legendre ones
-    r1, _, _ = _middle_odd(initial_residues())
+    r1, _, _ = _middle_odd(TABLE.states[0])
     assert r1 == pytest.approx(0.5 - 0.5 * math.sqrt(0.6), abs=1e-16)
 
 
@@ -203,7 +202,7 @@ def test_roots_negative_discriminant_raises():
 # ----------------------------------------------------------- cell solving
 
 def test_first_cell_matches_reference():
-    tau_lo, tau_hi, w_lo, w_hi = _solve_cell(initial_residues())
+    tau_lo, tau_hi, w_lo, w_hi = _solve_cell(TABLE.states[0])
     r1, r2, wl, wh = CELLS[1]
     assert tau_lo == pytest.approx(r1, abs=1e-13)
     assert tau_hi == pytest.approx(r2, abs=1e-13)
@@ -288,7 +287,7 @@ def test_middle_even_rejects_nonpositive_weight():
 
 
 def test_middle_odd_single_cell_is_gauss_legendre():
-    r1, w_out, w_mid = _middle_odd(initial_residues())
+    r1, w_out, w_mid = _middle_odd(TABLE.states[0])
     assert r1 == pytest.approx(0.5 - 0.5 * math.sqrt(0.6), abs=1e-16)
     assert w_out == pytest.approx(5.0 / 18.0, abs=1e-16)
     assert w_mid == pytest.approx(4.0 / 9.0, abs=1e-16)
@@ -400,7 +399,7 @@ def _rule_cell_by_cell(grid):
     assert h == 1.0
     half = n // 2
     nodes, weights = [], []
-    state = initial_residues()
+    state = TABLE.states[0]
     for k in range(1, half + 1):
         r1, r2, w_lo, w_hi = _solve_cell(state)
         x = a + (k - 1) * h
@@ -677,6 +676,19 @@ def test_apply_falls_back_per_node_on_unusable_array_results():
     # are complex and the sum refuses them
     with pytest.raises(TypeError):
         apply_rule(rule, lambda t: q(t) + 1j)
+
+
+@pytest.mark.parametrize("n", (100, 1500))
+def test_apply_takes_a_long_double_integrand_per_node(n):
+    # float64 does not take in a long double array, so f runs per node as on
+    # a small rule; at n = 1500 the rule has more than _EXTRACT_MIN nodes
+    rule = build_rule(make_grid(0.0, 1.0, n))
+    assert (len(rule) >= _EXTRACT_MIN) == (n == 1500)
+
+    def f(t):
+        return np.longdouble(2.0) * t
+
+    assert apply_rule(rule, f).hex() == per_node(rule, f).hex()
 
 
 @pytest.mark.parametrize("n", (3, CUT_N, 40))
