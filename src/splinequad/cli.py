@@ -1,7 +1,8 @@
 """Command-line front-end: emit rules, run verification suites, sample kernels.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
-construction failure.
+construction failure, or valid arguments whose result does not fit in
+memory (one ``out of memory`` line on stderr, no traceback).
 
 ``rule`` and ``kernel`` write bytes, _CHUNK rows at a time. The numbers
 come from ``_digits``, which makes them from the float64 arrays in numpy
@@ -334,6 +335,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         # json error constant itself, leave the double range: the arguments
         # were valid, the result is not a double
         print(f"construction failed: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # valid arguments, a result this machine cannot hold
+        print(f"out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 3
 
 

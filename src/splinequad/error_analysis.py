@@ -20,9 +20,11 @@ powers (``_cell_kernel``).  It costs O(1) per sample and its
 terms are of size h^6, like K6, but it is the kernel only if the rule is
 exact.  So the knot check of
 ``kernel_profile`` keeps the global form, which needs no such assumption.
-It runs in O(n) time all the same: the knots go in blocks, and the nodes
-left of a block enter through six moments about its left knot, carried
-from block to block by a binomial shift whose terms are all positive.
+It runs in O(n log n) time all the same: every knot lies a whole number
+of cells from a, so the nodes enter through six moments per cell about
+the cell's right knot, and one doubling scan of ceil(log2 n) steps
+carries them to every later knot by a binomial shift whose terms are
+all positive.
 A profile takes at most ``MAX_KERNEL_SAMPLES`` samples and refuses a
 larger request before it allocates anything.
 
@@ -64,12 +66,9 @@ __all__ = [
 # kernel_profile for the memory it bounds.
 MAX_KERNEL_SAMPLES = 1 << 22
 
-# Element budget of blocked array temporaries: the kernel samples, the
-# knot check and the error constant.
+# Element budget of blocked array temporaries: the kernel samples and the
+# error constant.
 _CHUNK = 1 << 16
-
-# Knots per block of the knot check's moment carry.
-_KNOT_BLOCK = 16
 
 # C(k, i) at [k, i] and the power k - i that goes with it, for i <= k;
 # zero above the diagonal
@@ -118,71 +117,49 @@ def peano_kernel(rule: QuadratureRule, t: float) -> float:
 
 
 def _knot_values(rule: QuadratureRule, cells: np.ndarray) -> np.ndarray:
-    """The global form of ``peano_kernel`` at the n + 1 knots, in O(n) time.
+    """The global form of ``peano_kernel`` at the n + 1 knots, in
+    O(n log n) time.
 
-    The knots go in blocks of ``_KNOT_BLOCK``.  At the left knot o of every
-    block the moments M_k(o) = sum over tau < o of w (o - tau)^k, k = 0..5,
-    are known; a knot x of the block then takes
+    Knot j lies at u_j = j h from a.  Row j of an (n + 1, 6) table starts
+    as the moments M_k = sum w d^k, k = 0..5, of the nodes of cell j - 1
+    (``grid_basis._locate``) about u_j, with d = u_j - (tau - a) (at
+    least 0); row 0 is empty.  Moments move from one knot to a knot L
+    further right by the binomial shift
+    M_k(o + L) = sum_i C(k, i) L^(k-i) M_i(o), whose terms are all
+    positive for positive weights, so the carry cancels nothing.
+    A doubling scan (Hillis & Steele) runs ceil(log2 n) steps: at step s
+    = 1, 2, 4, ... every row j > s adds row j - s shifted by s h, so that
+    row j then holds the moments of the nodes of cells j - 2s .. j - 1.
+    At the end it holds those of every node left of u_j, and
 
-        sum over tau < x of w (x - tau)^5
-            = sum_k C(5, k) (x - o)^(5-k) M_k(o) + sum over o <= tau < x,
+        K6(u_j) = u_j^6 / 720 - M_5(u_j) / 120.
 
-    the last sum taken directly over the block's own nodes.  The moments
-    move from one left knot to a later one by the binomial shift
-    M_k(o + L) = sum_i C(k, i) L^(k-i) M_i(o), whose terms are all positive
-    for positive weights, so the carry cancels nothing; it runs as a
-    doubling scan over the blocks.  This is the global form regrouped,
-    with no assumption that the rule is exact, and it equals
-    ``peano_kernel`` at each knot up to rounding.  The nodes of
-    cell c (``grid_basis._locate``) are the own nodes of block
-    c // ``_KNOT_BLOCK``.  The direct sums
-    go through temporaries of about ``_CHUNK`` elements; the rest is O(n)
-    memory.
+    This is the global form regrouped, with no assumption that the rule
+    is exact, and it equals ``peano_kernel`` at each knot up to rounding.
+    Besides the result it holds two (n + 1, 6) tables at once.
     """
     grid = rule.grid
-    u = grid.knots() - grid.a
-    s = rule.nodes - grid.a
-    B = _KNOT_BLOCK
-    edges = u[::B]                                  # left knot of each block
-    nb = len(edges)
-    own, w = _by_row(nb, cells // B, s, rule.weights)
-    # row b + 1 starts as the moments of block b's own nodes about its right
-    # edge (padding slots have weight 0)
-    moments = np.zeros((nb, 6))
-    d = edges[1:, None] - own[:-1]
-    wd = w[:-1]
+    n, h = grid.n, grid.h
+    d = np.maximum((cells + 1) * h - (rule.nodes - grid.a), 0.0)
+    moments = np.zeros((n + 1, 6))
+    wd = rule.weights
     for k in range(6):
-        moments[1:, k] = wd.sum(axis=1)
+        moments[1:, k] = np.bincount(cells, wd, minlength=n)
         wd = wd * d
-    # doubling scan: row b collects every block left of edges[b]
+    del d, wd  # the scan, where this check peaks, needs the moments only
     step = 1
-    while step < nb - 1:
-        shift = _shift(edges[1 + step :] - edges[1:-step])
-        moments[1 + step :] += np.einsum("bki,bi->bk", shift, moments[1:-step])
+    while step < n:
+        moments[1 + step :] += moments[1:-step] @ _shift(step * h).T
         step *= 2
-    # far nodes by their moments (sum_k C(5, k) (x - o)^(5-k) M_k, by
-    # Horner in x - o), then each block's own nodes directly
-    knots = np.pad(u, (0, nb * B - len(u)), mode="edge").reshape(nb, B)
-    x = knots - edges[:, None]
-    far = np.zeros_like(x)
-    for k in range(6):
-        far = far * x + math.comb(5, k) * moments[:, k, None]
-    rows = max(1, _CHUNK // (B * own.shape[1]))
-    near = np.empty((nb, B))
-    for i in range(0, nb, rows):
-        dx = knots[i : i + rows, :, None] - own[i : i + rows, None, :]
-        np.clip(dx, 0.0, None, out=dx)
-        near[i : i + rows] = np.einsum("bm,bkm->bk", w[i : i + rows], dx**5)
-    total = (far + near).ravel()[: len(u)]
-    return u**6 / 720.0 - total / 120.0
+    u = np.arange(n + 1) * h
+    return u**6 / 720.0 - moments[:, 5] / 120.0
 
 
-def _shift(length: np.ndarray) -> np.ndarray:
-    """Matrices S, one per length, that move the moments M_0..M_5 about o
-    to moments about o + length: (S M)_k = sum_i C(k, i) length^(k-i) M_i,
-    every entry nonnegative for a nonnegative length."""
-    powers = length[:, None] ** np.arange(6)
-    return powers[:, _BINOMIAL_ORDER] * _BINOMIAL
+def _shift(length: float) -> np.ndarray:
+    """The matrix S that moves the moments M_0..M_5 about o to moments
+    about o + length: (S M)_k = sum_i C(k, i) length^(k-i) M_i, every entry
+    nonnegative for a nonnegative length."""
+    return (length ** np.arange(6))[_BINOMIAL_ORDER] * _BINOMIAL
 
 
 def _cell_kernel(
@@ -261,20 +238,23 @@ def kernel_profile(rule: QuadratureRule, samples_per_cell: int = 1000) -> PeanoP
 
     At most ``MAX_KERNEL_SAMPLES`` = 2^22 samples (samples_per_cell * n + 1)
     are taken; a larger request is refused with ``ValueError`` before
-    anything is allocated.  The profile holds 16 bytes per sample (24
-    while the sample points are laid out), and the rule, the cell table
-    and the knot check about 250 bytes per cell, so at the cap the
-    ``kernel`` command peaks near 0.5 GB with 2 samples per cell (n = 2^21
-    - 1) and near 130 MB with 64 (n = 65535).
+    anything is allocated.  The rule holds 32 bytes per cell and the
+    profile 16 per sample (24 while the sample points are laid out).
+    Beyond those the profile peaks at 144 bytes per cell while it groups
+    the nodes by cell, and the knot check takes at most 96 (tracemalloc
+    at n = 2^20).  So at the cap the ``kernel`` command peaks near 450 MB
+    with 2 samples per cell (n = 2^21 - 1) and near 130 MB with 64
+    (n = 65535).
 
     The profile is validated before it is returned: the kernel must be
     nonnegative up to rounding and must vanish at every knot.  The knot
     check evaluates the global form (the definition, as ``peano_kernel``),
     which assumes nothing about the rule, so a rule that fails to
     integrate the truncated powers at the knots is rejected.  It runs in
-    O(n) time: the nodes left of a block of knots enter through their
-    moments about the block's left knot, carried from block to block by a
-    binomial shift with positive terms (see ``_knot_values``).  The
+    O(n log n) time: each cell's nodes enter through their moments about
+    the cell's right knot, and one doubling scan carries them to every
+    later knot by a binomial shift with positive terms (see
+    ``_knot_values``).  The
     thresholds scale with (b-a)^6, plus a term for node-coordinate
     rounding (nodes stored far from the origin carry offsets only to
     ulp(|a|), which perturbs the kernel by up to ~(b-a)^5 * ulp(|a|) / 24).
@@ -308,7 +288,6 @@ def kernel_profile(rule: QuadratureRule, samples_per_cell: int = 1000) -> PeanoP
     placement = span**5 * max(abs(grid.a), abs(grid.b), 1.0) * 2e-17
     cells, offsets = _locate(grid, rule.nodes)
     samples = _local_samples(rule, samples_per_cell, cells, offsets)
-    del offsets  # the knot check, where the profile peaks, needs the cells only
     if samples[:, 1].min() < -(1e-15 * scale + placement):
         raise ConstructionError(f"kernel dips to {samples[:, 1].min()!r}")
     knot_vals = _knot_values(rule, cells)

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
 from decimal import ROUND_DOWN, Context, Decimal
@@ -348,6 +349,25 @@ def test_overflow_at_extreme_scale_is_a_construction_failure(args):
     assert cp.stderr.startswith("construction failed: ")
     assert cp.stderr.count("\n") == 1 and cp.stderr.endswith("\n")
     assert cp.stdout == ""
+
+
+def test_out_of_memory_is_exit_3_without_a_traceback():
+    # n = 10^8 asks for two arrays of 1.5 GiB; a child limited to 2 GiB of
+    # address space refuses the second before touching the first
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no address-space limit on this platform")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    cmd = [sys.executable, "-m", "splinequad", "rule", "--n", "100000000",
+           "--format", "csv", "--out", os.devnull]
+    cp = subprocess.run(cmd, capture_output=True, text=True, preexec_fn=limit)
+    assert cp.returncode == 3
+    assert "Traceback" not in cp.stderr
+    assert cp.stderr.startswith("out of memory: ")
+    assert cp.stderr.count("\n") == 1 and cp.stderr.endswith("\n")
 
 
 def test_rule_json_where_the_error_constant_is_a_double():

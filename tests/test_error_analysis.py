@@ -162,8 +162,9 @@ def test_profile_matches_50_digit_definition(a, b):
 
 
 def test_global_kernel_blocks_cover_every_point():
-    # n = 200 has 401 nodes, so the 201 knots take two blocks; a perturbed
-    # weight makes every knot value past it nonzero
+    # n = 200 has 401 nodes, so the reference takes the 201 knots in two
+    # blocks of points; a perturbed weight makes every knot value past it
+    # nonzero
     grid = make_grid(0.0, 1.0, 200)
     good = build_rule(grid)
     weights = good.weights.copy()
@@ -177,30 +178,44 @@ def test_global_kernel_blocks_cover_every_point():
         kernel_profile(bad, samples_per_cell=4)
 
 
+# every n with no weight off (valid rules, knot values about 0), and one
+# rule with weights[300] off by 1e-6, whose knot values past node 300 are
+# beyond the comparison's bound: knot values of 0 would fail it
+_KNOT_CASES = [pytest.param(n, 0.0, id=str(n)) for n in (1, 200, 255, 256, 257, 2000, 20000)]
+
+
 @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-3.0, 17.0), (-1.0e6, -1.0e6 + 3.7)])
-@pytest.mark.parametrize("n", [1, 200, 255, 256, 257, 2000, 20000])
-def test_knot_check_matches_global_kernel(a, b, n):
-    # the blocked-moment knot values against the global form, to 1 % of
-    # the gate the profile applies to them; at n = 20000 on the knots of
-    # the first blocks, around a middle block edge and at the end
+@pytest.mark.parametrize("n, off", _KNOT_CASES + [pytest.param(257, 1e-6, id="257-weight-off")])
+def test_knot_check_matches_global_kernel(a, b, n, off):
+    # the moment-scan knot values against the global form, to 1 % of the
+    # gate the profile applies to them; at n = 20000 on the first knots,
+    # around the middle knot and at the end
     rule = build_rule(make_grid(a, b, n))
+    if off:
+        weights = rule.weights.copy()
+        weights[300] *= 1.0 + off
+        rule = QuadratureRule(grid=rule.grid, nodes=rule.nodes, weights=weights)
     knots = rule.grid.knots()
     at = np.arange(n + 1)
     if n > 2000:
         at = np.unique(np.r_[0:40, 9990:10030, n - 300 : n + 1])
     cells = _locate(rule.grid, rule.nodes)[0]
-    diff = np.abs(_knot_values(rule, cells)[at] - kernel_values(rule, knots[at]))
+    ref = kernel_values(rule, knots[at])
+    diff = np.abs(_knot_values(rule, cells)[at] - ref)
     span = b - a
     placement = span**5 * max(abs(a), abs(b), 1.0) * 2e-17
-    assert np.max(diff) <= 1e-2 * (1e-14 * max(1.0, span**6) + placement)
+    gate = 1e-14 * max(1.0, span**6) + placement
+    assert np.max(diff) <= 1e-2 * gate
+    if off:
+        assert np.max(np.abs(ref)) > 1e-2 * gate
 
 
 @pytest.mark.parametrize("n, cell, eps", [(40, 33, 1e-4), (2000, 1000, -1e-5)])
 def test_knot_check_rejects_a_weight_off_in_the_last_or_a_middle_block(n, cell, eps):
-    # n = 40: the last block of 16 knots starts at knot 32, so a node of
-    # cell 33 reaches the knots only as a node of their own block; n =
-    # 2000: a node of a middle cell reaches the later knots only through
-    # the moments carried from block to block
+    # n = 40: a node in the middle of cell 33 of 40 reaches only the last
+    # eight knots, through its cell's moments and at most three doubling
+    # steps (7 = 1 + 2 + 4); n = 2000: a node of a middle cell reaches the
+    # 1001 knots right of it through shifts of up to 512 cells
     grid = make_grid(0.0, 1.0, n)
     good = build_rule(grid)
     weights = good.weights.copy()
