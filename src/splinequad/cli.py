@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
 construction failure, or valid arguments whose result does not fit in
-memory (one ``out of memory`` line on stderr, no traceback).
+memory (one ``out of memory`` line on stderr, no traceback), 141 (128 +
+SIGPIPE, no traceback) when the reader closes stdout early, as ``head`` does.
 
 ``rule`` and ``kernel`` write bytes, _CHUNK rows at a time. The numbers
 come from ``_digits``, which makes them from the float64 arrays in numpy
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from itertools import chain
@@ -178,7 +180,9 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    """Verification suites over n = 1 .. n-max; nonzero exit on any failure.
+    """Verification suites over n = 1 .. n-max, each [0, n] rule built once
+    for the exactness, layout and random-spline suites; nonzero exit on any
+    failure.
 
     Each suite has a built-in gate; an explicit --tolerance replaces all of
     them (tighter or looser).
@@ -195,9 +199,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"{name} value={value:.3e} gate={gate:.1e} "
               f"status={'PASS' if ok else 'FAIL'}")
 
-    # basis exactness and layout, on [0, n] so every cell has unit width
+    # basis exactness, layout and seeded random splines (quadrature vs
+    # exact integral by linearity), on [0, n] so every cell has unit width
     worst_exact = 0.0
     layout_ok = True
+    worst_rand = 0.0
     for n in range(1, args.n_max + 1):
         rule = quadrature.build_rule(make_grid(0.0, float(n), n))
         rep = oracle.exactness_report(rule)
@@ -208,20 +214,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
             and counts.count(3) == 1
             and counts.count(2) == n - 1
         )
-    report("exactness.max_basis_residual", worst_exact, gate_for(1e-13))
-    print(f"layout.counts status={'PASS' if layout_ok else 'FAIL'}")
-    failures += 0 if layout_ok else 1
-
-    # seeded random splines: quadrature vs exact integral by linearity
-    worst_rand = 0.0
-    for n in range(1, args.n_max + 1):
-        grid = make_grid(0.0, float(n), n)
-        rule = quadrature.build_rule(grid)
         for seed in range(args.seeds):
-            spline = oracle.random_spline(grid, seed)
+            spline = oracle.random_spline(rule.grid, seed)
             q = quadrature.apply_rule(rule, spline.value)
             scale = float(np.sum(np.abs(spline.c)))
             worst_rand = max(worst_rand, abs(q - spline.exact_integral()) / scale)
+    report("exactness.max_basis_residual", worst_exact, gate_for(1e-13))
+    print(f"layout.counts status={'PASS' if layout_ok else 'FAIL'}")
+    failures += 0 if layout_ok else 1
     report("exactness.random_spline_relative", worst_rand, gate_for(1e-12))
 
     # residue invariants, the root-free cubic and the odd middle system at
@@ -232,8 +232,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
             st.validate()
         except ConstructionError:
             residue_ok = False
-        residue_ok &= oracle.cubic_rootfree_check(st, 1.0)
-        residual = oracle.middle_system_residual(st.A, st.B, 1.0, *closure)
+        residue_ok &= oracle.cubic_rootfree_check(st)
+        residual = oracle.middle_system_residual(st.A, st.B, *closure)
         residue_ok &= max(map(abs, residual)) <= 1e-10
     print(f"residues.invariants_and_cubic status={'PASS' if residue_ok else 'FAIL'}")
     failures += 0 if residue_ok else 1
@@ -326,7 +326,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # exit as SIGPIPE would; stdout goes to devnull, where the flush
+        # at exit finds no reader to lose
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -271,7 +271,8 @@ def kernel_profile(rule: QuadratureRule, samples_per_cell: int = 1000) -> PeanoP
         any sample is computed.
     ConstructionError
         If a sample is more negative, or a knot value larger, than the
-        double-precision evaluation of a valid kernel allows.
+        double-precision evaluation of a valid kernel allows, or if either
+        is NaN (a weight or node that is not finite).
     """
     if samples_per_cell < 2:
         raise ValueError("need at least two samples per cell")
@@ -288,13 +289,13 @@ def kernel_profile(rule: QuadratureRule, samples_per_cell: int = 1000) -> PeanoP
     placement = span**5 * max(abs(grid.a), abs(grid.b), 1.0) * 2e-17
     cells, offsets = _locate(grid, rule.nodes)
     samples = _local_samples(rule, samples_per_cell, cells, offsets)
-    if samples[:, 1].min() < -(1e-15 * scale + placement):
-        raise ConstructionError(f"kernel dips to {samples[:, 1].min()!r}")
-    knot_vals = _knot_values(rule, cells)
-    if np.max(np.abs(knot_vals)) > 1e-14 * scale + placement:
-        raise ConstructionError(
-            f"kernel fails to vanish at a knot: {np.max(np.abs(knot_vals))!r}"
-        )
+    # NaN (which min and max propagate) fails both gates
+    lowest = samples[:, 1].min()
+    if not lowest >= -(1e-15 * scale + placement):
+        raise ConstructionError(f"kernel dips to {lowest!r}")
+    knot_max = np.max(np.abs(_knot_values(rule, cells)))
+    if not knot_max <= 1e-14 * scale + placement:
+        raise ConstructionError(f"kernel fails to vanish at a knot: {knot_max!r}")
     return PeanoProfile(rule=rule, samples=samples)
 
 

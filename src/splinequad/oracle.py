@@ -4,10 +4,11 @@ Everything here deliberately avoids the recursion it is used to audit:
 the basis audits evaluate the closed-form basis shapes of ``grid_basis``
 at the nodes, random splines come from a counter-based generator with
 documented constants, and the cubic-factor check from direct sign
-analysis on monotone pieces.  The composite Gauss-Legendre reference
-integrator, which only the tests use, lives with them
-(``tests/references.py``).  All functions are pure; audits over many
-grid sizes can run concurrently.
+analysis on monotone pieces.  That check and the odd middle system run
+on the unit cell and take no width: the recursion is free of h.  The
+composite Gauss-Legendre reference integrator, which only the tests use,
+lives with them (``tests/references.py``).  All functions are pure;
+audits over many grid sizes can run concurrently.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .grid_basis import (
     SplineCoefficients,
     UniformKnotGrid,
     _basis_integrals,
-    _by_row,
     _cell_shapes,
     _locate,
     make_grid,
@@ -32,7 +32,6 @@ __all__ = [
     "ExactnessReport",
     "random_spline",
     "exactness_report",
-    "node_cell_counts",
     "limit_rule_deviation",
     "middle_system_residual",
     "cubic_coefficients",
@@ -65,7 +64,8 @@ def random_spline(grid: UniformKnotGrid, seed: int) -> SplineCoefficients:
     does, so every platform reproduces the same vector bit for bit.
     """
     x = np.arange(1, grid.dimension + 1, dtype=np.uint64) * np.uint64(_SM64_GAMMA)
-    x += np.uint64(seed & _U64)
+    # int(): a numpy integer seed (from rng.integers, say) overflows the mask
+    x += np.uint64(int(seed) & _U64)
     x = (x ^ (x >> 30)) * np.uint64(_SM64_M1)
     x = (x ^ (x >> 27)) * np.uint64(_SM64_M2)
     x ^= x >> 31
@@ -73,20 +73,11 @@ def random_spline(grid: UniformKnotGrid, seed: int) -> SplineCoefficients:
     return SplineCoefficients(grid=grid, c=c)
 
 
-def node_cell_counts(rule: QuadratureRule) -> tuple[int, ...]:
-    """Nodes per cell under the half-open convention [x_{j-1}, x_j).
-
-    Nodes are placed as ``basis_eval`` places them (``grid_basis._locate``,
-    which raises ``ValueError`` for a node outside [a, b]); a node whose
-    offset lies within rounding of h (mirror arithmetic can shave a bit
-    off a knot node) counts toward the next cell, and the last cell is
-    closed on the right.
-    """
-    return _node_counts(rule.grid, *_locate(rule.grid, rule.nodes))
-
-
 def _node_counts(grid: UniformKnotGrid, cells: np.ndarray, offsets: np.ndarray) -> tuple[int, ...]:
-    """``node_cell_counts`` from the cells and offsets of ``_locate``."""
+    """Nodes per cell, from the cells and offsets of ``_locate``: a node
+    whose offset lies within rounding of h (mirror arithmetic can shave a
+    bit off a knot node) counts toward the next cell, and the last cell is
+    closed on the right."""
     scale = abs(grid.a) + abs(grid.b) + (grid.b - grid.a)
     snap = (cells < grid.n - 1) & (grid.h - offsets <= 4e-16 * scale)
     return tuple(np.bincount(cells + snap, minlength=grid.n).tolist())
@@ -95,15 +86,15 @@ def _node_counts(grid: UniformKnotGrid, cells: np.ndarray, offsets: np.ndarray) 
 def exactness_report(rule: QuadratureRule) -> ExactnessReport:
     """Worst basis-integration residual of a rule, plus its node layout.
 
-    The audit runs per cell: every node is placed in a cell once, as
-    ``basis_eval`` places it, for the residual and the node counts alike;
-    the six basis functions alive on each cell are evaluated at that
-    cell's nodes as one (n, m, 6) array (m the most nodes in one cell),
-    contracted with the weights, and the per-cell sums are added into the
-    4n + 2 quadrature values by basis index.  The values are then compared
-    with the array of the 4n + 2 basis integrals (the values of
-    ``basis_integral``); the worst index is the first with the largest
-    residual.  Cost O(1) per basis function.
+    The audit runs per node: every node is placed in a cell once, as
+    ``basis_eval`` places it, for the residual and the node counts alike.
+    Its weight times the six basis functions alive at its offset is added,
+    by one ``np.bincount`` at index 4 (cell - 1) + s, into the 4n + 2
+    quadrature values, which are compared with the array of the basis
+    integrals (the values of ``basis_integral``); the worst index is the
+    first with the largest residual.  The node counts use the half-open
+    convention [x_{j-1}, x_j), a node within rounding below a knot
+    counted to its right, the last cell closed.  Cost O(1) per node.
 
     Raises
     ------
@@ -112,10 +103,11 @@ def exactness_report(rule: QuadratureRule) -> ExactnessReport:
     """
     grid = rule.grid
     cells, offsets = _locate(grid, rule.nodes)
-    table, weights = _by_row(grid.n, cells, offsets, rule.weights)
-    per_cell = np.einsum("jm,jms->js", weights, _cell_shapes(grid, table))
-    index = 4 * np.arange(grid.n)[:, None] + np.arange(6)
-    q = np.bincount(index.ravel(), per_cell.ravel(), minlength=grid.dimension)
+    products = _cell_shapes(grid, offsets)
+    products *= rule.weights[:, None]
+    index = 4 * cells[:, None] + np.arange(6)
+    q = np.bincount(index.ravel(), products.ravel(), minlength=grid.dimension)
+    del products, index  # 192 bytes per cell, freed before the residual's arrays
     resid = np.abs(q - _basis_integrals(grid))
     worst = int(np.argmax(resid))
     return ExactnessReport(
@@ -147,43 +139,34 @@ def limit_rule_deviation(rule: QuadratureRule) -> np.ndarray:
 
 
 def middle_system_residual(
-    A: float, B: float, h: float, alpha: float, w_out: float, w_mid: float
+    A: float, B: float, alpha: float, w_out: float, w_mid: float
 ) -> tuple[float, float, float]:
     """Residuals of the three exactness equations of an odd middle cell.
 
     The candidate solution places outer nodes at offsets alpha and
-    h - alpha with weight w_out each and the midpoint node with w_mid;
+    1 - alpha with weight w_out each and the midpoint node with w_mid;
     the equations demand that those nodes collect A, B and 1/6 of the
     three basis functions alive there: the two spanning it and the cell
     before it, and one of its own two bumps (the other is its mirror
     image).  They are evaluated with the basis shapes of the one-cell grid
-    [0, h], not with the closed forms the recursion solves.
-
-    Raises
-    ------
-    ValueError
-        If h is not positive, where ``make_grid`` has no grid.
+    [0, 1], not with the closed forms the recursion solves; the recursion
+    is free of h (``quadrature.TABLE``), so the unit cell stands for all.
     """
-    grid = make_grid(0.0, h, 1)
-    shapes = _cell_shapes(grid, np.array([alpha, 0.5 * h, h - alpha]))
+    shapes = _cell_shapes(make_grid(0.0, 1.0, 1), np.array([alpha, 0.5, 1.0 - alpha]))
     q = np.array([w_out, w_mid, w_out]) @ shapes
     return float(q[0] - A), float(q[1] - B), float(q[2] - 1.0 / 6.0)
 
 
-def cubic_coefficients(state: ResidueState, h: float) -> tuple[float, float, float, float]:
+def cubic_coefficients(state: ResidueState) -> tuple[float, float, float, float]:
     """Monomial coefficients (c0, c1, c2, c3) of the cubic factor paired
-    with each cell's node quadratic."""
+    with each unit cell's node quadratic (on a cell of width h the factor
+    is h^3 times this one at t/h)."""
     A, B = state.A, state.B
-    return (
-        -(h**3),
-        4.0 * h * h,
-        h * (24.0 * B - 24.0 * A - 5.0),
-        -216.0 * A - 24.0 * B + 2.0,
-    )
+    return (-1.0, 4.0, 24.0 * B - 24.0 * A - 5.0, -216.0 * A - 24.0 * B + 2.0)
 
 
-def cubic_rootfree_check(state: ResidueState, h: float) -> bool:
-    """True iff the cubic factor has no root in [0, h].
+def cubic_rootfree_check(state: ResidueState) -> bool:
+    """True iff the cubic factor has no root in the unit cell [0, 1].
 
     The cubic is split at the real critical points of its derivative (a
     quadratic, solved in closed form); on each resulting monotone piece a
@@ -191,18 +174,18 @@ def cubic_rootfree_check(state: ResidueState, h: float) -> bool:
     check is exact up to endpoint evaluation.  Valid states always yield
     True; the factor never contributes nodes.
     """
-    c0, c1, c2, c3 = cubic_coefficients(state, h)
+    c0, c1, c2, c3 = cubic_coefficients(state)
 
     def p(t: float) -> float:
         return ((c3 * t + c2) * t + c1) * t + c0
 
-    cuts = [0.0, h]
+    cuts = [0.0, 1.0]
     qa, qb, qc = 3.0 * c3, 2.0 * c2, c1
     disc = qb * qb - 4.0 * qa * qc
     if qa != 0.0 and disc >= 0.0:
         t = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
         for r in (t / qa, qc / t if t != 0.0 else None):
-            if r is not None and 0.0 < r < h:
+            if r is not None and 0.0 < r < 1.0:
                 cuts.append(r)
     cuts.sort()
     for lo, hi in zip(cuts[:-1], cuts[1:]):

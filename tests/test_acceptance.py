@@ -16,7 +16,6 @@ from splinequad.grid_basis import make_grid
 from splinequad.oracle import (
     cubic_rootfree_check,
     exactness_report,
-    node_cell_counts,
     random_spline,
 )
 from splinequad.quadrature import TABLE, apply_rule, build_rule
@@ -106,7 +105,7 @@ def test_criterion_4_layout_and_structure():
         assert abs(math.fsum(rule.weights.tolist()) - (b - a)) <= 1e-13 * (b - a)
         assert np.max(np.abs(rule.nodes + rule.nodes[::-1] - (a + b))) <= 1e-13
         assert np.max(np.abs(rule.weights - rule.weights[::-1])) <= 1e-13
-        counts = node_cell_counts(rule)
+        counts = exactness_report(rule).per_interval_node_counts
         assert sum(counts) == 2 * n + 1
         assert counts.count(3) == 1 and counts.count(2) == n - 1
         if n <= 8:
@@ -166,15 +165,16 @@ def test_criterion_6_peano_kernel():
 def test_criterion_7_residue_invariants():
     """Residue inequalities hold at every state of the unit-cell table, the
     recursion reaches its plateau by cell 9, and the cubic factor stays
-    root-free at every state on cells as narrow as ten thousand to the
-    unit: every build, a million cells and more, visits a prefix of these
-    states and reuses the last one past the plateau."""
+    root-free on the unit cell at every state (on a cell of width h it is
+    h^3 times the unit cell's, so on every cell): every build, a million
+    cells and more, visits a prefix of these states and reuses the last
+    one past the plateau."""
     for st in TABLE.states:
         st.validate()                         # raises on violation
         assert 0.0 < st.A < st.B < 1.0 / 6.0
         assert 16.0 * st.A > 5.0 * st.B
     assert TABLE.states[-1].converged and TABLE.states[-1].k <= 9
-    assert all(cubic_rootfree_check(st, 1e-4) for st in TABLE.states)
+    assert all(cubic_rootfree_check(st) for st in TABLE.states)
     _announce(7, "residue inequalities and root-free cubic hold at every "
                  "state a build visits (n up to 1e6 and beyond)")
 

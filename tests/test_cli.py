@@ -370,6 +370,20 @@ def test_out_of_memory_is_exit_3_without_a_traceback():
     assert cp.stderr.count("\n") == 1 and cp.stderr.endswith("\n")
 
 
+def test_closed_stdout_is_exit_141_without_a_traceback():
+    # the reader stops after a few bytes, as `| head -c 10` does: the
+    # child exits as one killed by SIGPIPE would, and says nothing
+    cmd = [sys.executable, "-m", "splinequad", "rule", "--n", "100000",
+           "--format", "csv"]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        head = child.stdout.read(10)
+        child.stdout.close()
+        stderr = child.stderr.read()
+        assert child.wait(timeout=60) == 141
+    assert head == b"i,tau,omeg"
+    assert stderr == b""
+
+
 def test_rule_json_where_the_error_constant_is_a_double():
     # (b - a)^7 = 1e315 is beyond the double range, c (about 1.6e306) is
     # not: no power of b - a is formed, so the document is written

@@ -92,6 +92,19 @@ def test_profile_rejects_broken_rule():
         kernel_profile(bad, samples_per_cell=50)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_profile_rejects_a_weight_that_is_not_finite(bad):
+    # either weight makes some samples and knot values NaN, which compares
+    # False with any bound: the gates must fail on it, not pass it
+    grid = make_grid(0.0, 1.0, 10)
+    good = build_rule(grid)
+    weights = good.weights.copy()
+    weights[7] = bad
+    broken = QuadratureRule(grid=grid, nodes=good.nodes, weights=weights)
+    with np.errstate(invalid="ignore"), pytest.raises(ConstructionError):
+        kernel_profile(broken, samples_per_cell=8)
+
+
 def _gate_floor(grid):
     # kernel_profile's own negativity floor: 1e-15 (b-a)^6 plus placement
     span = grid.b - grid.a

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from splinequad.error_analysis import error_constant
-from splinequad.grid_basis import basis_eval, basis_integral, make_grid
+from splinequad.grid_basis import _locate, basis_eval, basis_integral, make_grid
 from splinequad.oracle import (
+    _node_counts,
     cubic_coefficients,
     cubic_rootfree_check,
     exactness_report,
     limit_rule_deviation,
     middle_system_residual,
-    node_cell_counts,
     random_spline,
 )
 from splinequad.quadrature import (
@@ -122,6 +122,15 @@ def test_random_spline_equals_scalar_splitmix64(seed, n):
     assert random_spline(grid, seed).c.tolist() == expected
 
 
+@pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5), np.int64(-1)],
+                         ids=["int64", "uint64", "int64-negative"])
+def test_random_spline_takes_numpy_integer_seeds(seed):
+    # a seed drawn by rng.integers is a numpy integer; it gives the stream
+    # of the Python integer with its value
+    grid = make_grid(0.0, 1.0, 7)
+    assert random_spline(grid, seed).c.tolist() == random_spline(grid, int(seed)).c.tolist()
+
+
 def test_random_spline_integral_matches_reference():
     grid = make_grid(0.0, 2.0, 4)
     spline = random_spline(grid, 7)
@@ -189,7 +198,9 @@ def test_exactness_report_matches_per_basis_loop():
         rep = exactness_report(rule)
         worst, _ = _exactness_loop(rule)
         assert abs(rep.max_basis_residual - worst) <= 1e-16
-        assert rep.per_interval_node_counts == node_cell_counts(rule)
+        assert rep.per_interval_node_counts == _node_counts(
+            rule.grid, *_locate(rule.grid, rule.nodes)
+        )
 
 
 def test_exactness_report_finds_perturbed_weight_like_loop():
@@ -242,7 +253,7 @@ def test_node_counts_on_plateau_grids():
     # nodes shift the single 3-count to the seam right of the middle
     for n in (9, 12, 23, 40):
         rule = build_rule(make_grid(0.0, float(n), n))
-        counts = node_cell_counts(rule)
+        counts = exactness_report(rule).per_interval_node_counts
         assert sum(counts) == 2 * n + 1
         assert counts.count(3) == 1 and counts.count(2) == n - 1
         assert n // 2 <= counts.index(3) <= n - 1
@@ -251,7 +262,8 @@ def test_node_counts_on_plateau_grids():
 def _snapped_counts(rule):
     """Nodes per cell by a searchsorted against the knots, a node within
     4e-16 (|a| + |b| + b - a) below an interior knot snapped to its right:
-    an earlier placement, kept as the reference for ``node_cell_counts``."""
+    an earlier placement, kept as the reference for the node counts of
+    ``exactness_report``."""
     grid = rule.grid
     n = grid.n
     knots = grid.knots()
@@ -269,10 +281,13 @@ def _layout_ok(counts, n):
 
 
 def test_node_counts_equal_the_snapped_placement_near_the_origin():
+    # the counts of the report without its residual, which would take
+    # most of this test's time over 6000 rules
     for n in range(1, 2001):
         for a, b in ((0.0, float(n)), (0.0, 1.0), (-3.0, 17.0)):
             rule = build_rule(make_grid(a, b, n))
-            assert node_cell_counts(rule) == _snapped_counts(rule), (a, b, n)
+            counts = _node_counts(rule.grid, *_locate(rule.grid, rule.nodes))
+            assert counts == _snapped_counts(rule), (a, b, n)
 
 
 def test_node_counts_decide_the_layout_as_the_snapped_placement_far_out():
@@ -284,16 +299,16 @@ def test_node_counts_decide_the_layout_as_the_snapped_placement_far_out():
         a = float(rng.uniform(-1e6, 1e6))
         n = int(rng.integers(1, 301))
         rule = build_rule(make_grid(a, a + float(10.0 ** rng.uniform(-3.0, 3.0)), n))
-        counts = node_cell_counts(rule)
+        counts = exactness_report(rule).per_interval_node_counts
         assert _layout_ok(counts, n) == _layout_ok(_snapped_counts(rule), n), (a, n)
-        assert counts == exactness_report(rule).per_interval_node_counts
+        assert counts == _node_counts(rule.grid, *_locate(rule.grid, rule.nodes))
 
 
 def test_node_counts_reject_nodes_outside_the_interval():
     rule = QuadratureRule(grid=make_grid(0.0, 1.0, 1), nodes=[0.1, 0.5, 1.5],
                           weights=[0.3, 0.4, 0.3])
     with pytest.raises(ValueError, match="outside"):
-        node_cell_counts(rule)
+        exactness_report(rule)
 
 
 # ------------------------------------------------------- limit-rule distance
@@ -327,14 +342,14 @@ def test_limit_deviation_far_from_limit_at_n1():
 
 def test_middle_system_gauss_legendre_solution():
     alpha = 0.5 - 0.5 * math.sqrt(0.6)
-    res = middle_system_residual(1.0 / 24.0, 0.125, 1.0, alpha, 5.0 / 18.0, 4.0 / 9.0)
+    res = middle_system_residual(1.0 / 24.0, 0.125, alpha, 5.0 / 18.0, 4.0 / 9.0)
     assert max(abs(r) for r in res) <= 1e-15
 
 
 def test_middle_system_limit_solution():
     for alpha in (1e-4, 1e-6, 1e-8):
         res = middle_system_residual(
-            29.0 / 240.0, 39.0 / 240.0, 1.0, alpha, 7.0 / 15.0, 8.0 / 15.0
+            29.0 / 240.0, 39.0 / 240.0, alpha, 7.0 / 15.0, 8.0 / 15.0
         )
         assert max(abs(r) for r in res) <= 10.0 * alpha
 
@@ -342,61 +357,43 @@ def test_middle_system_limit_solution():
 def test_middle_system_detects_perturbation():
     alpha = 0.5 - 0.5 * math.sqrt(0.6)
     res = middle_system_residual(
-        1.0 / 24.0, 0.125, 1.0, alpha, 5.0 / 18.0, 4.0 / 9.0 + 1e-3
+        1.0 / 24.0, 0.125, alpha, 5.0 / 18.0, 4.0 / 9.0 + 1e-3
     )
     assert 1e-5 <= max(abs(r) for r in res) <= 1e-2
-
-
-def test_middle_system_rejects_bad_width():
-    with pytest.raises(ValueError):
-        middle_system_residual(0.1, 0.15, -1.0, 0.1, 0.4, 0.5)
 
 
 def test_middle_system_holds_for_every_odd_closure_of_the_table():
     # the closed forms the table is built from solve the system evaluated
     # from the basis shapes, for the state entering each cell
     for state, closure in zip(TABLE.states, TABLE.middle_odd):
-        res = middle_system_residual(state.A, state.B, 1.0, *closure)
+        res = middle_system_residual(state.A, state.B, *closure)
         assert max(abs(r) for r in res) <= 1e-10, state
 
 
 # ------------------------------------------------------------- cubic factor
 
 def test_cubic_coefficients_initial_state():
-    assert cubic_coefficients(TABLE.states[0], 1.0) == pytest.approx(
+    assert cubic_coefficients(TABLE.states[0]) == pytest.approx(
         (-1.0, 4.0, -3.0, -10.0), abs=1e-14
     )
 
 
 def test_cubic_coefficients_limit_state():
     state = ResidueState(k=9, A=29.0 / 240.0, B=39.0 / 240.0)
-    assert cubic_coefficients(state, 1.0) == pytest.approx(
+    assert cubic_coefficients(state) == pytest.approx(
         (-1.0, 4.0, -4.0, -28.0), abs=1e-13
     )
 
 
 def test_cubic_rootfree_for_key_states():
-    assert cubic_rootfree_check(TABLE.states[0], 1.0)
-    assert cubic_rootfree_check(ResidueState(k=9, A=29.0 / 240.0, B=39.0 / 240.0), 1.0)
-
-
-def test_cubic_rootfree_scale_invariant():
-    state = TABLE.states[0]
-    for h in (0.125, 1.0, 2.0, 17.0):
-        assert cubic_rootfree_check(state, h)
+    assert cubic_rootfree_check(TABLE.states[0])
+    assert cubic_rootfree_check(ResidueState(k=9, A=29.0 / 240.0, B=39.0 / 240.0))
 
 
 def test_cubic_detects_roots():
-    # unreachable residues push a root into [0, h]: near A = B = 0 the
+    # unreachable residues push a root into [0, 1]: near A = B = 0 the
     # cubic is ~ (t-1)^2 (2t-1), which crosses zero inside the cell
-    assert not cubic_rootfree_check(ResidueState(k=1, A=1e-4, B=2e-4), 1.0)
-
-
-def test_cubic_rootfree_along_full_build():
-    """Every state of the unit-cell table, on cells of the width of an
-    n = 10^4 build: every build visits a prefix of these states."""
-    for st in TABLE.states:
-        assert cubic_rootfree_check(st, 1e-4)
+    assert not cubic_rootfree_check(ResidueState(k=1, A=1e-4, B=2e-4))
 
 
 # ------------------------------------------- unit-cell table vs 50 digits
