@@ -5,7 +5,11 @@ construction failure, or valid arguments whose result does not fit in
 memory (one ``out of memory`` line on stderr, no traceback), 141 (128 +
 SIGPIPE, no traceback) when the reader closes stdout early, as ``head`` does.
 
-``rule`` and ``kernel`` write bytes, _CHUNK rows at a time. The numbers
+``rule`` and ``kernel`` write bytes, _CHUNK rows at a time. ``rule``
+never holds the rule: it makes it in spans of ``quadrature._SPAN`` rows,
+once to check it (and for json to sum the error constant) and again to
+write it, so its memory does not grow with n and a grid that build_rule
+refuses writes nothing. The numbers
 come from ``_digits``, which makes them from the float64 arrays in numpy
 and gives the same text as Python formatting each value: ``"%.17g"`` for
 csv and ``kernel``, the exact value truncated to 16 significant digits for
@@ -20,16 +24,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import _digits, error_analysis, oracle, quadrature
-from .grid_basis import make_grid
+from .grid_basis import UniformKnotGrid, make_grid
 from .quadrature import ConstructionError, QuadratureRule
 
 __all__ = ["RuleDocument", "main"]
@@ -57,7 +63,7 @@ class RuleDocument:
     @classmethod
     def from_rule(cls, rule: QuadratureRule) -> "RuleDocument":
         return cls(
-            **_head(rule),
+            **_head(rule.grid),
             nodes=rule.nodes.tolist(),
             weights=rule.weights.tolist(),
             error_constant=error_analysis.error_constant(rule),
@@ -70,51 +76,55 @@ class RuleDocument:
         head = {name: getattr(self, name) for name in _HEAD_FIELDS}
         nodes = np.asarray(self.nodes, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
-        return b"".join(_json_chunks(head, nodes, weights, self.error_constant)).decode()
+        return b"".join(_json_chunks(head, [nodes], [weights], self.error_constant)).decode()
 
 
 # The document's scalar fields, in output order.
 _HEAD_FIELDS = ("schema_version", "n", "a", "b", "h")
 
 
-def _head(rule: QuadratureRule) -> dict:
-    grid = rule.grid
+def _head(grid: UniformKnotGrid) -> dict:
     return dict(zip(_HEAD_FIELDS, (SCHEMA_VERSION, grid.n, grid.a, grid.b, grid.h)))
 
 
-def _rows(columns: list[np.ndarray], mode: str, sep: bytes,
+def _rows(spans: Iterable[Sequence[np.ndarray]], mode: str, sep: bytes,
           end: bytes = b"\n", index: bool = True) -> Iterator[bytes]:
-    """Text rows of the columns in ``mode``, joined by sep and closed by
-    end, after a 1-based row number if index is set; _CHUNK rows at a time,
-    so a million-node rule never exists as one string."""
-    for start in range(0, len(columns[0]), _CHUNK):
-        stop = min(start + _CHUNK, len(columns[0]))
-        parts = [_digits.row_numbers(start + 1, stop + 1), sep] if index else []
-        for column in columns:
-            parts += [(column[start:stop], mode), sep]
-        parts[-1] = end
-        yield _digits.lines(parts)
+    """Text rows of the columns of each span in turn, in ``mode``, joined
+    by sep and closed by end, after a 1-based row number (counted across
+    the spans) if index is set; _CHUNK rows at a time, so a million-node
+    rule never exists as one string."""
+    row = 1
+    for columns in spans:
+        for start in range(0, len(columns[0]), _CHUNK):
+            stop = min(start + _CHUNK, len(columns[0]))
+            parts = [_digits.row_numbers(row, row + stop - start), sep] if index else []
+            for column in columns:
+                parts += [(column[start:stop], mode), sep]
+            parts[-1] = end
+            row += stop - start
+            yield _digits.lines(parts)
 
 
-def _table_chunks(rule: QuadratureRule) -> Iterator[bytes]:
-    n = rule.grid.n
+def _table_chunks(n: int, spans: Iterable[Sequence[np.ndarray]]) -> Iterator[bytes]:
+    """The table of nodes and weights 0..n of a rule over n cells, given as
+    spans of (nodes, weights)."""
     yield b"i tau omega\n"
-    yield from _rows([rule.nodes[: n + 1], rule.weights[: n + 1]], "fixed", b" ")
+    yield from _rows(spans, "fixed", b" ")
     yield (
         f"# rows {n + 2}..{2 * n + 1} by symmetry: tau(i) = a+b-tau(2n+2-i), "
         f"omega(i) = omega(2n+2-i)\n"
     ).encode()
 
 
-def _csv_chunks(rule: QuadratureRule) -> Iterator[bytes]:
+def _csv_chunks(spans: Iterable[Sequence[np.ndarray]]) -> Iterator[bytes]:
     # 17 significant digits parse back to the same doubles
     yield b"i,tau,omega\n"
-    yield from _rows([rule.nodes, rule.weights], "%.17g", b",")
+    yield from _rows(spans, "%.17g", b",")
 
 
-def _json_array(values: np.ndarray) -> Iterator[bytes]:
+def _json_array(spans: Iterable[np.ndarray]) -> Iterator[bytes]:
     """The items of a JSON array of floats, as ``json.dumps`` writes them."""
-    chunks = _rows([values], "repr", b"", end=b", ", index=False)
+    chunks = _rows(([values] for values in spans), "repr", b"", end=b", ", index=False)
     last = b""
     for chunk in chunks:
         yield last
@@ -123,9 +133,11 @@ def _json_array(values: np.ndarray) -> Iterator[bytes]:
 
 
 def _json_chunks(
-    head: dict, nodes: np.ndarray, weights: np.ndarray, error_constant: float
+    head: dict, nodes: Iterable[np.ndarray], weights: Iterable[np.ndarray],
+    error_constant: float,
 ) -> Iterator[bytes]:
-    """``json.dumps`` of a rule document, with the arrays streamed.
+    """``json.dumps`` of a rule document, with the arrays streamed from
+    their spans.
 
     json writes floats as repr: the shortest strings that parse back to the
     same doubles.
@@ -138,11 +150,12 @@ def _json_chunks(
 
 
 def _format_table(rule: QuadratureRule) -> str:
-    return b"".join(_table_chunks(rule)).decode()
+    n = rule.grid.n
+    return b"".join(_table_chunks(n, [(rule.nodes[: n + 1], rule.weights[: n + 1])])).decode()
 
 
 def _format_csv(rule: QuadratureRule) -> str:
-    return b"".join(_csv_chunks(rule)).decode()
+    return b"".join(_csv_chunks([(rule.nodes, rule.weights)])).decode()
 
 
 def _emit(chunks: Iterable[bytes], out: Optional[str]) -> None:
@@ -159,22 +172,30 @@ def _rule_from_args(args: argparse.Namespace) -> QuadratureRule:
 
 
 def _cmd_rule(args: argparse.Namespace) -> int:
-    rule = _rule_from_args(args)
+    """Write the rule from its spans, never holding it whole.  A first pass
+    checks every span as build_rule checks the rule (and for json sums the
+    error constant), so a grid build_rule refuses writes nothing; then the
+    spans are made again and written."""
+    grid = make_grid(args.a, args.b, args.n)
+    checked = quadrature._checked(grid, quadrature._spans(grid))
     if args.format == "json":
-        c = error_analysis.error_constant(rule)
-        chunks = _json_chunks(_head(rule), rule.nodes, rule.weights, c)
-        _emit(chain(chunks, (b"\n",)), args.out)
-    elif args.format == "csv":
-        _emit(_csv_chunks(rule), args.out)
+        c = error_analysis._error_constant(grid, checked)
+        nodes = (t for t, _ in quadrature._spans(grid))
+        weights = (w for _, w in quadrature._spans(grid))
+        _emit(chain(_json_chunks(_head(grid), nodes, weights, c), (b"\n",)), args.out)
+        return 0
+    deque(checked, maxlen=0)
+    if args.format == "csv":
+        _emit(_csv_chunks(quadrature._spans(grid)), args.out)
     else:
-        _emit(_table_chunks(rule), args.out)
+        _emit(_table_chunks(grid.n, quadrature._spans(grid, grid.n + 1)), args.out)
     return 0
 
 
 def _cmd_kernel(args: argparse.Namespace) -> int:
     rule = _rule_from_args(args)
     profile = error_analysis.kernel_profile(rule, args.samples_per_cell)
-    rows = _rows(list(profile.samples.T), "%.17g", b",", index=False)
+    rows = _rows([profile.samples.T], "%.17g", b",", index=False)
     _emit(chain((b"t,K6\n",), rows), args.out)
     return 0
 
@@ -207,7 +228,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     for n in range(1, args.n_max + 1):
         rule = quadrature.build_rule(make_grid(0.0, float(n), n))
         rep = oracle.exactness_report(rule)
-        worst_exact = max(worst_exact, rep.max_basis_residual)
+        worst_exact = _worst(worst_exact, rep.max_basis_residual)
         counts = rep.per_interval_node_counts
         layout_ok &= (
             sum(counts) == 2 * n + 1
@@ -218,7 +239,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             spline = oracle.random_spline(rule.grid, seed)
             q = quadrature.apply_rule(rule, spline.value)
             scale = float(np.sum(np.abs(spline.c)))
-            worst_rand = max(worst_rand, abs(q - spline.exact_integral()) / scale)
+            worst_rand = _worst(worst_rand, abs(q - spline.exact_integral()) / scale)
     report("exactness.max_basis_residual", worst_exact, gate_for(1e-13))
     print(f"layout.counts status={'PASS' if layout_ok else 'FAIL'}")
     failures += 0 if layout_ok else 1
@@ -234,7 +255,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             residue_ok = False
         residue_ok &= oracle.cubic_rootfree_check(st)
         residual = oracle.middle_system_residual(st.A, st.B, *closure)
-        residue_ok &= max(map(abs, residual)) <= 1e-10
+        residue_ok &= _worst(*map(abs, residual)) <= 1e-10
     print(f"residues.invariants_and_cubic status={'PASS' if residue_ok else 'FAIL'}")
     failures += 0 if residue_ok else 1
 
@@ -245,10 +266,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
         rule = quadrature.build_rule(make_grid(0.0, 1.0, n))
         prof = error_analysis.kernel_profile(rule, 1000)
         vals = prof.samples[:, 1]
-        worst_neg = max(worst_neg, max(0.0, -float(vals.min())))
+        worst_neg = _worst(worst_neg, 0.0, -float(vals.min()))
         knots = rule.grid.knots()
         kv = [abs(error_analysis.peano_kernel(rule, float(t))) for t in knots]
-        worst_knot = max(worst_knot, max(kv))
+        worst_knot = _worst(worst_knot, *kv)
     report("peano.negativity", worst_neg, gate_for(1e-15))
     report("peano.knot_values", worst_knot, gate_for(1e-14))
 
@@ -258,25 +279,31 @@ def _cmd_check(args: argparse.Namespace) -> int:
         for n in (20, min(args.n_max, 40)):
             rule = quadrature.build_rule(make_grid(0.0, float(n), n))
             dev = oracle.limit_rule_deviation(rule)
-            worst_dev = max(worst_dev, float(dev[16 : 2 * n - 16].max()))
+            worst_dev = _worst(worst_dev, float(dev[16 : 2 * n - 16].max()))
         report("limit.deviation_beyond_cell_9", worst_dev, gate_for(1e-15))
 
     # the single-cell rule must be three-point Gauss-Legendre
     rule1 = quadrature.build_rule(make_grid(0.0, 1.0, 1))
     gl_nodes = (0.5 - 0.5 * 0.6**0.5, 0.5, 0.5 + 0.5 * 0.6**0.5)
     gl_weights = (5.0 / 18.0, 4.0 / 9.0, 5.0 / 18.0)
-    gl_dev = max(
-        max(abs(t - g) for t, g in zip(rule1.nodes, gl_nodes)),
-        max(abs(w - g) for w, g in zip(rule1.weights, gl_weights)),
+    gl_dev = _worst(
+        *(abs(t - g) for t, g in zip(rule1.nodes, gl_nodes)),
+        *(abs(w - g) for w, g in zip(rule1.weights, gl_weights)),
     )
     ok = gl_dev <= gate_for(1e-14)
     failures += 0 if ok else 1
     print(f"n=1 equals 3-point Gauss-Legendre: {'PASS' if ok else 'FAIL'} "
           f"(deviation {gl_dev:.3e})")
 
-    print(f"max residual <= {max(worst_exact, worst_rand):.3e}")
+    print(f"max residual <= {_worst(worst_exact, worst_rand):.3e}")
     print(f"OVERALL: {'PASS' if failures == 0 else 'FAIL'}")
     return 0 if failures == 0 else 1
+
+
+def _worst(*values: float) -> float:
+    """``max`` of the values, or NaN if any is NaN (which ``max`` may drop),
+    so that a NaN fails every gate."""
+    return math.nan if any(v != v for v in values) else max(values)
 
 
 def _positive_int(text: str) -> int:

@@ -47,11 +47,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .grid_basis import _by_row, _locate
-from .quadrature import ConstructionError, QuadratureRule
+from .grid_basis import UniformKnotGrid, _by_row, _locate
+from .quadrature import _SUM_BLOCK, ConstructionError, QuadratureRule, _extract
 
 __all__ = [
     "PeanoProfile",
@@ -66,8 +67,7 @@ __all__ = [
 # kernel_profile for the memory it bounds.
 MAX_KERNEL_SAMPLES = 1 << 22
 
-# Element budget of blocked array temporaries: the kernel samples and the
-# error constant.
+# Element budget of the kernel samples' blocked array temporaries.
 _CHUNK = 1 << 16
 
 # C(k, i) at [k, i] and the power k - i that goes with it, for i <= k;
@@ -318,21 +318,34 @@ def error_constant(rule: QuadratureRule) -> float:
     local form assumes the rule is exact on the spline space, as every
     built rule is; ``exactness_report`` checks that assumption.
 
-    The nodes go in blocks of ``_CHUNK``, so the extra memory does not
-    grow with n.  The power of two of h^7 is applied last, by ``ldexp``:
-    c raises ``OverflowError`` only where it exceeds the double range, and
-    is 0.0 only where it lies below the smallest subnormal double (on
-    [0, 1e-45] with n = 3, say).
+    The sum of the products w p^3 is correctly rounded (``_error_constant``):
+    it adds at most half an ulp, it does not depend on how the nodes are
+    split, and no BLAS call is made, so the bits are the same on every
+    machine.  The nodes go in blocks of ``_SUM_BLOCK``, so the extra memory
+    does not grow with n.  The power of two of h^7 is applied last, by
+    ``ldexp``: c raises ``OverflowError`` only where it exceeds the double
+    range, and is 0.0 only where it lies below the smallest subnormal
+    double (on [0, 1e-45] with n = 3, say).
     """
-    grid = rule.grid
-    s = 0.0
-    for start in range(0, len(rule), _CHUNK):
-        x = (rule.nodes[start : start + _CHUNK] - grid.a) / grid.h
-        u = x - np.floor(x)
-        p = u * (u - 1.0)
-        s += float(np.dot(rule.weights[start : start + _CHUNK], p * p * p))
-    total = -grid.n / 140.0 - s / grid.h
-    m, e = math.frexp(grid.h)  # h = m 2^e with 1/2 <= m < 1
+    return _error_constant(rule.grid, [(rule.nodes, rule.weights)])
+
+
+def _error_constant(grid: UniformKnotGrid, spans: Iterable[tuple[np.ndarray, np.ndarray]]) -> float:
+    """``error_constant`` of the rule over grid whose nodes and weights come
+    in the spans, in order: the same double for every split of the rule,
+    as the sum of the products w p^3 is correctly rounded (``_extract``)."""
+    a, h = grid.a, grid.h
+    partials = []
+    for nodes, weights in spans:
+        for start in range(0, len(nodes), _SUM_BLOCK):
+            x = (nodes[start : start + _SUM_BLOCK] - a) / h
+            u = x - np.floor(x)
+            p = u * (u - 1.0)
+            p *= p * p
+            p *= weights[start : start + _SUM_BLOCK]
+            _extract(p, partials, 2 * grid.n + 1)
+    total = -grid.n / 140.0 - math.fsum(partials) / h
+    m, e = math.frexp(h)  # h = m 2^e with 1/2 <= m < 1
     return math.ldexp(m**7 * total / 720.0, 7 * e)
 
 

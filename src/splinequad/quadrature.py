@@ -34,6 +34,12 @@ recursion cell by cell. Each build still checks what rounding after the
 scaling can break: nodes strictly increasing, weights positive, weights
 summing to b - a, and the extreme nodes strictly inside (a, b).
 
+That arithmetic is written once, in ``_span``, which makes any run of
+consecutive nodes and weights of a rule: ``build_rule`` makes all 2n + 1,
+and ``_spans`` makes a rule ``_SPAN`` rows at a time, so that
+``splinequad rule`` never holds it whole.  ``_checked`` takes the checks
+span by span, with the same decisions as on the whole rule.
+
 Rules are immutable once built; ``apply_rule`` is pure. The table is
 computed once and never written afterwards, so builds share no mutable
 state.
@@ -45,7 +51,7 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -368,15 +374,20 @@ def _unit_table() -> UnitTable:
 
 TABLE = _unit_table()
 
+# Rows per span of a streamed rule (see _spans).  A multiple of _SUM_BLOCK,
+# so that every span's weight sums fall on the whole rule's blocks, and the
+# fewest rows whose (2, rows) block is 2 MiB.  At n = 10^6 (2-vCPU x86-64
+# VM, glibc) ``rule`` peaked at 39-40 MB of RSS, against 67 MB holding the
+# whole rule and 36-37 MB with spans of 2^14 to 2^16 rows, which left the
+# formatting page-faulting and took 0.05-0.3 s longer.
+_SPAN = 1 << 17
+
 
 def build_rule(grid: UniformKnotGrid) -> QuadratureRule:
     """Construct the full 2n+1-node rule for a grid from ``TABLE``.
 
-    Left-half cells 1..min(n//2, 4) take the table's prefix cells, scaled
-    by h; the remaining left-half cells are exact two-third cells; the
-    middle cell takes the closure for the state entering it; the right
-    half mirrors the left: tau -> (a + b) - tau with equal weights, or
-    b - (tau - a) where a + b is beyond the double range.
+    The rule is ``_span`` over all 2n + 1 nodes, checked as every span
+    of it is (``_checked``).
 
     Raises
     ------
@@ -386,51 +397,162 @@ def build_rule(grid: UniformKnotGrid) -> QuadratureRule:
         positive, weights not summing to b - a, or an extreme node not
         strictly inside (a, b).
     """
-    a, b, n, h = grid.a, grid.b, grid.n, grid.h
-    half = n // 2
-    p = min(half, len(TABLE.states) - 1)
-    nodes = np.empty(2 * n + 1)
-    weights = np.empty(2 * n + 1)
-    knots = a + np.arange(half + 1) * h  # x_0 .. x_half
-    nodes[: 2 * p] = knots[:p].repeat(2) + h * TABLE.offsets[: 2 * p]
-    weights[: 2 * p] = h * TABLE.weights[: 2 * p]
-    fill = knots[p:half]
-    nodes[2 * p : 2 * half : 2] = fill
-    np.add(fill, 0.5 * h, out=nodes[2 * p + 1 : 2 * half : 2])
-    weights[2 * p : 2 * half : 2] = LIMIT_KNOT_WEIGHT * h
-    weights[2 * p + 1 : 2 * half : 2] = LIMIT_MIDPOINT_WEIGHT * h
-    mirror = a + b  # beyond the double range on some grids: [1e308, 1.7e308]
-    if n % 2 == 0:
-        nodes[n] = knots[half]
-        weights[n] = h * TABLE.middle_even[p]
-    else:
-        r1, w_out, w_mid = TABLE.middle_odd[p]
-        nodes[n - 1] = knots[half] + h * r1
-        nodes[n] = 0.5 * mirror if math.isfinite(mirror) else a + 0.5 * (b - a)
-        weights[n - 1] = h * w_out
-        weights[n] = h * w_mid
-    if math.isfinite(mirror):
-        np.subtract(mirror, nodes[:n][::-1], out=nodes[n + 1 :])
-    else:
-        np.subtract(b, nodes[:n][::-1] - a, out=nodes[n + 1 :])
-    weights[n + 1 :] = weights[:n][::-1]
+    nodes, weights = np.empty(2 * grid.n + 1), np.empty(2 * grid.n + 1)
+    _span(grid, 0, nodes, weights)
     _validate_rule(grid, nodes, weights)
     return QuadratureRule(grid=grid, nodes=nodes, weights=weights)
 
 
-def _validate_rule(grid: UniformKnotGrid, nodes: np.ndarray, weights: np.ndarray) -> None:
-    if not (nodes[1:] > nodes[:-1]).all():
+def _span(grid: UniformKnotGrid, i: int, nodes: np.ndarray, weights: np.ndarray) -> None:
+    """Write nodes and weights i .. i + len(nodes) - 1 of the rule over grid
+    (at most 2n + 1 in all) into nodes and weights: the same doubles
+    whichever span they are made in.
+
+    Left-half cells 1..min(n//2, 4) take the table's prefix cells, scaled
+    by h; the remaining left-half cells are exact two-third cells; the
+    middle cell takes the closure for the state entering it (``_left``).
+    The right half mirrors the left: node 2n - q is (a + b) - tau_q with
+    tau_q's weight, or b - (tau_q - a) where a + b is beyond the double
+    range.  Where the mirrored nodes are not in the span itself (as they
+    are in a whole rule), they are made in its right-half part, last
+    first, and mirrored in place.
+    """
+    n = grid.n
+    k = min(max(i, n + 1), i + len(nodes))  # the span's right-half part starts at k
+    if i < k:
+        _left(grid, i, nodes[: k - i], weights[: k - i])
+    t, w = nodes[k - i :], weights[k - i :]
+    if len(t):
+        lo = 2 * n + 1 - i - len(nodes)  # t mirrors left-half nodes lo .. lo + len(t) - 1
+        if i <= lo:  # in this span, as in a whole rule
+            src = nodes[lo - i : lo - i + len(t)][::-1]
+            w[...] = weights[lo - i : lo - i + len(t)][::-1]
+        else:  # made in place, last first
+            src = t
+            _left(grid, lo, t[::-1], w[::-1])
+        a, b = grid.a, grid.b
+        if math.isfinite(a + b):  # beyond the double range on [1e308, 1.7e308]
+            np.subtract(a + b, src, out=t)
+        else:
+            np.subtract(b, src - a, out=t)
+
+
+def _left(grid: UniformKnotGrid, lo: int, nodes: np.ndarray, weights: np.ndarray) -> None:
+    """Write nodes and weights lo .. lo + len(nodes) - 1 of the left half and
+    the middle (indices 0..n) into nodes and weights.
+
+    Node 2k + s of cell k + 1 lies at knot x_k = a + k h plus h times its
+    unit-cell offset: the table's prefix offsets in cells 1..p, p =
+    min(n//2, 4); 0 and 1/2 in the two-third cells p+1..n//2.  The middle
+    is the knot x_{n//2} (even n), or the outer node and the midpoint of
+    cell n//2 + 1 (odd n); their weights come from the closure for the
+    state entering that cell.
+    """
+    a, n, h = grid.a, grid.n, grid.h
+    half = n // 2
+    p = min(half, len(TABLE.states) - 1)
+    hi = lo + len(nodes)
+    e = min(hi, 2 * half)  # the prefix and two-third cells end at 2 (n//2)
+    if lo < e:
+        c = lo // 2
+        knots = np.arange(c, (e + 1) // 2) * h + a  # x_c onwards
+        if lo < 2 * p:
+            f = min(e, 2 * p)
+            at = knots[: (f + 1) // 2 - c].repeat(2)[lo % 2 : lo % 2 + f - lo]
+            nodes[: f - lo] = at + h * TABLE.offsets[lo:f]
+            weights[: f - lo] = h * TABLE.weights[lo:f]
+        s = max(lo, 2 * p)
+        if s < e:
+            z = s % 2  # 1 where the two-third cells start on a midpoint
+            fill = knots[s // 2 - c :]
+            nodes[s - lo + z : e - lo : 2] = fill[z:]
+            np.add(fill[: (e - s + z) // 2], 0.5 * h, out=nodes[s - lo + 1 - z : e - lo : 2])
+            weights[s - lo + z : e - lo : 2] = LIMIT_KNOT_WEIGHT * h
+            weights[s - lo + 1 - z : e - lo : 2] = LIMIT_MIDPOINT_WEIGHT * h
+    if hi > 2 * half:
+        knot = a + half * h
+        if n % 2 == 0:
+            nodes[n - lo], weights[n - lo] = knot, h * TABLE.middle_even[p]
+        else:
+            r1, w_out, w_mid = TABLE.middle_odd[p]
+            if lo < n:
+                nodes[n - 1 - lo], weights[n - 1 - lo] = knot + h * r1, h * w_out
+            if hi > n:
+                b = grid.b
+                nodes[n - lo] = 0.5 * (a + b) if math.isfinite(a + b) else a + 0.5 * (b - a)
+                weights[n - lo] = h * w_mid
+
+
+def _spans(grid: UniformKnotGrid, stop: Optional[int] = None) -> Iterator[
+    tuple[np.ndarray, np.ndarray]
+]:
+    """Nodes and weights 0 .. stop - 1 of the rule over grid (all 2n + 1 by
+    default), ``_SPAN`` at a time: the rule, one span in memory at once.
+
+    The nodes and weights of a span are the two rows of one block.  At
+    n = 10^6 ``rule`` took 9000-14000 minor page faults with these spans
+    (about 9000 writing the whole rule) against 38000-73000 with two
+    arrays of 1 MiB per span: freeing a block of 2 MiB lifts glibc's mmap
+    and trim thresholds above the 1 MB temporaries of every formatted
+    chunk, which were otherwise mapped and unmapped, or trimmed from the
+    heap, chunk after chunk.
+    """
+    stop = 2 * grid.n + 1 if stop is None else stop
+    for i in range(0, stop, _SPAN):
+        nodes, weights = np.empty((2, min(_SPAN, stop - i)))
+        _span(grid, i, nodes, weights)
+        yield nodes, weights
+
+
+def _checked(
+    grid: UniformKnotGrid, spans: Iterable[tuple[np.ndarray, np.ndarray]]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The spans of a whole rule over grid, passed on as they come; after the
+    last, ``ConstructionError`` where build_rule refuses the rule they make
+    up, with the message it gives.
+
+    Carried from span to span: whether the nodes so far strictly increase
+    (the last node included), whether every weight is positive, the first
+    node, and the sums of the weights in blocks of ``_SUM_BLOCK``, rounded
+    once by ``math.fsum``.  The spans start at multiples of ``_SUM_BLOCK``
+    (as ``_spans`` and a whole rule do), so the blocks, and hence the total
+    and every decision, are the same however the rule is split.
+    """
+    increasing = positive = True
+    first = last = None
+    sums = []
+    for nodes, weights in spans:
+        if first is None:
+            first = nodes[0]
+        else:
+            increasing = increasing and last < nodes[0]
+        # the ufuncs' reduce, which the ndarray methods call through Python
+        increasing = increasing and np.logical_and.reduce(nodes[1:] > nodes[:-1])
+        positive = positive and np.minimum.reduce(weights) > 0.0
+        for s in range(0, len(weights), _SUM_BLOCK):
+            sums.append(np.add.reduce(weights[s : s + _SUM_BLOCK]))
+        last = nodes[-1]
+        yield nodes, weights
+    if not increasing:
         raise ConstructionError("nodes are not strictly increasing")
-    if not weights.min() > 0.0:
+    if not positive:
         raise ConstructionError("weights are not all positive")
     span = grid.b - grid.a
-    total = float(weights.sum())
+    try:
+        total = math.fsum(sums)
+    except OverflowError:  # the exact sum is beyond the double range
+        total = math.inf
     if abs(total - span) > 1e-12 * span:
         raise ConstructionError(
             f"weights sum to {total!r}, expected {span!r}"
         )
-    if nodes[0] <= grid.a or nodes[-1] >= grid.b:
+    if first <= grid.a or last >= grid.b:
         raise ConstructionError("extreme nodes must lie strictly inside (a, b)")
+
+
+def _validate_rule(grid: UniformKnotGrid, nodes: np.ndarray, weights: np.ndarray) -> None:
+    for _ in _checked(grid, [(nodes, weights)]):
+        pass
 
 
 def apply_rule(
@@ -480,13 +602,8 @@ def _fsum_products(weights: np.ndarray, values: np.ndarray) -> float:
     ``_array_values`` admits them), so the products are doubles.
 
     From ``_EXTRACT_MIN`` double products on, each block is reduced by
-    error-free extraction (ExtractVector of Rump, Ogita & Oishi): with
-    sigma = 2^(e + _SUM_SHIFT) above every |r| of the block,
-    q = (sigma + r) - sigma holds r's leading bits, ``q.sum()`` is exact,
-    and r - q is exact and at least 2^37 times smaller than the largest r.
-    Zeros are dropped after each pass.  Once fewer than ``_SUM_REST``
-    remainders are left, or sigma would be subnormal, they go to the final
-    ``math.fsum`` with the pass sums, whose exact sum is the products'.
+    error-free extraction (``_extract``), and the exact partial sums are
+    rounded once by ``math.fsum``.
 
     ``math.fsum`` of the products themselves decides where the two sums
     could differ: a product that is inf or nan, a product at 2^emax or
@@ -496,28 +613,50 @@ def _fsum_products(weights: np.ndarray, values: np.ndarray) -> float:
     n = len(weights)
     if n < _EXTRACT_MIN:
         return math.fsum(_items(weights * values))
-    # every |product| below 2^emax keeps sigma finite and the products'
-    # absolute sum below 2^1023, where neither summation can overflow
-    emax = 1023 - max(_SUM_SHIFT, (n + 2).bit_length())
-    huge, emin = math.ldexp(1.0, emax), -1022 - _SUM_SHIFT
     partials = []
     for r in _product_blocks(weights, values):
-        while len(r) >= _SUM_REST:
-            big = max(r.max(), -r.min())
-            if not big < huge:  # inf, nan, or where fsum may overflow
-                return _plain_fsum(weights, values)
-            e = math.frexp(big)[1]
-            if e < emin:  # sigma would be subnormal
-                break
-            sigma = math.ldexp(1.0, e + _SUM_SHIFT)
-            q = r + sigma
-            q -= sigma
-            partials.append(q.sum())
-            r -= q
-            r = r[r != 0.0]
-        partials += r.tolist()
+        if not _extract(r, partials, n):
+            return _plain_fsum(weights, values)
     total = math.fsum(partials)
     return total if total != 0.0 else _plain_fsum(weights, values)
+
+
+def _extract(r: np.ndarray, partials: list, count: int) -> bool:
+    """Append to partials doubles whose exact sum is that of r, one of the
+    blocks of a sum of count doubles; r is overwritten.
+
+    Error-free extraction (ExtractVector of Rump, Ogita & Oishi, SIAM J.
+    Sci. Comput. 31, 2008): with sigma = 2^(e + _SUM_SHIFT) above every |r|
+    of the block, q = (sigma + r) - sigma holds r's leading bits,
+    ``q.sum()`` is exact, and r - q is exact and at least 2^37 times
+    smaller than the largest r.  Zeros are dropped after each pass.  Once
+    fewer than ``_SUM_REST`` remainders are left, or sigma would be
+    subnormal, they are appended as they are.  So ``math.fsum(partials)``
+    is the correctly rounded sum of every block given, however the doubles
+    are split into blocks of at most ``_SUM_BLOCK``.
+
+    Returns False where r holds inf or nan or a value at 2^emax or above
+    (where sigma or the sum could overflow): r is then appended as it is.
+    """
+    # every |r| below 2^emax keeps sigma finite and the absolute sum of the
+    # count doubles below 2^1023, where neither summation can overflow
+    emax = 1023 - max(_SUM_SHIFT, (count + 2).bit_length())
+    while len(r) >= _SUM_REST:
+        big = max(r.max(), -r.min())
+        if not big < math.ldexp(1.0, emax):  # only on the first pass
+            partials += r.tolist()
+            return False
+        e = math.frexp(big)[1]
+        if e < -1022 - _SUM_SHIFT:  # sigma would be subnormal
+            break
+        sigma = math.ldexp(1.0, e + _SUM_SHIFT)
+        q = r + sigma
+        q -= sigma
+        partials.append(q.sum())
+        r -= q
+        r = r[r != 0.0]
+    partials += r.tolist()
+    return True
 
 
 def _plain_fsum(weights: np.ndarray, values: np.ndarray) -> float:

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from splinequad import build_rule, cli, error_constant, kernel_profile, make_grid
+from splinequad.quadrature import _SPAN, ConstructionError, QuadratureRule
 
 from references import rule_document_from_json
 
@@ -181,6 +183,20 @@ def test_rule_emitters_match_reference_bytes(tmp_path, fmt, reference):
         assert out.read_bytes() == expected.encode(), (a, b, n)
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+@pytest.mark.parametrize("n", [_SPAN, _SPAN + 1])
+def test_streamed_rule_equals_the_whole_rule_across_spans(tmp_path, fmt, n):
+    # the table's n + 1 rows and the csv's 2n + 1 cross a span boundary;
+    # the csv's later spans hold mirrored nodes made beside the span
+    out = tmp_path / f"rule.{fmt}"
+    argv = ["rule", "--n", str(n), "--a", "-0.75", "--b", "2.5", "--format", fmt,
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    rule = build_rule(make_grid(-0.75, 2.5, n))
+    whole = cli._format_table(rule) if fmt == "table" else cli._format_csv(rule)
+    assert out.read_bytes() == whole.encode()
+
+
 def test_format_helpers_and_to_json_match_references():
     rule = build_rule(make_grid(-3.0, 1.0e3, 77))
     assert cli._format_table(rule) == reference_table(rule)
@@ -266,6 +282,27 @@ def test_check_unreachable_tolerance_fails():
     assert "FAIL" in cp.stdout
 
 
+def test_check_fails_a_nan_residual(monkeypatch, capsys):
+    # a NaN weight makes the exactness and random-spline values NaN; each
+    # suite's worst value keeps it, and NaN passes no gate
+    build = cli.quadrature.build_rule
+
+    def with_a_nan_weight(grid):
+        rule = build(grid)
+        if grid.n != 25:
+            return rule
+        weights = rule.weights.copy()
+        weights[7] = np.nan
+        return QuadratureRule(grid=grid, nodes=rule.nodes, weights=weights)
+
+    monkeypatch.setattr(cli.quadrature, "build_rule", with_a_nan_weight)
+    assert cli.main(["check", "--n-max", "30", "--seeds", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "exactness.max_basis_residual value=nan gate=1.0e-13 status=FAIL" in lines
+    assert "exactness.random_spline_relative value=nan gate=1.0e-12 status=FAIL" in lines
+    assert lines[-1] == "OVERALL: FAIL"
+
+
 def test_check_full_range():
     cp = run_cli("check", "--n-max", "50", "--seeds", "5")
     assert cp.returncode == 0, cp.stdout + cp.stderr
@@ -283,17 +320,50 @@ def test_rule_document_from_json():
 
 
 def test_construction_failure_exit_code(monkeypatch):
-    # no valid flags can break construction, so the exit-3 path is
-    # exercised by stubbing the builder
+    # the exit-3 path of a construction failure, whatever raises it: the
+    # span generator every rule is made from is stubbed (grids the checks
+    # refuse are run in test_rule_refuses_the_grids_build_rule_refuses)
     import splinequad.cli as cli
     from splinequad.quadrature import ConstructionError
 
-    def boom(grid):
+    def boom(grid, i, nodes, weights):
         raise ConstructionError("stubbed failure", interval=3)
 
-    monkeypatch.setattr(cli.quadrature, "build_rule", boom)
+    monkeypatch.setattr(cli.quadrature, "_span", boom)
     code = cli.main(["rule", "--n", "4"])
     assert code == 3
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_rule_refuses_the_grids_build_rule_refuses(tmp_path, capsys, fmt):
+    # the checks run over every span before the first byte: a refused grid
+    # exits 3 with build_rule's message and writes nothing, not even a file
+    out = tmp_path / f"rule.{fmt}"
+    rng = np.random.default_rng(5)
+    refused = 0
+    for _ in range(150):
+        n = int(rng.integers(1, 65))
+        span = 10.0 ** rng.uniform(-300.0, 300.0)
+        a = float(rng.choice((-1.0, 1.0)) * 10.0 ** min(
+            math.log10(span) + rng.uniform(-2.0, 16.0), 307.0))
+        try:
+            grid = make_grid(a, a + span, n)
+        except ValueError:
+            continue
+        try:
+            build_rule(grid)
+            message = None
+        except ConstructionError as exc:
+            message = str(exc)
+        if message is None:
+            continue
+        refused += 1
+        argv = ["rule", "--n", str(n), f"--a={grid.a!r}", f"--b={grid.b!r}",
+                "--format", fmt, "--out", str(out)]
+        assert cli.main(argv) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err == f"construction failed: {message}\n"
+    assert refused >= 10
 
 
 def test_rule_at_extreme_scale_builds():
@@ -325,7 +395,9 @@ def test_rule_json_where_a_plus_b_overflows():
     # about 5 h^7 / 604800 with h = 1.4e307, is beyond the double range, so
     # the command ends in a construction failure
     rule = build_rule(make_grid(1e308, 1.7e308, 5))
-    text = b"".join(cli._json_chunks(cli._head(rule), rule.nodes, rule.weights, 0.5)).decode()
+    text = b"".join(
+        cli._json_chunks(cli._head(rule.grid), [rule.nodes], [rule.weights], 0.5)
+    ).decode()
     grid = rule.grid
     assert text == json.dumps({
         "schema_version": 1, "n": grid.n, "a": grid.a, "b": grid.b, "h": grid.h,
@@ -351,23 +423,68 @@ def test_overflow_at_extreme_scale_is_a_construction_failure(args):
     assert cp.stdout == ""
 
 
-def test_out_of_memory_is_exit_3_without_a_traceback():
-    # n = 10^8 asks for two arrays of 1.5 GiB; a child limited to 2 GiB of
-    # address space refuses the second before touching the first
+def _address_space_limit():
+    """A child's preexec_fn that caps its address space at 512 MiB."""
     resource = pytest.importorskip("resource")
     if not hasattr(resource, "RLIMIT_AS"):
         pytest.skip("no address-space limit on this platform")
 
     def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
-    cmd = [sys.executable, "-m", "splinequad", "rule", "--n", "100000000",
-           "--format", "csv", "--out", os.devnull]
+    return limit
+
+
+def test_out_of_memory_is_exit_3_without_a_traceback():
+    # a kernel profile holds its samples and the rule: at n = 2^21 - 1 with
+    # 2 samples per cell (just under the sample cap) it needs about 450 MB
+    # beyond the interpreter, more than a child limited to 512 MiB of
+    # address space has; a small rule runs under the same limit
+    limit = _address_space_limit()
+    small = subprocess.run([sys.executable, "-m", "splinequad", "rule", "--n", "1"],
+                           capture_output=True, text=True, preexec_fn=limit)
+    assert small.returncode == 0, small.stderr
+    cmd = [sys.executable, "-m", "splinequad", "kernel", "--n", "2097151",
+           "--samples-per-cell", "2", "--out", os.devnull]
     cp = subprocess.run(cmd, capture_output=True, text=True, preexec_fn=limit)
     assert cp.returncode == 3
     assert "Traceback" not in cp.stderr
     assert cp.stderr.startswith("out of memory: ")
     assert cp.stderr.count("\n") == 1 and cp.stderr.endswith("\n")
+
+
+def test_rule_streams_at_a_size_it_could_not_hold():
+    # n = 10^8 would take two arrays of 1.5 GiB; the rule is written from
+    # spans, so under 512 MiB of address space its csv starts after the
+    # checks, and a reader that stops after 64 KiB ends it as SIGPIPE would
+    limit = _address_space_limit()
+    cmd = [sys.executable, "-m", "splinequad", "rule", "--n", "100000000",
+           "--format", "csv"]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          preexec_fn=limit) as child:
+        head = child.stdout.read(1 << 16)
+        child.stdout.close()
+        stderr = child.stderr.read()
+        assert child.wait(timeout=120) == 141
+    assert head.startswith(b"i,tau,omega\n1,")
+    assert len(head) == 1 << 16
+    assert stderr == b""
+
+
+@pytest.mark.parametrize("a,b,n", [
+    (0.0, 1.0, 65536), (0.0, 1.0, 100001), (-3.0, 17.0, 131072),
+    (0.0, 150001.0, 150001), (-1.0e6, -1.0e6 + 3.7, 70001),
+])
+def test_streamed_json_error_constant_is_the_library_value(tmp_path, a, b, n):
+    # the document's constant is summed over the spans of the first pass;
+    # the correctly rounded sum does not depend on the split, so it equals
+    # the constant of the whole rule bit for bit
+    out = tmp_path / "rule.json"
+    argv = ["rule", "--n", str(n), "--a", repr(a), "--b", repr(b),
+            "--format", "json", "--out", str(out)]
+    assert cli.main(argv) == 0
+    c = json.loads(out.read_text())["error_constant"]
+    assert c.hex() == error_constant(build_rule(make_grid(a, b, n))).hex()
 
 
 def test_closed_stdout_is_exit_141_without_a_traceback():

@@ -1,6 +1,9 @@
 """Tests for the Peano kernel and the remainder constant."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -338,8 +341,9 @@ def test_error_constant_matches_global_formula_at_small_n():
 
 
 def test_error_constant_memory_does_not_grow_with_n():
-    # the nodes go in blocks of _CHUNK; one whole-array temporary at
-    # n = 10^5 (200001 doubles, 1.6 MB) and the next would pass the bound
+    # the nodes go in blocks of 16384 (quadrature._SUM_BLOCK); one
+    # whole-array temporary at n = 10^5 (200001 doubles, 1.6 MB) and the
+    # next would pass the bound
     rule = build_rule(make_grid(0.0, 1.0, 10**5))
     error_constant(rule)
     tracemalloc.start()
@@ -349,6 +353,35 @@ def test_error_constant_memory_does_not_grow_with_n():
     finally:
         tracemalloc.stop()
     assert peak < 6 * 8 * _CHUNK
+
+
+def test_error_constant_bits_do_not_depend_on_blas_threads():
+    # no BLAS call: one thread or the default gives the same double (a
+    # dot product of 65536 nodes at a time moved the last bits with them)
+    code = ("from splinequad import build_rule, error_constant, make_grid; "
+            "print(error_constant(build_rule(make_grid(0.0, 1.0, 200000))).hex())")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    one = dict(env, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    texts = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=e, check=True).stdout for e in (env, one)]
+    assert texts[0] == texts[1] != ""
+
+
+@pytest.mark.parametrize("a,b", [(0.0, 1.0), (0.0, 5000.0), (-3.0, 17.0)])
+def test_error_constant_agrees_with_50_digits(a, b):
+    # the local form of the built rule in 50 digits: the double value is a
+    # correctly rounded sum of products that each round a few times
+    mp = pytest.importorskip("mpmath")
+    rule = build_rule(make_grid(a, b, 5000))
+    with mp.workdps(50):
+        a_, h = mp.mpf(rule.grid.a), mp.mpf(rule.grid.h)
+        s = mp.mpf(0)
+        for t, w in zip(rule.nodes.tolist(), rule.weights.tolist()):
+            x = (mp.mpf(t) - a_) / h
+            u = x - mp.floor(x)
+            s += w * (u * (u - 1)) ** 3
+        exact = h**7 * (-rule.grid.n / mp.mpf(140) - s / h) / 720
+        assert abs(error_constant(rule) - exact) <= 1e-14 * exact
 
 
 def test_error_constant_where_c_leaves_the_double_range():

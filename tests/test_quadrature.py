@@ -24,10 +24,14 @@ from splinequad.quadrature import (
     _SUM_BLOCK,
     _SUM_REST,
     _SUM_SHIFT,
+    _SPAN,
+    _checked,
     _fsum_products,
     _middle_even,
     _middle_odd,
     _solve_cell,
+    _span,
+    _spans,
     _update_cell,
     _validate_rule,
 )
@@ -544,6 +548,56 @@ def assert_integrates_quintic(rule, c):
     slope = math.fsum(k * abs(ck) for k, ck in enumerate(c))
     assert abs(q - exact) <= 32.0 * eps * width * size + 4.0 * slope * placement, (
         grid, q, exact)
+
+
+@pytest.mark.parametrize("a,b", [(0.0, 1.0), (-3.0, 17.0), (1e308, 1.7e308),
+                                 (123456.7, 123460.1)])
+def test_spans_are_slices_of_the_whole_rule(a, b):
+    # any span, across the prefix, the fill, the middle and the mirror, and
+    # the spans of a streamed rule, hold the whole rule's doubles
+    rng = np.random.default_rng(15)
+    for n in [*range(1, 24), 101, 1000, 1001, _SPAN // 2, _SPAN // 2 + 1]:
+        grid = make_grid(a, b, n)
+        rule = build_rule(grid)
+        m = 2 * n + 1
+        for _ in range(20):
+            i = int(rng.integers(0, m))
+            j = int(rng.integers(i + 1, m + 1))
+            nodes, weights = np.empty(j - i), np.empty(j - i)
+            _span(grid, i, nodes, weights)
+            assert nodes.tobytes() == rule.nodes[i:j].tobytes(), (n, i, j)
+            assert weights.tobytes() == rule.weights[i:j].tobytes(), (n, i, j)
+        spans = list(_checked(grid, _spans(grid)))
+        assert len(spans) == -(-m // _SPAN)
+        assert np.concatenate([t for t, _ in spans]).tobytes() == rule.nodes.tobytes()
+        assert np.concatenate([w for _, w in spans]).tobytes() == rule.weights.tobytes()
+        table = np.concatenate([t for t, _ in _spans(grid, n + 1)])
+        assert table.tobytes() == rule.nodes[: n + 1].tobytes()
+
+
+def test_checks_over_spans_refuse_as_the_whole_rule():
+    # carried across a span boundary: the order of the nodes, the sign of
+    # the weights and their sum; each refusal is build_rule's message
+    grid = make_grid(0.0, 1.0, _SPAN)
+    nodes, weights = build_rule(grid).nodes.copy(), build_rule(grid).weights.copy()
+    cut = _SPAN  # the first node of the second span
+    swapped = nodes.copy()
+    swapped[[cut - 1, cut]] = swapped[[cut, cut - 1]]
+    bad = {
+        "strictly increasing": (swapped, weights),
+        "positive": (nodes, np.where(np.arange(len(weights)) == cut, -weights, weights)),
+        "sum to": (nodes, weights * (1.0 + 1e-9)),
+        "inside": (nodes, weights),
+    }
+    for match, (t, w) in bad.items():
+        spans = [(t[:cut], w[:cut]), (t[cut:], w[cut:])]
+        if match == "inside":
+            spans[1] = (np.append(t[cut:-1], 1.0), w[cut:])
+        with pytest.raises(ConstructionError, match=match):
+            for _ in _checked(grid, spans):
+                pass
+        with pytest.raises(ConstructionError, match=match):
+            _validate_rule(grid, np.concatenate([x for x, _ in spans]), w)
 
 
 def test_grids_where_a_plus_b_overflows_build():
