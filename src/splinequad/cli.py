@@ -7,13 +7,13 @@ SIGPIPE, no traceback) when the reader closes stdout early, as ``head`` does.
 
 ``rule`` and ``kernel`` write bytes, _CHUNK rows at a time. ``rule``
 never holds the rule: it makes it in spans of ``quadrature._SPAN`` rows,
-once to check it (and for json to sum the error constant) and again to
-write it, so its memory does not grow with n and a grid that build_rule
-refuses writes nothing. The numbers
-come from ``_digits``, which makes them from the float64 arrays in numpy
-and gives the same text as Python formatting each value: ``"%.17g"`` for
-csv and ``kernel``, the exact value truncated to 16 significant digits for
-table, and ``repr`` (what ``json.dumps`` writes) for the json arrays. A
+once to check it and again to write it, so its memory does not grow with
+n and a grid that build_rule refuses writes nothing; the json error
+constant is taken from the unit-cell table. The numbers come from
+``_digits``, which makes them from the float64 arrays in numpy and gives
+the same text as Python formatting each value: ``"%.17g"`` for csv and
+``kernel``, the exact value truncated to 16 significant digits for table,
+and ``repr`` (what ``json.dumps`` writes) for the json arrays. A
 value the array path cannot decide exactly, or that lies outside its
 range (0, subnormals, |v| beyond 1e-280..1e281, not finite), is formatted
 by that Python expression. The json head fields and error constant are
@@ -167,33 +167,27 @@ def _emit(chunks: Iterable[bytes], out: Optional[str]) -> None:
             fh.writelines(chunks)
 
 
-def _rule_from_args(args: argparse.Namespace) -> QuadratureRule:
-    return quadrature.build_rule(make_grid(args.a, args.b, args.n))
-
-
 def _cmd_rule(args: argparse.Namespace) -> int:
     """Write the rule from its spans, never holding it whole.  A first pass
-    checks every span as build_rule checks the rule (and for json sums the
-    error constant), so a grid build_rule refuses writes nothing; then the
-    spans are made again and written."""
+    checks every span as build_rule checks the rule, so a grid build_rule
+    refuses writes nothing; then the spans are made again and written."""
     grid = make_grid(args.a, args.b, args.n)
-    checked = quadrature._checked(grid, quadrature._spans(grid))
+    deque(quadrature._checked(grid, quadrature._spans(grid)), maxlen=0)
     if args.format == "json":
-        c = error_analysis._error_constant(grid, checked)
+        c = error_analysis._error_constant(grid)
         nodes = (t for t, _ in quadrature._spans(grid))
         weights = (w for _, w in quadrature._spans(grid))
-        _emit(chain(_json_chunks(_head(grid), nodes, weights, c), (b"\n",)), args.out)
-        return 0
-    deque(checked, maxlen=0)
-    if args.format == "csv":
-        _emit(_csv_chunks(quadrature._spans(grid)), args.out)
+        chunks = chain(_json_chunks(_head(grid), nodes, weights, c), (b"\n",))
+    elif args.format == "csv":
+        chunks = _csv_chunks(quadrature._spans(grid))
     else:
-        _emit(_table_chunks(grid.n, quadrature._spans(grid, grid.n + 1)), args.out)
+        chunks = _table_chunks(grid.n, quadrature._spans(grid, grid.n + 1))
+    _emit(chunks, args.out)
     return 0
 
 
 def _cmd_kernel(args: argparse.Namespace) -> int:
-    rule = _rule_from_args(args)
+    rule = quadrature.build_rule(make_grid(args.a, args.b, args.n))
     profile = error_analysis.kernel_profile(rule, args.samples_per_cell)
     rows = _rows([profile.samples.T], "%.17g", b",", index=False)
     _emit(chain((b"t,K6\n",), rows), args.out)

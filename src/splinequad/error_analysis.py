@@ -35,10 +35,10 @@ of size h^6 (b-a): in double precision it cancels to noise (0.0 on
 the monospline view of Micchelli & Pinkus (SIAM J. Math. Anal. 8, 1977):
 with u the offset of t in its cell in units of h and g(u) = u^3 (u-1)^3,
 (t-a)^6 - h^6 g(u) is a C2 piecewise quintic, which the rule integrates
-exactly, so c = h^7 (-n/140 - sum (w/h) g(u)) / 720.  Every term is of
-size h, no power of b - a is formed, and like the kernel samples it is
-the constant of a rule exact on the spline space (``exactness_report``
-checks that).
+exactly, so c = h^7 (-n/140 - sum (w/h) g(u)) / 720.  The unit cells of
+``quadrature.TABLE`` give the sum in O(1), with no stored node read, and
+like the kernel samples it is the constant of a rule exact on the spline
+space, as every built rule is (``exactness_report`` checks that).
 
 Pure functions over immutable rules; safe to call concurrently.
 """
@@ -47,12 +47,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .grid_basis import UniformKnotGrid, _by_row, _locate
-from .quadrature import _SUM_BLOCK, ConstructionError, QuadratureRule, _extract
+from .quadrature import TABLE, ConstructionError, QuadratureRule, _layout
 
 __all__ = [
     "PeanoProfile",
@@ -300,62 +299,52 @@ def kernel_profile(rule: QuadratureRule, samples_per_cell: int = 1000) -> PeanoP
 
 
 def error_constant(rule: QuadratureRule) -> float:
-    """The remainder constant c, with I[f] - Q[f] = c f''''''(xi) for f in C6.
+    """The remainder constant c, with I[f] - Q[f] = c f''''''(xi) for f in C6,
+    of the Gaussian rule that ``build_rule`` makes for ``rule.grid``; the
+    stored nodes and weights are not read.
 
-    By definition c = ((b-a)^7/7 - Q[(t-a)^6]) / 720: the rule
-    underestimates the integral of (t - a)^6 by 720 c.  That difference
-    cancels in double precision, so c is taken in the local form (see the
-    module docstring): with x = (tau - a)/h, u = x - floor(x) and
-    p = u (u - 1) at every node,
-
-        c = h^7 (-n/140 - sum (w/h) p^3) / 720.
-
-    A two-third cell (7h/15 at its knot, 8h/15 at its midpoint, where
-    p^3 = -1/64) gives h^7/604800, so c is about (b-a) h^6 / 604800.
-    Every w p^3 is <= 0 and g vanishes with two derivatives at u = 0 and
-    u = 1, so a node on a knot counts the same from either cell and the
-    sum cancels nothing beyond the factor 7 between n/120 and n/140.  The
-    local form assumes the rule is exact on the spline space, as every
-    built rule is; ``exactness_report`` checks that assumption.
-
-    The sum of the products w p^3 is correctly rounded (``_error_constant``):
-    it adds at most half an ulp, it does not depend on how the nodes are
-    split, and no BLAS call is made, so the bits are the same on every
-    machine.  The nodes go in blocks of ``_SUM_BLOCK``, so the extra memory
-    does not grow with n.  The power of two of h^7 is applied last, by
-    ``ldexp``: c raises ``OverflowError`` only where it exceeds the double
-    range, and is 0.0 only where it lies below the smallest subnormal
-    double (on [0, 1e-45] with n = 3, say).
+    c is the local form of the module docstring, summed over the unit-cell
+    table in O(1) (``_error_constant``).  A two-third cell adds h^7/604800,
+    so c is about (b-a) h^6 / 604800.  The sum cancels nothing beyond the
+    factor 7 between n/120 and n/140, and ``math.fsum`` rounds it once.
+    The power of two of h^7 is applied last, by ``ldexp``: c raises
+    ``OverflowError`` only where it exceeds the double range, and is 0.0
+    only where it lies below the smallest subnormal double (on [0, 1e-45]
+    with n = 3, say).
     """
-    return _error_constant(rule.grid, [(rule.nodes, rule.weights)])
+    return _error_constant(rule.grid)
 
 
-def _error_constant(grid: UniformKnotGrid, spans: Iterable[tuple[np.ndarray, np.ndarray]]) -> float:
-    """``error_constant`` of the rule over grid whose nodes and weights come
-    in the spans, in order: the same double for every split of the rule,
-    as the sum of the products w p^3 is correctly rounded (``_extract``)."""
-    a, h = grid.a, grid.h
-    partials = []
-    for nodes, weights in spans:
-        for start in range(0, len(nodes), _SUM_BLOCK):
-            x = (nodes[start : start + _SUM_BLOCK] - a) / h
-            u = x - np.floor(x)
-            p = u * (u - 1.0)
-            p *= p * p
-            p *= weights[start : start + _SUM_BLOCK]
-            _extract(p, partials, 2 * grid.n + 1)
-    total = -grid.n / 140.0 - math.fsum(partials) / h
-    m, e = math.frexp(h)  # h = m 2^e with 1/2 <= m < 1
-    return math.ldexp(m**7 * total / 720.0, 7 * e)
+def _error_constant(grid: UniformKnotGrid) -> float:
+    """``error_constant`` of the rule over grid, c = h^7 (-n/140 - S) / 720:
+    with ``_layout``'s half, p and middle closure, g(u) = (u (u - 1))^3 =
+    g(1 - u) and the mirror doubling every left-half term,
+    S = 2 sum_prefix w g(u) - (half - p)/60 [+ 2 w_out g(r1) - w_mid/64
+    for odd n], as a knot adds nothing."""
+    n = grid.n
+    half, p, middle = _layout(n)
+    terms = [-n / 140.0, (half - p) / 60.0]
+    nodes = list(zip(TABLE.offsets[: 2 * p].tolist(), TABLE.weights[: 2 * p].tolist()))
+    if n % 2:
+        r1, w_out, w_mid = middle
+        nodes.append((r1, w_out))
+        terms.append(w_mid / 64.0)
+    for u, w in nodes:
+        q = u * (u - 1.0)
+        terms.append(-2.0 * w * (q * (q * q)))
+    m, e = math.frexp(grid.h)  # h = m 2^e with 1/2 <= m < 1
+    return math.ldexp(m**7 * math.fsum(terms) / 720.0, 7 * e)
 
 
 def remainder_bound(rule: QuadratureRule, m6: float) -> float:
-    """Bound |I[f] - Q[f]| <= c * M6 for any f in C6 with |f''''''| <= M6.
+    """Bound |I[f] - Q[f]| <= c * M6 for any f in C6 with |f''''''| <= M6,
+    in O(1) (``error_constant``).
 
     c is positive wherever it is at least the smallest normal double, so
     the bound is positive for every M6 > 0 there; it is 0.0 only where c
-    underflows (see ``error_constant``) or M6 is 0.
+    underflows (see ``error_constant``) or M6 is 0.  A negative or NaN M6
+    raises ``ValueError``.
     """
-    if m6 < 0.0:
+    if not m6 >= 0.0:
         raise ValueError(f"derivative bound must be nonnegative, got {m6}")
     return error_constant(rule) * m6

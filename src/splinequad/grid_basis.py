@@ -14,6 +14,7 @@ everything here is safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -73,16 +74,23 @@ def make_grid(a: float, b: float, n: int) -> UniformKnotGrid:
     a, b : float
         Interval endpoints, b > a.
     n : int
-        Number of subintervals, n >= 1.
+        Number of subintervals, n >= 1: an integer, or a finite number
+        of integral value (3.0, say).
 
     Raises
     ------
     ValueError
-        If the interval is empty/inverted, b - a overflows, or n < 1.
+        If the interval is empty/inverted, b - a overflows, n is not a
+        finite integral number, or n < 1.
     """
     a = float(a)
     b = float(b)
-    n = int(n)
+    try:
+        n = operator.index(n)  # int, bool and numpy integers
+    except TypeError:
+        if not (isinstance(n, numbers.Real) and math.isfinite(n) and n == int(n)):
+            raise ValueError(f"number of subintervals must be an integer, got {n!r}") from None
+        n = int(n)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("interval endpoints must be finite")
     if b <= a:

@@ -374,6 +374,18 @@ def _unit_table() -> UnitTable:
 
 TABLE = _unit_table()
 
+
+def _layout(n: int) -> tuple[int, int, float | tuple[float, float, float]]:
+    """``(half, p, middle)`` of the rule over n cells: left-half cells 1..p,
+    p = min(n//2, 4), take the table's prefix cells, cells p+1..half = n//2
+    are two-third cells, and ``middle`` is the closure ``TABLE.middle_even``
+    or ``TABLE.middle_odd`` (by the parity of n) for the state entering p + 1.
+    """
+    half = n // 2
+    p = min(half, len(TABLE.states) - 1)
+    return half, p, (TABLE.middle_odd if n % 2 else TABLE.middle_even)[p]
+
+
 # Rows per span of a streamed rule (see _spans).  A multiple of _SUM_BLOCK,
 # so that every span's weight sums fall on the whole rule's blocks, and the
 # fewest rows whose (2, rows) block is 2 MiB.  At n = 10^6 (2-vCPU x86-64
@@ -408,14 +420,12 @@ def _span(grid: UniformKnotGrid, i: int, nodes: np.ndarray, weights: np.ndarray)
     (at most 2n + 1 in all) into nodes and weights: the same doubles
     whichever span they are made in.
 
-    Left-half cells 1..min(n//2, 4) take the table's prefix cells, scaled
-    by h; the remaining left-half cells are exact two-third cells; the
-    middle cell takes the closure for the state entering it (``_left``).
-    The right half mirrors the left: node 2n - q is (a + b) - tau_q with
-    tau_q's weight, or b - (tau_q - a) where a + b is beyond the double
-    range.  Where the mirrored nodes are not in the span itself (as they
-    are in a whole rule), they are made in its right-half part, last
-    first, and mirrored in place.
+    The left half and the middle are ``_layout``'s unit cells scaled by h
+    (``_left``).  The right half mirrors the left: node 2n - q is
+    (a + b) - tau_q with tau_q's weight, or b - (tau_q - a) where a + b is
+    beyond the double range.  Where the mirrored nodes are not in the span
+    itself (as they are in a whole rule), they are made in its right-half
+    part, last first, and mirrored in place.
     """
     n = grid.n
     k = min(max(i, n + 1), i + len(nodes))  # the span's right-half part starts at k
@@ -442,15 +452,13 @@ def _left(grid: UniformKnotGrid, lo: int, nodes: np.ndarray, weights: np.ndarray
     the middle (indices 0..n) into nodes and weights.
 
     Node 2k + s of cell k + 1 lies at knot x_k = a + k h plus h times its
-    unit-cell offset: the table's prefix offsets in cells 1..p, p =
-    min(n//2, 4); 0 and 1/2 in the two-third cells p+1..n//2.  The middle
-    is the knot x_{n//2} (even n), or the outer node and the midpoint of
-    cell n//2 + 1 (odd n); their weights come from the closure for the
-    state entering that cell.
+    unit-cell offset: the table's prefix offsets in cells 1..p, 0 and 1/2
+    in the two-third cells p+1..n//2 (``_layout``).  The middle is the knot
+    x_{n//2} (even n), or the outer node and the midpoint of cell
+    n//2 + 1 (odd n), weighted by the middle closure.
     """
     a, n, h = grid.a, grid.n, grid.h
-    half = n // 2
-    p = min(half, len(TABLE.states) - 1)
+    half, p, middle = _layout(n)
     hi = lo + len(nodes)
     e = min(hi, 2 * half)  # the prefix and two-third cells end at 2 (n//2)
     if lo < e:
@@ -472,9 +480,9 @@ def _left(grid: UniformKnotGrid, lo: int, nodes: np.ndarray, weights: np.ndarray
     if hi > 2 * half:
         knot = a + half * h
         if n % 2 == 0:
-            nodes[n - lo], weights[n - lo] = knot, h * TABLE.middle_even[p]
+            nodes[n - lo], weights[n - lo] = knot, h * middle
         else:
-            r1, w_out, w_mid = TABLE.middle_odd[p]
+            r1, w_out, w_mid = middle
             if lo < n:
                 nodes[n - 1 - lo], weights[n - 1 - lo] = knot + h * r1, h * w_out
             if hi > n:

@@ -476,9 +476,8 @@ def test_rule_streams_at_a_size_it_could_not_hold():
     (0.0, 150001.0, 150001), (-1.0e6, -1.0e6 + 3.7, 70001),
 ])
 def test_streamed_json_error_constant_is_the_library_value(tmp_path, a, b, n):
-    # the document's constant is summed over the spans of the first pass;
-    # the correctly rounded sum does not depend on the split, so it equals
-    # the constant of the whole rule bit for bit
+    # the document's constant is the library's, bit for bit, whatever
+    # spans the streamed rule is written in
     out = tmp_path / "rule.json"
     argv = ["rule", "--n", str(n), "--a", repr(a), "--b", repr(b),
             "--format", "json", "--out", str(out)]

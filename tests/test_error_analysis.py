@@ -11,7 +11,6 @@ import pytest
 
 from splinequad import error_analysis
 from splinequad.error_analysis import (
-    _CHUNK,
     MAX_KERNEL_SAMPLES,
     PeanoProfile,
     _alpha_beta,
@@ -341,10 +340,9 @@ def test_error_constant_matches_global_formula_at_small_n():
 
 
 def test_error_constant_memory_does_not_grow_with_n():
-    # the nodes go in blocks of 16384 (quadrature._SUM_BLOCK); one
-    # whole-array temporary at n = 10^5 (200001 doubles, 1.6 MB) and the
-    # next would pass the bound
-    rule = build_rule(make_grid(0.0, 1.0, 10**5))
+    # the constant is a dozen table terms: no array of the nodes' length
+    # (one would be 16 MB at n = 10^6, one block of 16384 doubles 128 KiB)
+    rule = build_rule(make_grid(0.0, 1.0, 10**6))
     error_constant(rule)
     tracemalloc.start()
     try:
@@ -352,7 +350,7 @@ def test_error_constant_memory_does_not_grow_with_n():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 8 * _CHUNK
+    assert peak < 4 << 10
 
 
 def test_error_constant_bits_do_not_depend_on_blas_threads():
@@ -426,6 +424,13 @@ def test_remainder_bound_rejects_negative():
     rule = build_rule(make_grid(0.0, 1.0, 3))
     with pytest.raises(ValueError, match="nonnegative"):
         remainder_bound(rule, -1.0)
+
+
+def test_remainder_bound_rejects_nan():
+    # NaN compares false with 0.0 both ways: a NaN M6 is no bound
+    rule = build_rule(make_grid(0.0, 1.0, 3))
+    with pytest.raises(ValueError, match="nonnegative, got nan"):
+        remainder_bound(rule, math.nan)
 
 
 def test_remainder_bound_covers_sine():

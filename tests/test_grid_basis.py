@@ -56,6 +56,16 @@ def test_make_grid_rejects_bad_input():
         make_grid(-1e308, 1e308, 2)
 
 
+def test_make_grid_takes_only_a_finite_integral_n():
+    # int(2.7) would build n = 2 and int(inf) ends in OverflowError
+    for n in (2.7, 1.5, math.inf, -math.inf, math.nan, np.float32(3.5), "3", None):
+        with pytest.raises(ValueError, match="must be an integer"):
+            make_grid(0.0, 1.0, n)
+    for n in (3, 3.0, np.int64(3), np.float64(3.0), Fraction(6, 2)):
+        grid = make_grid(0.0, 1.0, n)
+        assert grid.n == 3 and type(grid.n) is int
+
+
 def test_knot_index_range():
     grid = make_grid(0, 3, 3)
     with pytest.raises(ValueError):
