@@ -1,9 +1,10 @@
 """Command-line front-end: emit rules, run verification suites, sample kernels.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
-construction failure, or valid arguments whose result does not fit in
-memory (one ``out of memory`` line on stderr, no traceback), 141 (128 +
-SIGPIPE, no traceback) when the reader closes stdout early, as ``head`` does.
+Exit codes: 0 success, 1 verification failure, 2 usage error or an --out
+that cannot be written, 3 internal construction failure, or valid
+arguments whose result does not fit in memory (one ``out of memory`` line
+on stderr, no traceback), 141 (128 + SIGPIPE, no traceback) when the
+reader closes stdout early, as ``head`` does.
 
 ``rule`` and ``kernel`` write bytes, _CHUNK rows at a time. ``rule``
 never holds the rule: it makes it in spans of ``quadrature._SPAN`` rows,
@@ -163,8 +164,11 @@ def _emit(chunks: Iterable[bytes], out: Optional[str]) -> None:
         sys.stdout.flush()
         sys.stdout.buffer.writelines(chunks)
     else:
-        with open(out, "wb") as fh:
-            fh.writelines(chunks)
+        try:
+            with open(out, "wb") as fh:
+                fh.writelines(chunks)
+        except OSError as exc:  # a directory, a missing directory, a full disk
+            raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
 
 
 def _cmd_rule(args: argparse.Namespace) -> int:

@@ -34,11 +34,13 @@ recursion cell by cell. Each build still checks what rounding after the
 scaling can break: nodes strictly increasing, weights positive, weights
 summing to b - a, and the extreme nodes strictly inside (a, b).
 
-That arithmetic is written once, in ``_span``, which makes any run of
-consecutive nodes and weights of a rule: ``build_rule`` makes all 2n + 1,
-and ``_spans`` makes a rule ``_SPAN`` rows at a time, so that
-``splinequad rule`` never holds it whole.  ``_checked`` takes the checks
-span by span, with the same decisions as on the whole rule.
+That arithmetic is written once, row by row: row q of the left half lies
+at (k h + a) + h off, k = q >> 1, with the weight h w (``_left``), and
+``_mirror`` makes the right half.  ``build_rule`` makes rows 0..n and
+mirrors them; ``_span`` makes any run of rows with the same doubles, so
+that ``_spans`` makes a rule ``_SPAN`` rows at a time and ``splinequad
+rule`` never holds it whole.  ``_checked`` takes the checks span by span,
+with the same decisions as on the whole rule.
 
 Rules are immutable once built; ``apply_rule`` is pure. The table is
 computed once and never written afterwards, so builds share no mutable
@@ -398,8 +400,9 @@ _SPAN = 1 << 17
 def build_rule(grid: UniformKnotGrid) -> QuadratureRule:
     """Construct the full 2n+1-node rule for a grid from ``TABLE``.
 
-    The rule is ``_span`` over all 2n + 1 nodes, checked as every span
-    of it is (``_checked``).
+    Rows 0..n are ``_left``'s; rows n+1..2n are the mirror images of rows
+    n-1..0 (``_mirror``), with the same weights.  The rule is checked as
+    every span of it is (``_checked``).
 
     Raises
     ------
@@ -409,86 +412,78 @@ def build_rule(grid: UniformKnotGrid) -> QuadratureRule:
         positive, weights not summing to b - a, or an extreme node not
         strictly inside (a, b).
     """
-    nodes, weights = np.empty(2 * grid.n + 1), np.empty(2 * grid.n + 1)
-    _span(grid, 0, nodes, weights)
+    n = grid.n
+    nodes, weights = np.empty(2 * n + 1), np.empty(2 * n + 1)
+    _left(grid, 0, nodes[: n + 1], weights[: n + 1])
+    _mirror(grid, nodes[n - 1 :: -1], nodes[n + 1 :])
+    weights[n + 1 :] = weights[n - 1 :: -1]
     _validate_rule(grid, nodes, weights)
     return QuadratureRule(grid=grid, nodes=nodes, weights=weights)
 
 
+def _mirror(grid: UniformKnotGrid, tau: np.ndarray, out: np.ndarray) -> None:
+    """Write the mirror images (a + b) - tau of the nodes tau into out (which
+    may be tau), or b - (tau - a) where a + b overflows, as on [1e308, 1.7e308]."""
+    a, b = grid.a, grid.b
+    if math.isfinite(a + b):
+        np.subtract(a + b, tau, out=out)
+    else:
+        np.subtract(b, tau - a, out=out)
+
+
 def _span(grid: UniformKnotGrid, i: int, nodes: np.ndarray, weights: np.ndarray) -> None:
     """Write nodes and weights i .. i + len(nodes) - 1 of the rule over grid
-    (at most 2n + 1 in all) into nodes and weights: the same doubles
-    whichever span they are made in.
-
-    The left half and the middle are ``_layout``'s unit cells scaled by h
-    (``_left``).  The right half mirrors the left: node 2n - q is
-    (a + b) - tau_q with tau_q's weight, or b - (tau_q - a) where a + b is
-    beyond the double range.  Where the mirrored nodes are not in the span
-    itself (as they are in a whole rule), they are made in its right-half
-    part, last first, and mirrored in place.
+    (at most 2n + 1 in all) into nodes and weights, the doubles of
+    ``build_rule``: ``_left``'s rows up to n, and beyond them the mirror
+    images of ``_left``'s rows, made last first and mirrored in place.
     """
     n = grid.n
-    k = min(max(i, n + 1), i + len(nodes))  # the span's right-half part starts at k
-    if i < k:
-        _left(grid, i, nodes[: k - i], weights[: k - i])
-    t, w = nodes[k - i :], weights[k - i :]
-    if len(t):
-        lo = 2 * n + 1 - i - len(nodes)  # t mirrors left-half nodes lo .. lo + len(t) - 1
-        if i <= lo:  # in this span, as in a whole rule
-            src = nodes[lo - i : lo - i + len(t)][::-1]
-            w[...] = weights[lo - i : lo - i + len(t)][::-1]
-        else:  # made in place, last first
-            src = t
-            _left(grid, lo, t[::-1], w[::-1])
-        a, b = grid.a, grid.b
-        if math.isfinite(a + b):  # beyond the double range on [1e308, 1.7e308]
-            np.subtract(a + b, src, out=t)
-        else:
-            np.subtract(b, src - a, out=t)
+    k = min(max(n + 1 - i, 0), len(nodes))  # the span's rows up to n
+    _left(grid, i, nodes[:k], weights[:k])
+    t = nodes[k:]
+    _left(grid, 2 * n + 1 - i - len(nodes), t[::-1], weights[k:][::-1])
+    _mirror(grid, t, t)
 
 
 def _left(grid: UniformKnotGrid, lo: int, nodes: np.ndarray, weights: np.ndarray) -> None:
-    """Write nodes and weights lo .. lo + len(nodes) - 1 of the left half and
-    the middle (indices 0..n) into nodes and weights.
+    """Write rows lo .. lo + len(nodes) - 1 of the left half and the middle
+    (rows 0..n) into nodes and weights.
 
-    Node 2k + s of cell k + 1 lies at knot x_k = a + k h plus h times its
-    unit-cell offset: the table's prefix offsets in cells 1..p, 0 and 1/2
-    in the two-third cells p+1..n//2 (``_layout``).  The middle is the knot
-    x_{n//2} (even n), or the outer node and the midpoint of cell
-    n//2 + 1 (odd n), weighted by the middle closure.
+    Row q lies at (k h + a) + h off, k = q >> 1, with the weight h w, from
+    ``_layout``'s unit cells: the table's (off, w) on the prefix rows
+    0..2p-1, (0, 7/15) and (1/2, 8/15) on the even and odd two-third rows
+    up to 2 (n//2), then the middle closure's rows: the knot x_{n//2}
+    (even n), or the outer node of cell n//2 + 1 and the midpoint (odd n).
     """
     a, n, h = grid.a, grid.n, grid.h
     half, p, middle = _layout(n)
     hi = lo + len(nodes)
-    e = min(hi, 2 * half)  # the prefix and two-third cells end at 2 (n//2)
+    e = min(hi, 2 * half)  # the prefix and two-third rows end at 2 (n//2)
     if lo < e:
-        c = lo // 2
-        knots = np.arange(c, (e + 1) // 2) * h + a  # x_c onwards
-        if lo < 2 * p:
-            f = min(e, 2 * p)
-            at = knots[: (f + 1) // 2 - c].repeat(2)[lo % 2 : lo % 2 + f - lo]
-            nodes[: f - lo] = at + h * TABLE.offsets[lo:f]
+        # k = q >> 1 as the floor of exact halves: with no int-to-float cast,
+        # 1.2-1.7x as fast as an int arange at n = 10^5..10^6 (2-vCPU VM)
+        x = np.floor(np.arange(0.5 * lo, 0.5 * e, 0.5), out=nodes[: e - lo])
+        x *= h
+        x += a
+        f = min(e, 2 * p)  # prefix rows lo .. f - 1
+        if lo < f:
+            nodes[: f - lo] += h * TABLE.offsets[lo:f]
             weights[: f - lo] = h * TABLE.weights[lo:f]
-        s = max(lo, 2 * p)
+        s = max(lo, 2 * p)  # two-third rows s .. e - 1
         if s < e:
-            z = s % 2  # 1 where the two-third cells start on a midpoint
-            fill = knots[s // 2 - c :]
-            nodes[s - lo + z : e - lo : 2] = fill[z:]
-            np.add(fill[: (e - s + z) // 2], 0.5 * h, out=nodes[s - lo + 1 - z : e - lo : 2])
-            weights[s - lo + z : e - lo : 2] = LIMIT_KNOT_WEIGHT * h
-            weights[s - lo + 1 - z : e - lo : 2] = LIMIT_MIDPOINT_WEIGHT * h
-    if hi > 2 * half:
-        knot = a + half * h
-        if n % 2 == 0:
-            nodes[n - lo], weights[n - lo] = knot, h * middle
-        else:
-            r1, w_out, w_mid = middle
-            if lo < n:
-                nodes[n - 1 - lo], weights[n - 1 - lo] = knot + h * r1, h * w_out
-            if hi > n:
-                b = grid.b
-                nodes[n - lo] = 0.5 * (a + b) if math.isfinite(a + b) else a + 0.5 * (b - a)
-                weights[n - lo] = h * w_mid
+            nodes[(s | 1) - lo : e - lo : 2] += 0.5 * h
+            weights[s + s % 2 - lo : e - lo : 2] = LIMIT_KNOT_WEIGHT * h
+            weights[(s | 1) - lo : e - lo : 2] = LIMIT_MIDPOINT_WEIGHT * h
+    knot, b = half * h + a, grid.b  # the middle rows 2 (n//2) .. n
+    if n % 2:
+        r1, w_out, w_mid = middle
+        mid = 0.5 * (a + b) if math.isfinite(a + b) else a + 0.5 * (b - a)
+        rows = ((n - 1, knot + h * r1, w_out), (n, mid, w_mid))
+    else:
+        rows = ((n, knot, middle),)
+    for q, t, w in rows:
+        if lo <= q < hi:
+            nodes[q - lo], weights[q - lo] = t, h * w
 
 
 def _spans(grid: UniformKnotGrid, stop: Optional[int] = None) -> Iterator[

@@ -219,6 +219,21 @@ def test_rule_stdout_and_out_file_are_the_same_bytes(tmp_path, fmt):
     assert to_stdout.stdout == out.read_bytes()
 
 
+@pytest.mark.parametrize("command,out,reason", [
+    ("rule", ".", "Is a directory"),
+    ("rule", "missing/dir/x.csv", "No such file or directory"),
+    ("kernel", ".", "Is a directory"),
+])
+def test_unwritable_out_is_one_line_and_exit_2(tmp_path, capsys, command, out, reason):
+    # an --out that cannot be opened is a usage error, not a traceback
+    path = tmp_path / out
+    assert cli.main([command, "--n", "3", "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {path}: {reason}\n"
+    assert not (tmp_path / "missing").exists()
+
+
 # ----------------------------------------------------------------- kernel
 
 def test_kernel_csv_zeros_and_sign(tmp_path):
