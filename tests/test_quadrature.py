@@ -1,9 +1,11 @@
 """Tests for the node/weight recursion and rule construction."""
 
+import hashlib
 import math
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -474,6 +476,41 @@ def test_table_bits_are_pinned():
     values += [v for closure in TABLE.middle_odd for v in closure]
     assert [v.hex() for v in values] == list(TABLE_HEX)
     assert math.isnan(TABLE.middle_even[0])
+
+
+# Intervals of the pinned small-rule digest, beside [0, n]: moderate ones,
+# a far from 0, b - a near the double range, a + b beyond it, cells at or
+# below the resolution of a (refused for most n), and subnormal ones.
+PINNED_INTERVALS = (
+    (0.0, 1.0), (-3.0, 17.0), (1e6, 1e6 + 1.0), (1e12, 1e12 + 1.0),
+    (-1e300, 1e300), (1e308, 1.7e308), (-1e6, -1e6 + 3.7),
+    (1e15, 1e15 + 1.0), (1e16, 1e16 + 8.0), (5e-324, 1e-322), (0.0, 5e-310),
+)
+# n = 4096..4098 straddle the edge of the unit-row table (_TABLE_ROWS)
+PINNED_NS = (*range(1, 301), 4096, 4097, 4098)
+
+
+def _small_rules_digest(ns):
+    """sha256 of build_rule's nodes and weights, or its refusal message, for
+    every n in ns on each of PINNED_INTERVALS and on [0, n]."""
+    digest = hashlib.sha256()
+    for n in ns:
+        for a, b in (*PINNED_INTERVALS, (0.0, float(n))):
+            digest.update(f"{a!r} {b!r} {n}\n".encode())
+            try:
+                rule = build_rule(make_grid(a, b, n))
+            except ConstructionError as exc:
+                digest.update(f"refused: {exc}\n".encode())
+            else:
+                digest.update(rule.nodes.tobytes() + rule.weights.tobytes())
+    return digest.hexdigest()
+
+
+def test_small_rules_match_their_pinned_digest():
+    # captured from the build before the unit-row table, which derived every
+    # row from its index: an independent check of the rows read from it
+    pinned = (Path(__file__).parent / "golden" / "build_rule_small.sha256").read_text()
+    assert _small_rules_digest(PINNED_NS) == pinned.split()[0]
 
 
 @pytest.mark.parametrize("a", [0.0, -3.0, 17.0])
