@@ -36,15 +36,21 @@ summing to b - a, and the extreme nodes strictly inside (a, b).
 
 That arithmetic is written once, row by row: row q of the left half lies
 at (k h + a) + h off, k = q >> 1, with the weight h w (``_left``), and
-``_mirror`` makes the right half.  ``build_rule`` makes rows 0..n and
+``_mirror`` makes the right half.  The unit rows (k, off, w) before the
+middle are the same for every rule: the prefix cells, then the two-third
+fill.  So their first ``_TABLE_ROWS`` (4097) are a second read-only array,
+``_ROWS``, made from ``TABLE`` at import, and a rule of n <= 4097 cells
+reads every such row from it; only rows 4097 and beyond, on larger grids,
+make k from q and (off, w) by parity.  ``build_rule`` makes rows 0..n and
 mirrors them; ``_span`` makes any run of rows with the same doubles, so
 that ``_spans`` makes a rule ``_SPAN`` rows at a time and ``splinequad
 rule`` never holds it whole.  ``_checked`` takes the checks span by span,
-with the same decisions as on the whole rule.
+and ``_validate_rule`` on a whole rule at once, with the same decisions
+(``_tally`` and ``_verdict``).
 
-Rules are immutable once built; ``apply_rule`` is pure. The table is
-computed once and never written afterwards, so builds share no mutable
-state.
+Rules are immutable once built; ``apply_rule`` is pure.  ``TABLE`` and
+``_ROWS`` are computed once and never written afterwards, so builds share
+no mutable state.
 """
 
 from __future__ import annotations
@@ -388,6 +394,36 @@ def _layout(n: int) -> tuple[int, int, float | tuple[float, float, float]]:
     return half, p, (TABLE.middle_odd if n % 2 else TABLE.middle_even)[p]
 
 
+# Rows in the unit-row table (_ROWS): the rows before the middle of every
+# rule with n <= 4097 cells.  Small builds are mostly fixed cost: on a
+# 2-vCPU x86-64 VM (Python 3.11, numpy 2.4), deriving the rows from their
+# index took 8-10 us of a 20-35 us build at n = 4-200, reading them takes
+# 4-6 us.  Reading is faster per row too (a table of 2^16 + 1 rows built
+# n = 4098..16385 in 0.8 of the time, n = 65537 in the same time), but
+# every process that imports the module holds the table, 24 bytes a row:
+# 4097 rows keep it at 96 KiB and cover every rule the audits build.
+_TABLE_ROWS = 4097
+
+
+def _unit_rows() -> np.ndarray:
+    """Read-only (k, off, w) of left-half rows 0 .. _TABLE_ROWS - 1 on the
+    unit grid [0, n], n large: k = q >> 1, then ``TABLE``'s prefix offsets
+    and weights, then the two-third rows' (0, 7/15) and (1/2, 8/15)."""
+    rows = np.empty((3, _TABLE_ROWS))
+    k, off, w = rows
+    k[:] = np.arange(_TABLE_ROWS) >> 1
+    p = len(TABLE.offsets)  # even: two rows per prefix cell
+    off[:p], w[:p] = TABLE.offsets, TABLE.weights
+    off[p::2], w[p::2] = 0.0, LIMIT_KNOT_WEIGHT
+    off[p + 1 :: 2], w[p + 1 :: 2] = 0.5, LIMIT_MIDPOINT_WEIGHT
+    rows.setflags(write=False)
+    return rows
+
+
+_ROWS = _unit_rows()
+_K, _OFF, _W = _ROWS  # read-only views, each sliced in one operation
+
+
 # Rows per span of a streamed rule (see _spans).  A multiple of _SUM_BLOCK,
 # so that every span's weight sums fall on the whole rule's blocks, and the
 # fewest rows whose (2, rows) block is 2 MiB.  At n = 10^6 (2-vCPU x86-64
@@ -450,30 +486,39 @@ def _left(grid: UniformKnotGrid, lo: int, nodes: np.ndarray, weights: np.ndarray
     (rows 0..n) into nodes and weights.
 
     Row q lies at (k h + a) + h off, k = q >> 1, with the weight h w, from
-    ``_layout``'s unit cells: the table's (off, w) on the prefix rows
+    ``_layout``'s unit cells: ``TABLE``'s (off, w) on the prefix rows
     0..2p-1, (0, 7/15) and (1/2, 8/15) on the even and odd two-third rows
     up to 2 (n//2), then the middle closure's rows: the knot x_{n//2}
     (even n), or the outer node of cell n//2 + 1 and the midpoint (odd n).
+    Up to 2 (n//2), rows below ``_TABLE_ROWS`` read (k, off, w) from
+    ``_ROWS`` in four array operations; two-third rows beyond it, on grids
+    of more than 4097 cells, make k from q and (off, w) by parity.
     """
     a, n, h = grid.a, grid.n, grid.h
-    half, p, middle = _layout(n)
+    half, _, middle = _layout(n)
     hi = lo + len(nodes)
     e = min(hi, 2 * half)  # the prefix and two-third rows end at 2 (n//2)
     if lo < e:
-        # k = q >> 1 as the floor of exact halves: with no int-to-float cast,
-        # 1.2-1.7x as fast as an int arange at n = 10^5..10^6 (2-vCPU VM)
-        x = np.floor(np.arange(0.5 * lo, 0.5 * e, 0.5), out=nodes[: e - lo])
-        x *= h
-        x += a
-        f = min(e, 2 * p)  # prefix rows lo .. f - 1
+        f = min(e, _TABLE_ROWS)  # rows lo .. f - 1 from the table
         if lo < f:
-            nodes[: f - lo] += h * TABLE.offsets[lo:f]
-            weights[: f - lo] = h * TABLE.weights[lo:f]
-        s = max(lo, 2 * p)  # two-third rows s .. e - 1
+            # h as a 0-d array, which a ufunc takes about 0.3 us faster
+            # than a Python float (numpy 2.4): the same doubles
+            hv = np.array(h)
+            x = np.multiply(_K[lo:f], hv, out=nodes[: f - lo])
+            x += a
+            x += hv * _OFF[lo:f]
+            np.multiply(_W[lo:f], hv, out=weights[: f - lo])
+        s = max(lo, _TABLE_ROWS)  # two-third rows s .. e - 1 beyond it
         if s < e:
-            nodes[(s | 1) - lo : e - lo : 2] += 0.5 * h
-            weights[s + s % 2 - lo : e - lo : 2] = LIMIT_KNOT_WEIGHT * h
-            weights[(s | 1) - lo : e - lo : 2] = LIMIT_MIDPOINT_WEIGHT * h
+            # k = q >> 1 as the floor of exact halves: with no int-to-float
+            # cast, 1.2-1.7x as fast as an int arange at n = 10^5..10^6
+            x = np.floor(np.arange(0.5 * s, 0.5 * e, 0.5), out=nodes[s - lo : e - lo])
+            x *= h
+            x += a
+            x[1 - s % 2 :: 2] += 0.5 * h
+            y = weights[s - lo : e - lo]
+            y[s % 2 :: 2] = LIMIT_KNOT_WEIGHT * h
+            y[1 - s % 2 :: 2] = LIMIT_MIDPOINT_WEIGHT * h
     knot, b = half * h + a, grid.b  # the middle rows 2 (n//2) .. n
     if n % 2:
         r1, w_out, w_mid = middle
@@ -516,10 +561,10 @@ def _checked(
 
     Carried from span to span: whether the nodes so far strictly increase
     (the last node included), whether every weight is positive, the first
-    node, and the sums of the weights in blocks of ``_SUM_BLOCK``, rounded
-    once by ``math.fsum``.  The spans start at multiples of ``_SUM_BLOCK``
-    (as ``_spans`` and a whole rule do), so the blocks, and hence the total
-    and every decision, are the same however the rule is split.
+    node, and the sums of the weights in blocks of ``_SUM_BLOCK``
+    (``_tally``).  The spans start at multiples of ``_SUM_BLOCK`` (as
+    ``_spans`` and a whole rule do), so the blocks, and hence the total and
+    every decision (``_verdict``), are the same however the rule is split.
     """
     increasing = positive = True
     first = last = None
@@ -529,13 +574,44 @@ def _checked(
             first = nodes[0]
         else:
             increasing = increasing and last < nodes[0]
-        # the ufuncs' reduce, which the ndarray methods call through Python
-        increasing = increasing and np.logical_and.reduce(nodes[1:] > nodes[:-1])
-        positive = positive and np.minimum.reduce(weights) > 0.0
-        for s in range(0, len(weights), _SUM_BLOCK):
-            sums.append(np.add.reduce(weights[s : s + _SUM_BLOCK]))
+        span_increasing, span_positive = _tally(nodes, weights, sums)
+        increasing = increasing and span_increasing
+        positive = positive and span_positive
         last = nodes[-1]
         yield nodes, weights
+    _verdict(grid, increasing, positive, sums, first, last)
+
+
+def _validate_rule(grid: UniformKnotGrid, nodes: np.ndarray, weights: np.ndarray) -> None:
+    """Raise ``ConstructionError`` where build_rule refuses the whole rule
+    (nodes, weights) over grid, with its message: ``_checked``'s decisions
+    (``_tally`` and ``_verdict``) taken on the rule as one span, without a
+    generator around it."""
+    sums = []
+    increasing, positive = _tally(nodes, weights, sums)
+    _verdict(grid, increasing, positive, sums, nodes[0], nodes[-1])
+
+
+def _tally(nodes: np.ndarray, weights: np.ndarray, sums: list) -> tuple[bool, bool]:
+    """Whether the nodes of one span strictly increase and its weights are
+    all positive; appends the sums of its weights in blocks of ``_SUM_BLOCK``."""
+    for s in range(0, len(weights), _SUM_BLOCK):
+        sums.append(np.add.reduce(weights[s : s + _SUM_BLOCK]))
+    # count_nonzero skips the ufunc reduce machinery: about 1 us faster on a
+    # short array, 4 us slower on a span of 2^17 nodes; minimum's reduce is
+    # the ufunc's, not the ndarray method that calls it through Python
+    return (
+        np.count_nonzero(nodes[1:] > nodes[:-1]) == len(nodes) - 1,
+        np.minimum.reduce(weights) > 0.0,
+    )
+
+
+def _verdict(
+    grid: UniformKnotGrid, increasing: bool, positive: bool, sums: list, first: float, last: float
+) -> None:
+    """``ConstructionError`` for the first check a rule over grid fails: its
+    nodes in order, its weights positive, their block sums, rounded once by
+    ``math.fsum``, equal to b - a, and its first and last node inside (a, b)."""
     if not increasing:
         raise ConstructionError("nodes are not strictly increasing")
     if not positive:
@@ -551,11 +627,6 @@ def _checked(
         )
     if first <= grid.a or last >= grid.b:
         raise ConstructionError("extreme nodes must lie strictly inside (a, b)")
-
-
-def _validate_rule(grid: UniformKnotGrid, nodes: np.ndarray, weights: np.ndarray) -> None:
-    for _ in _checked(grid, [(nodes, weights)]):
-        pass
 
 
 def apply_rule(

@@ -26,7 +26,9 @@ from splinequad.quadrature import (
     _SUM_BLOCK,
     _SUM_REST,
     _SUM_SHIFT,
+    _ROWS,
     _SPAN,
+    _TABLE_ROWS,
     _checked,
     _fsum_products,
     _middle_even,
@@ -513,6 +515,14 @@ def test_small_rules_match_their_pinned_digest():
     assert _small_rules_digest(PINNED_NS) == pinned.split()[0]
 
 
+def test_unit_rows_are_read_only_and_small():
+    # built once at import and shared by every build: no build can write it
+    assert not _ROWS.flags.writeable and _ROWS.nbytes <= 128 * 1024
+    for row in _ROWS:
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 1.0
+
+
 @pytest.mark.parametrize("a", [0.0, -3.0, 17.0])
 def test_unit_spaced_rules_equal_the_cell_by_cell_recursion(a):
     for n in list(range(1, 41)) + [101, 1000]:
@@ -595,7 +605,10 @@ def test_spans_are_slices_of_the_whole_rule(a, b):
     # build_rule mirrors its left half and a span makes its right-half rows
     # itself; for small n every suffix span too
     rng = np.random.default_rng(15)
-    for n in [*range(1, 24), 101, 1000, 1001, _SPAN // 2, _SPAN // 2 + 1]:
+    # n = _TABLE_ROWS - 1 .. + 1: rules on both sides of the unit-row
+    # table's edge, the last read whole from it and the first past it
+    edge = [_TABLE_ROWS - 1, _TABLE_ROWS, _TABLE_ROWS + 1]
+    for n in [*range(1, 24), 101, 1000, 1001, *edge, _SPAN // 2, _SPAN // 2 + 1]:
         grid = make_grid(a, b, n)
         rule = build_rule(grid)
         m = 2 * n + 1
@@ -618,27 +631,30 @@ def test_spans_are_slices_of_the_whole_rule(a, b):
 
 def test_checks_over_spans_refuse_as_the_whole_rule():
     # carried across a span boundary: the order of the nodes, the sign of
-    # the weights and their sum; each refusal is build_rule's message
-    grid = make_grid(0.0, 1.0, _SPAN)
-    nodes, weights = build_rule(grid).nodes.copy(), build_rule(grid).weights.copy()
-    cut = _SPAN  # the first node of the second span
-    swapped = nodes.copy()
-    swapped[[cut - 1, cut]] = swapped[[cut, cut - 1]]
-    bad = {
-        "strictly increasing": (swapped, weights),
-        "positive": (nodes, np.where(np.arange(len(weights)) == cut, -weights, weights)),
-        "sum to": (nodes, weights * (1.0 + 1e-9)),
-        "inside": (nodes, weights),
-    }
-    for match, (t, w) in bad.items():
-        spans = [(t[:cut], w[:cut]), (t[cut:], w[cut:])]
-        if match == "inside":
-            spans[1] = (np.append(t[cut:-1], 1.0), w[cut:])
-        with pytest.raises(ConstructionError, match=match):
-            for _ in _checked(grid, spans):
-                pass
-        with pytest.raises(ConstructionError, match=match):
-            _validate_rule(grid, np.concatenate([x for x, _ in spans]), w)
+    # the weights and their sum; each refusal is build_rule's message.  The
+    # one-block rule (n = 10) is checked as one span and directly: the two
+    # refuse every broken case with the same message
+    for n, cut in ((_SPAN, _SPAN), (10, None)):
+        grid = make_grid(0.0, 1.0, n)
+        rule = build_rule(grid)
+        nodes, weights = rule.nodes.copy(), rule.weights.copy()
+        i = cut or n  # a node and weight that the broken cases change
+        swapped = nodes.copy()
+        swapped[[i - 1, i]] = swapped[[i, i - 1]]
+        bad = {
+            "strictly increasing": (swapped, weights),
+            "positive": (nodes, np.where(np.arange(len(weights)) == i, -weights, weights)),
+            "sum to": (nodes, weights * (1.0 + 1e-9)),
+            "inside": (np.append(nodes[:-1], 1.0), weights),
+        }
+        for match, (t, w) in bad.items():
+            spans = [(t[:cut], w[:cut]), (t[cut:], w[cut:])] if cut else [(t, w)]
+            with pytest.raises(ConstructionError, match=match) as by_spans:
+                for _ in _checked(grid, spans):
+                    pass
+            with pytest.raises(ConstructionError, match=match) as whole:
+                _validate_rule(grid, t, w)
+            assert str(whole.value) == str(by_spans.value), (n, match)
 
 
 def test_grids_where_a_plus_b_overflows_build():
