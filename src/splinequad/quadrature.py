@@ -58,6 +58,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -90,7 +91,7 @@ CONVERGENCE_TOL = 1e-13
 LIMIT_KNOT_WEIGHT = 7.0 / 15.0
 LIMIT_MIDPOINT_WEIGHT = 8.0 / 15.0
 
-# Rules with at least this many nodes first offer f the whole node array
+# Rules with at least this many nodes first offer f their nodes as arrays
 # (see apply_rule).  The array call pays a fixed cost (numpy dispatch per
 # operation in f, and the errstate switch); the per-node loop pays per
 # node.  On a 2-vCPU x86-64 VM (Python 3.11, numpy 2.4) they break even at
@@ -112,9 +113,10 @@ _CHECK_BLOCK = 1 << 12
 # 30 % faster on both, a margin that keeps every sum from running slower.
 _EXTRACT_MIN = 1 << 11
 
-# Products extracted at a time: a block and its temporaries (about 0.4 MB)
-# stay in cache, and at 2*10^6 + 1 products 2^14 ran as fast as 2^15 and
-# 30 % faster than 2^12, whose per-block numpy calls cost more.
+# Products extracted at a time, and nodes per array call of f in apply_rule:
+# a block, its temporaries and f's (about 0.4 MB for a Horner quintic) stay
+# in cache, and at 2*10^6 + 1 products 2^14 ran as fast as 2^15 and 30 %
+# faster than 2^12, whose per-block numpy calls cost more.
 _SUM_BLOCK = 1 << 14
 
 # sigma = 2^(e + _SUM_SHIFT) for a block whose largest |r| is below 2^e:
@@ -642,26 +644,34 @@ def apply_rule(
     accumulation error.
 
     Calling convention: on a rule with at least ``ARRAY_MIN_NODES`` nodes,
-    f is first called once with the whole node array (read-only, shape
-    ``(2n+1,)``).  Its result is used when it is an ndarray of that shape
-    whose dtype float64 takes in (bool, integer, or float of at most 64
-    bits); in every other case (f raises, a floating-point error included:
-    division by zero, overflow or an invalid operation such as the root of
-    a negative number; or f returns a scalar, a list, another shape, or a
-    complex or long double array), and always on smaller rules, f is
-    called per node with Python floats (read from the arrays one at a
-    time) and the products are formed as ``w * f(t)``;
+    f is first called with the nodes a block at a time: each block a
+    read-only view of at most ``_SUM_BLOCK`` (16384) consecutive nodes, so
+    once on rules of up to 16384 nodes and ceil((2n+1) / 16384) times on
+    larger ones.  A block's result is used when it is an ndarray of the
+    block's shape whose dtype float64 takes in (bool, integer, or float of
+    at most 64 bits); its products are formed and reduced while in cache
+    (see ``_sum_products``).  In every other case, on any block (f raises,
+    a floating-point error included: division by zero, overflow or an
+    invalid operation such as the root of a negative number; or f returns
+    a scalar, a list, another shape, or a complex or long double array),
+    and always on smaller rules, f is called per node with Python floats
+    (read from the arrays one at a time) over the whole rule and the
+    products are formed as ``w * f(t)``;
     a complex product, numpy's complex scalars included, raises
     ``TypeError`` (checked per product below the cut, and per block of
     ``_CHECK_BLOCK`` products above it).  A scalar-only f therefore works
     unchanged; an array-capable f should compute elementwise what it
-    computes per node.
+    computes per node, whatever block a node comes in.  Where
+    ``math.fsum``'s own rules decide the sum (a product that is inf or nan
+    or near the overflow threshold, an exact-zero total), f is called a
+    second time on every block, and the products are summed by
+    ``math.fsum`` themselves.
     """
     nodes, weights = rule.nodes, rule.weights
     if len(nodes) >= ARRAY_MIN_NODES:
-        values = _array_values(f, nodes)
-        if values is not None:
-            return _fsum_products(weights, values)
+        total = _sum_products(weights, nodes, partial(_array_values, f))
+        if total is not None:
+            return total
         products = map(operator.mul, _items(weights), map(f, _items(nodes)))
         blocks = iter(lambda: list(islice(products, _CHECK_BLOCK)), [])
         return math.fsum(chain.from_iterable(map(_real_block, blocks)))
@@ -673,26 +683,55 @@ def _fsum_products(weights: np.ndarray, values: np.ndarray) -> float:
     """``math.fsum((weights * values).tolist())``, bit for bit and exceptions
     included, without a Python float per product on long arrays.  The
     weights are float64 and the values of a dtype float64 takes in (as
-    ``_array_values`` admits them), so the products are doubles.
+    ``_array_values`` admits them), so the products are doubles."""
+    return _sum_products(weights, values, lambda v: v)
 
-    From ``_EXTRACT_MIN`` double products on, each block is reduced by
-    error-free extraction (``_extract``), and the exact partial sums are
-    rounded once by ``math.fsum``.
+
+def _sum_products(
+    weights: np.ndarray, x: np.ndarray, values: Callable[[np.ndarray], Optional[np.ndarray]]
+) -> Optional[float]:
+    """``math.fsum`` of the products ``weights * values(x)``, bit for bit and
+    exceptions included, with values(x) taken a block at a time: None where
+    ``values`` gives None on any block (or on its second call on a block,
+    below).
+
+    Under ``_EXTRACT_MIN`` products, values(x) is one block and the products
+    are summed by ``math.fsum``.  From ``_EXTRACT_MIN`` on, the blocks are
+    ``_SUM_BLOCK`` long: each block's products are formed and reduced by
+    error-free extraction (``_extract``) at once, and the exact partial sums
+    of all blocks are rounded once by ``math.fsum``.
 
     ``math.fsum`` of the products themselves decides where the two sums
     could differ: a product that is inf or nan, a product at 2^emax or
     above (fsum may overflow), and an exact-zero total (fsum's sign of
-    zero).
+    zero).  The blocks' values are then taken a second time.
     """
     n = len(weights)
     if n < _EXTRACT_MIN:
-        return math.fsum(_items(weights * values))
-    partials = []
-    for r in _product_blocks(weights, values):
-        if not _extract(r, partials, n):
-            return _plain_fsum(weights, values)
-    total = math.fsum(partials)
-    return total if total != 0.0 else _plain_fsum(weights, values)
+        v = values(x)
+        return None if v is None else math.fsum(_items(weights * v))
+    partials, exact = [], True
+    for i in range(0, n, _SUM_BLOCK):
+        v = values(x[i : i + _SUM_BLOCK])
+        if v is None:
+            return None
+        if exact:
+            exact = _extract(weights[i : i + _SUM_BLOCK] * v, partials, n)
+    total = math.fsum(partials) if exact else 0.0
+    if total != 0.0:
+        return total
+    refused = []
+
+    def products():
+        for i in range(0, n, _SUM_BLOCK):
+            v = values(x[i : i + _SUM_BLOCK])
+            if v is None:
+                refused.append(i)
+                return
+            yield from _items(weights[i : i + _SUM_BLOCK] * v)
+
+    total = math.fsum(products())
+    return None if refused else total
 
 
 def _extract(r: np.ndarray, partials: list, count: int) -> bool:
@@ -702,15 +741,20 @@ def _extract(r: np.ndarray, partials: list, count: int) -> bool:
     Error-free extraction (ExtractVector of Rump, Ogita & Oishi, SIAM J.
     Sci. Comput. 31, 2008): with sigma = 2^(e + _SUM_SHIFT) above every |r|
     of the block, q = (sigma + r) - sigma holds r's leading bits,
-    ``q.sum()`` is exact, and r - q is exact and at least 2^37 times
-    smaller than the largest r.  Zeros are dropped after each pass.  Once
-    fewer than ``_SUM_REST`` remainders are left, or sigma would be
-    subnormal, they are appended as they are.  So ``math.fsum(partials)``
-    is the correctly rounded sum of every block given, however the doubles
-    are split into blocks of at most ``_SUM_BLOCK``.
+    ``q.sum()`` is exact, and r - q is exact and at most ulp(sigma)/2, so
+    below 2^(e + _SUM_SHIFT - 52): at least 2^37 times smaller than the
+    largest r.  Passes go in pairs: the first takes e from the largest |r|,
+    the second from that bound, as AccSum does (Rump, Ogita & Oishi, SIAM
+    J. Sci. Comput. 31, 2008), and zeros are dropped after the pair.  sigma
+    is at least 2^-1022: below 2^(-1022 - _SUM_SHIFT) every double is a
+    multiple of ulp(2^-1022) = 2^-1074, so that sigma takes every r whole
+    and their sum is exact.  Once fewer than ``_SUM_REST`` remainders are
+    left, they are appended as they are.  So ``math.fsum(partials)`` is the
+    correctly rounded sum of every block given, however the doubles are
+    split into blocks of at most ``_SUM_BLOCK``.
 
     Returns False where r holds inf or nan or a value at 2^emax or above
-    (where sigma or the sum could overflow): r is then appended as it is.
+    (where sigma or the sum could overflow), and appends nothing.
     """
     # every |r| below 2^emax keeps sigma finite and the absolute sum of the
     # count doubles below 2^1023, where neither summation can overflow
@@ -718,32 +762,17 @@ def _extract(r: np.ndarray, partials: list, count: int) -> bool:
     while len(r) >= _SUM_REST:
         big = max(r.max(), -r.min())
         if not big < math.ldexp(1.0, emax):  # only on the first pass
-            partials += r.tolist()
             return False
         e = math.frexp(big)[1]
-        if e < -1022 - _SUM_SHIFT:  # sigma would be subnormal
-            break
-        sigma = math.ldexp(1.0, e + _SUM_SHIFT)
-        q = r + sigma
-        q -= sigma
-        partials.append(q.sum())
-        r -= q
+        for e in (e, e + _SUM_SHIFT - 52):
+            sigma = math.ldexp(1.0, max(e + _SUM_SHIFT, -1022))
+            q = r + sigma
+            q -= sigma
+            partials.append(q.sum())
+            r -= q
         r = r[r != 0.0]
     partials += r.tolist()
     return True
-
-
-def _plain_fsum(weights: np.ndarray, values: np.ndarray) -> float:
-    """``math.fsum`` of the products, formed ``_SUM_BLOCK`` at a time."""
-    return math.fsum(chain.from_iterable(map(_items, _product_blocks(weights, values))))
-
-
-def _product_blocks(weights: np.ndarray, values: np.ndarray) -> Iterable[np.ndarray]:
-    """``weights * values``, ``_SUM_BLOCK`` products at a time."""
-    return (
-        weights[i : i + _SUM_BLOCK] * values[i : i + _SUM_BLOCK]
-        for i in range(0, len(weights), _SUM_BLOCK)
-    )
 
 
 def _real(product):

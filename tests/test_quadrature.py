@@ -721,9 +721,11 @@ def counting_array_calls(f, calls):
     return g
 
 
-# n just below, at and just above the array cut, and far above it
+# n just below, at and just above the array cut, with 2n + 1 just below
+# and just above one block of nodes and just above two, and far above them
 CUT_N = ARRAY_MIN_NODES // 2
-ARRAY_SIZES = (CUT_N - 1, CUT_N, CUT_N + 1, 10**5)
+ARRAY_SIZES = (CUT_N - 1, CUT_N, CUT_N + 1,
+               _SUM_BLOCK // 2 - 1, _SUM_BLOCK // 2, _SUM_BLOCK, 10**5)
 
 
 @pytest.mark.parametrize("n", ARRAY_SIZES)
@@ -739,7 +741,9 @@ def test_apply_array_path_bit_identical_to_per_node(n):
             calls = [0]
             q = apply_rule(rule, counting_array_calls(f, calls))
             assert q.hex() == per_node(rule, f).hex(), (a, b)
-            assert calls[0] == (len(rule) >= ARRAY_MIN_NODES)
+            # one array call per block of _SUM_BLOCK nodes from the cut on
+            blocks = -(-len(rule) // _SUM_BLOCK)
+            assert calls[0] == (blocks if len(rule) >= ARRAY_MIN_NODES else 0)
 
 
 def test_apply_accepts_bool_and_integer_arrays():
@@ -1027,6 +1031,21 @@ def test_sum_overflows_as_fsum_does(n):
         _fsum_products(np.ones(n), np.full(n, 1e308))
 
 
+def test_sum_second_pass_takes_remainders_at_their_bound():
+    # +-0.75 set the first pass's sigma to 2^_SUM_SHIFT; every other product
+    # lies just below half its ulp, so that pass leaves it whole, and the
+    # second pass gets remainders of one sign, as large as the bound its
+    # sigma is derived from.  The last product takes away the block's
+    # rounded sum: the total is that rounding error, in which an inexact
+    # pass would show
+    for seed in range(8):
+        rng = np.random.default_rng([seed, 19])
+        values = np.ldexp(rng.uniform(1.0 - 2.0**-20, 1.0, _SUM_BLOCK + 1), _SUM_SHIFT - 53)
+        values[:2] = 0.75, -0.75
+        values[-1] = -math.fsum(values[:-1].tolist())
+        assert_sums_as_fsum(np.ones(_SUM_BLOCK + 1), values)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(
     specials=st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
@@ -1047,16 +1066,152 @@ def test_sum_equals_fsum_property(specials, n, lo, width, seed):
 
 
 def test_apply_array_path_holds_one_array_of_values():
-    # the products are formed a block at a time, never as a full-length
-    # weights * values
-    rule = build_rule(make_grid(0.0, 1.0, 100_000))
+    # f is called a block of _SUM_BLOCK nodes at a time and each block's
+    # products are reduced before the next, so neither f's values, nor its
+    # temporaries, nor the products are ever full-length (30.5 MiB when f
+    # took all 2 * 10^6 + 1 nodes at once)
+    rule = build_rule(make_grid(-1.0, 2.0, 10**6))
+    f = horner_quintic(-1.0, 2.0, (0.5, -1.0, 0.25, 2.0, -0.75, 1.0))
     tracemalloc.start()
     try:
-        apply_rule(rule, lambda t: 2.0 * t)
+        apply_rule(rule, f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < rule.nodes.nbytes + (1 << 20)
+    assert peak <= 2 << 20
+
+
+def on_nodes(rule, at, special, f):
+    """f, but special[k] at the node at[k] (an array-capable integrand)."""
+    def g(t):
+        v = f(t)
+        for i, s in zip(at, special):
+            v = np.where(t == rule.nodes[i], s, v)
+        return v
+    return g
+
+
+def fsum_outcome(rule, f):
+    """math.fsum of the products of one whole-array call of f: the value's
+    hex, or the type of the exception fsum raises."""
+    with np.errstate(over="ignore"):
+        products = rule.weights * f(rule.nodes)
+    try:
+        return math.fsum(products.tolist()).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def apply_outcome(rule, f):
+    try:
+        return apply_rule(rule, f).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def test_apply_refusal_in_a_later_block_takes_the_per_node_path():
+    rule = build_rule(make_grid(-1.0, 2.0, 2 * _SUM_BLOCK))  # 4 blocks and a node
+    q = horner_quintic(-1.0, 2.0, (0.5, -1.0, 0.25, 2.0, -0.75, 1.0))
+    at = float(rule.nodes[2 * _SUM_BLOCK + 5])  # in block 3
+    calls = [0]
+    with pytest.raises(ZeroDivisionError):
+        apply_rule(rule, counting_array_calls(lambda t: 1.0 / (t - at), calls))
+    assert calls[0] == 3  # blocks 1-3, then per node from the first node
+    with pytest.raises(ZeroDivisionError):
+        per_node(rule, lambda t: 1.0 / (t - at))
+
+    # a list instead of an array from block 3 on: the per-node sum
+    start = float(rule.nodes[2 * _SUM_BLOCK])
+
+    def listed_from_block_3(t):
+        v = q(t)
+        return v.tolist() if isinstance(t, np.ndarray) and t[0] >= start else v
+
+    assert apply_rule(rule, listed_from_block_3).hex() == per_node(rule, q).hex()
+
+
+# a near-overflow value: with weights near 1, three of them sum beyond the
+# double range, and they cancel when one is negated
+BIG = 1.5 * 2.0**1022
+LATE_SPECIALS = ((math.inf,), (-math.inf,), (math.nan,), (BIG,), (math.inf, -math.inf),
+                 (BIG, BIG, BIG), (BIG, -BIG, BIG))
+
+
+@pytest.mark.parametrize("n", (_SUM_BLOCK, _SUM_BLOCK + 100))
+def test_apply_special_products_in_the_last_block_are_fsums(n):
+    # the last block holds one node (n = _SUM_BLOCK) or 201, three of them
+    # two-third nodes; the grid is [0, 2n], so their weights are about 1
+    rule = build_rule(make_grid(0.0, 2.0 * n, n))
+    q = horner_quintic(0.0, 2.0 * n, (0.5, -1.0, 0.25, 2.0, -0.75, 1.0))
+    blocks = -(-len(rule) // _SUM_BLOCK)
+    last = (blocks - 1) * _SUM_BLOCK  # the last block's first node
+    at = (last + 3, last + 50, last + 101) if n > _SUM_BLOCK else (last,)
+    outcomes = set()
+    for special in LATE_SPECIALS[: None if n > _SUM_BLOCK else 4]:
+        f = on_nodes(rule, at, special, q)
+        calls = [0]
+        got = apply_outcome(rule, counting_array_calls(f, calls))
+        assert got == fsum_outcome(rule, f), special
+        # math.fsum of the products decides, after a second call per block;
+        # a last block under _SUM_REST products goes to the final math.fsum
+        # as it is, and that decides with no second call
+        assert calls[0] == (2 * blocks if n > _SUM_BLOCK else blocks)
+        outcomes.add(got)
+    assert {"inf", "-inf", "nan"} <= outcomes
+    if n > _SUM_BLOCK:
+        assert {ValueError, OverflowError} <= outcomes
+
+
+def test_apply_zero_total_is_fsums():
+    # an exact-zero total is math.fsum's too: f is called again per block
+    rule = build_rule(make_grid(-1.0, 2.0, _SUM_BLOCK))
+    calls = [0]
+    got = apply_rule(rule, counting_array_calls(np.zeros_like, calls))
+    assert got.hex() == "0x0.0p+0" and calls[0] == 2 * 3
+
+
+def test_apply_takes_the_per_node_path_when_a_second_call_is_refused():
+    # an f that is array-capable only once per block: where math.fsum
+    # decides, its second calls are refused, and the whole rule is summed
+    # per node as when a first call is refused
+    rule = build_rule(make_grid(-1.0, 2.0, _SUM_BLOCK + 100))
+    q = horner_quintic(-1.0, 2.0, (0.5, -1.0, 0.25, 2.0, -0.75, 1.0))
+    f = on_nodes(rule, (5,), (math.inf,), q)
+    seen = set()
+
+    def once(t):
+        if isinstance(t, np.ndarray):
+            if t[0] in seen:
+                raise TypeError("one array call per block")
+            seen.add(t[0])
+        return f(t)
+
+    assert apply_rule(rule, once) == math.inf
+    assert len(seen) == 3
+
+
+def test_apply_block_that_needs_a_third_pass_is_fsums():
+    # values 2^-40 .. 2^40 times a quintic: the products of every block span
+    # more than 2^60.  A pass takes at most the 53 - _SUM_SHIFT bits below
+    # 2^e, e the exponent of the block's largest product, and then below
+    # its remainders' bound; in each block at least _SUM_REST products are
+    # not multiples of 2^(e - 2 (53 - _SUM_SHIFT)), so two passes leave
+    # them a nonzero remainder
+    rule = build_rule(make_grid(-1.0, 2.0, _SUM_BLOCK + 100))
+    q = horner_quintic(-1.0, 2.0, (0.5, -1.0, 0.25, 2.0, -0.75, 1.0))
+
+    def f(t):
+        return np.ldexp(q(t), (np.floor(t * 7919.0) % 81.0 - 40.0).astype(np.int64))
+
+    products = rule.weights * f(rule.nodes)
+    for i in range(0, len(rule), _SUM_BLOCK):
+        block = np.abs(products[i : i + _SUM_BLOCK])
+        e = math.frexp(block.max())[1]
+        assert block.max() > 2.0**60 * block.min() > 0.0
+        assert np.count_nonzero(np.ldexp(block, 2 * (53 - _SUM_SHIFT) - e) % 1.0) >= _SUM_REST
+    assert apply_rule(rule, f).hex() == math.fsum(products.tolist()).hex()
+    assert_sums_as_fsum(np.ones(len(rule)), products)
+    assert_sums_as_fsum(rule.weights, f(rule.nodes))
 
 
 # ------------------------------------------------- exactness on the basis
