@@ -42,9 +42,12 @@ fill.  So their first ``_TABLE_ROWS`` (4097) are a second read-only array,
 ``_ROWS``, made from ``TABLE`` at import, and a rule of n <= 4097 cells
 reads every such row from it; only rows 4097 and beyond, on larger grids,
 make k from q and (off, w) by parity.  ``build_rule`` makes rows 0..n and
-mirrors them; ``_span`` makes any run of rows with the same doubles, so
-that ``_spans`` makes a rule ``_SPAN`` rows at a time and ``splinequad
-rule`` never holds it whole.  ``_checked`` takes the checks span by span,
+mirrors them: a rule of at most ``_SUM_BLOCK`` nodes in two arrays at
+once, a longer one in the two rows of one block, written and checked
+``_SUM_BLOCK`` rows at a time while they are in cache (``_blocks``).
+``_span`` makes any run of rows with the same doubles, so that ``_spans``
+makes a rule ``_SPAN`` rows at a time and ``splinequad rule`` never holds
+it whole.  ``_checked`` takes the checks span by span (or block by block),
 and ``_validate_rule`` on a whole rule at once, with the same decisions
 (``_tally`` and ``_verdict``).
 
@@ -442,6 +445,17 @@ def build_rule(grid: UniformKnotGrid) -> QuadratureRule:
     n-1..0 (``_mirror``), with the same weights.  The rule is checked as
     every span of it is (``_checked``).
 
+    A rule of at most ``_SUM_BLOCK`` (16384) nodes is made in two arrays
+    and checked whole (``_validate_rule``).  A longer one is the two rows
+    of one read-only (2, 2n+1) block, written and checked ``_SUM_BLOCK``
+    rows at a time (``_blocks``, ``_checked``): the build holds no
+    full-length temporary.  The one allocation also spares the page faults
+    of two: at n = 10^6 (2-vCPU x86-64 VM, glibc) a repeated build took 0
+    minor faults and 9-11 ms, against 1400-1900 faults and 14-20 ms with
+    two arrays written whole.  A freed block of up to 32 MiB lifts glibc's
+    mmap threshold to its size, so the next block comes from the heap;
+    from n = 2^20 on the block is larger and is mapped afresh every time.
+
     Raises
     ------
     ConstructionError
@@ -451,12 +465,38 @@ def build_rule(grid: UniformKnotGrid) -> QuadratureRule:
         strictly inside (a, b).
     """
     n = grid.n
-    nodes, weights = np.empty(2 * n + 1), np.empty(2 * n + 1)
-    _left(grid, 0, nodes[: n + 1], weights[: n + 1])
-    _mirror(grid, nodes[n - 1 :: -1], nodes[n + 1 :])
-    weights[n + 1 :] = weights[n - 1 :: -1]
-    _validate_rule(grid, nodes, weights)
+    m = 2 * n + 1
+    if m <= _SUM_BLOCK:
+        nodes, weights = np.empty(m), np.empty(m)
+        _left(grid, 0, nodes[: n + 1], weights[: n + 1])
+        _mirror(grid, nodes[n - 1 :: -1], nodes[n + 1 :])
+        weights[n + 1 :] = weights[n - 1 :: -1]
+        _validate_rule(grid, nodes, weights)
+    else:
+        block = np.empty((2, m))
+        nodes, weights = block
+        for _ in _checked(grid, _blocks(grid, nodes, weights)):
+            pass
+        block.setflags(write=False)
     return QuadratureRule(grid=grid, nodes=nodes, weights=weights)
+
+
+def _blocks(grid: UniformKnotGrid, nodes: np.ndarray, weights: np.ndarray) -> Iterator[
+    tuple[np.ndarray, np.ndarray]
+]:
+    """Write the whole rule over grid into nodes and weights in aligned
+    blocks of ``_SUM_BLOCK`` rows, yielding each block once it is written:
+    ``_left``'s rows up to n, then the mirror images of rows n-1..0, which
+    an earlier block, or this one, has written already."""
+    n, m = grid.n, len(nodes)
+    for lo in range(0, m, _SUM_BLOCK):
+        hi = min(lo + _SUM_BLOCK, m)
+        r = min(max(lo, n + 1), hi)  # rows lo .. r - 1 are left-half rows
+        _left(grid, lo, nodes[lo:r], weights[lo:r])
+        # row q >= n + 1 mirrors row 2n - q: rows 2n + 1 - hi .. 2n - r, reversed
+        _mirror(grid, nodes[m - hi : m - r][::-1], nodes[r:hi])
+        weights[r:hi] = weights[m - hi : m - r][::-1]
+        yield nodes[lo:hi], weights[lo:hi]
 
 
 def _mirror(grid: UniformKnotGrid, tau: np.ndarray, out: np.ndarray) -> None:

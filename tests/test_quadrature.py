@@ -490,6 +490,10 @@ PINNED_INTERVALS = (
 )
 # n = 4096..4098 straddle the edge of the unit-row table (_TABLE_ROWS)
 PINNED_NS = (*range(1, 301), 4096, 4097, 4098)
+# 2n + 1 on both sides of one, two and three _SUM_BLOCKs, where build_rule
+# turns to writing one block of both rows a _SUM_BLOCK at a time, and a
+# rule of 200003 nodes whose middle and last blocks are partial
+EDGE_NS = (8191, 8192, 8193, 16383, 16384, 16385, 24576, 100001)
 
 
 def _small_rules_digest(ns):
@@ -513,6 +517,27 @@ def test_small_rules_match_their_pinned_digest():
     # row from its index: an independent check of the rows read from it
     pinned = (Path(__file__).parent / "golden" / "build_rule_small.sha256").read_text()
     assert _small_rules_digest(PINNED_NS) == pinned.split()[0]
+
+
+def test_rules_at_the_block_edges_match_their_pinned_digest():
+    # captured from the build that wrote two separate arrays whole and
+    # checked them at once: the blocked build keeps every bit and refusal
+    pinned = (Path(__file__).parent / "golden" / "build_rule_edges.sha256").read_text()
+    assert _small_rules_digest(EDGE_NS) == pinned.split()[0]
+
+
+def test_large_builds_hold_only_block_sized_temporaries():
+    # written and checked a _SUM_BLOCK at a time: no full-length index,
+    # mask or second copy beside the rule (7.6 MiB of them at n = 10^6
+    # when the rule was written and checked whole)
+    grid = make_grid(0.0, 1.0, 1_000_000)
+    tracemalloc.start()
+    try:
+        rule = build_rule(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= rule.nodes.nbytes + rule.weights.nbytes + (1 << 20)
 
 
 def test_unit_rows_are_read_only_and_small():
@@ -608,7 +633,11 @@ def test_spans_are_slices_of_the_whole_rule(a, b):
     # n = _TABLE_ROWS - 1 .. + 1: rules on both sides of the unit-row
     # table's edge, the last read whole from it and the first past it
     edge = [_TABLE_ROWS - 1, _TABLE_ROWS, _TABLE_ROWS + 1]
-    for n in [*range(1, 24), 101, 1000, 1001, *edge, _SPAN // 2, _SPAN // 2 + 1]:
+    # n = _SUM_BLOCK // 2 and on: rules built one _SUM_BLOCK at a time, the
+    # first with a last block of one row, the last with a second block that
+    # ends at the middle row
+    blocked = [_SUM_BLOCK // 2, _SUM_BLOCK, _SUM_BLOCK + 1]
+    for n in [*range(1, 24), 101, 1000, 1001, *edge, *blocked, _SPAN // 2, _SPAN // 2 + 1]:
         grid = make_grid(a, b, n)
         rule = build_rule(grid)
         m = 2 * n + 1
@@ -849,22 +878,24 @@ def test_apply_does_not_swallow_errors(n):
 
 
 def test_apply_integrand_cannot_write_the_nodes():
-    rule = build_rule(make_grid(0.0, 1.0, CUT_N + 1))
-    before = rule.nodes.copy()
-    refused = []
+    # n = _SUM_BLOCK // 2: the nodes are a row of one block, itself read-only
+    for n in (CUT_N + 1, _SUM_BLOCK // 2):
+        rule = build_rule(make_grid(0.0, 1.0, n))
+        before = rule.nodes.copy()
+        refused = []
 
-    def vandal(t):
-        if isinstance(t, np.ndarray):
-            for write in (lambda: t.__setitem__(..., 0.0), lambda: t.setflags(write=True)):
-                try:
-                    write()
-                except ValueError:
-                    refused.append(write)
-        return t * t
+        def vandal(t):
+            if isinstance(t, np.ndarray):
+                for write in (lambda: t.__setitem__(..., 0.0), lambda: t.setflags(write=True)):
+                    try:
+                        write()
+                    except ValueError:
+                        refused.append(write)
+            return t * t
 
-    assert apply_rule(rule, vandal) == per_node(rule, lambda t: t * t)
-    assert len(refused) == 2
-    assert np.array_equal(rule.nodes, before) and not rule.nodes.flags.writeable
+        assert apply_rule(rule, vandal) == per_node(rule, lambda t: t * t)
+        assert len(refused) == 2 * -(-len(rule) // _SUM_BLOCK), n
+        assert np.array_equal(rule.nodes, before) and not rule.nodes.flags.writeable
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
