@@ -291,10 +291,10 @@ def kernel_profile(rule: QuadratureRule, samples_per_cell: int = 1000) -> PeanoP
     # NaN (which min and max propagate) fails both gates
     lowest = samples[:, 1].min()
     if not lowest >= -(1e-15 * scale + placement):
-        raise ConstructionError(f"kernel dips to {lowest!r}")
+        raise ConstructionError(f"kernel dips to {float(lowest)!r}")
     knot_max = np.max(np.abs(_knot_values(rule, cells)))
     if not knot_max <= 1e-14 * scale + placement:
-        raise ConstructionError(f"kernel fails to vanish at a knot: {knot_max!r}")
+        raise ConstructionError(f"kernel fails to vanish at a knot: {float(knot_max)!r}")
     return PeanoProfile(rule=rule, samples=samples)
 
 

@@ -42,13 +42,11 @@ fill.  So their first ``_TABLE_ROWS`` (4097) are a second read-only array,
 ``_ROWS``, made from ``TABLE`` at import, and a rule of n <= 4097 cells
 reads every such row from it; only rows 4097 and beyond, on larger grids,
 make k from q and (off, w) by parity.  ``build_rule`` makes rows 0..n and
-mirrors them: a rule of at most ``_SUM_BLOCK`` nodes in two arrays at
-once, a longer one in the two rows of one block, written and checked
-``_SUM_BLOCK`` rows at a time while they are in cache (``_blocks``).
-``_span`` makes any run of rows with the same doubles, so that ``_spans``
-makes a rule ``_SPAN`` rows at a time and ``splinequad rule`` never holds
-it whole.  ``_checked`` takes the checks span by span (or block by block),
-and ``_validate_rule`` on a whole rule at once, with the same decisions
+mirrors them into the two rows of one block, written and checked
+``_SUM_BLOCK`` rows at a time while they are in cache.  ``_span`` makes
+any run of rows with the same doubles, so that ``_spans`` makes a rule
+``_SPAN`` rows at a time and ``splinequad rule`` never holds it whole;
+``_check`` takes build_rule's checks span by span, with the same decisions
 (``_tally`` and ``_verdict``).
 
 Rules are immutable once built; ``apply_rule`` is pure.  ``TABLE`` and
@@ -441,20 +439,12 @@ _SPAN = 1 << 17
 def build_rule(grid: UniformKnotGrid) -> QuadratureRule:
     """Construct the full 2n+1-node rule for a grid from ``TABLE``.
 
-    Rows 0..n are ``_left``'s; rows n+1..2n are the mirror images of rows
-    n-1..0 (``_mirror``), with the same weights.  The rule is checked as
-    every span of it is (``_checked``).
-
-    A rule of at most ``_SUM_BLOCK`` (16384) nodes is made in two arrays
-    and checked whole (``_validate_rule``).  A longer one is the two rows
-    of one read-only (2, 2n+1) block, written and checked ``_SUM_BLOCK``
-    rows at a time (``_blocks``, ``_checked``): the build holds no
-    full-length temporary.  The one allocation also spares the page faults
-    of two: at n = 10^6 (2-vCPU x86-64 VM, glibc) a repeated build took 0
-    minor faults and 9-11 ms, against 1400-1900 faults and 14-20 ms with
-    two arrays written whole.  A freed block of up to 32 MiB lifts glibc's
-    mmap threshold to its size, so the next block comes from the heap;
-    from n = 2^20 on the block is larger and is mapped afresh every time.
+    The rule is the two rows of one read-only (2, 2n+1) block, written and
+    checked ``_SUM_BLOCK`` (16384) rows at a time while they are in cache:
+    ``_left``'s rows up to n, then the mirror images of rows n-1..0
+    (``_mirror``), with the same weights, which an earlier block, or this
+    one, has written already.  The build holds no full-length temporary,
+    and the one allocation spares the page faults of two (``BENCH_20.json``).
 
     Raises
     ------
@@ -466,37 +456,28 @@ def build_rule(grid: UniformKnotGrid) -> QuadratureRule:
     """
     n = grid.n
     m = 2 * n + 1
-    if m <= _SUM_BLOCK:
-        nodes, weights = np.empty(m), np.empty(m)
-        _left(grid, 0, nodes[: n + 1], weights[: n + 1])
-        _mirror(grid, nodes[n - 1 :: -1], nodes[n + 1 :])
-        weights[n + 1 :] = weights[n - 1 :: -1]
-        _validate_rule(grid, nodes, weights)
-    else:
-        block = np.empty((2, m))
-        nodes, weights = block
-        for _ in _checked(grid, _blocks(grid, nodes, weights)):
-            pass
-        block.setflags(write=False)
-    return QuadratureRule(grid=grid, nodes=nodes, weights=weights)
-
-
-def _blocks(grid: UniformKnotGrid, nodes: np.ndarray, weights: np.ndarray) -> Iterator[
-    tuple[np.ndarray, np.ndarray]
-]:
-    """Write the whole rule over grid into nodes and weights in aligned
-    blocks of ``_SUM_BLOCK`` rows, yielding each block once it is written:
-    ``_left``'s rows up to n, then the mirror images of rows n-1..0, which
-    an earlier block, or this one, has written already."""
-    n, m = grid.n, len(nodes)
+    block = np.empty((2, m))
+    nodes, weights = block[0], block[1]
+    increasing = positive = True
+    sums = []
     for lo in range(0, m, _SUM_BLOCK):
-        hi = min(lo + _SUM_BLOCK, m)
-        r = min(max(lo, n + 1), hi)  # rows lo .. r - 1 are left-half rows
+        hi = lo + _SUM_BLOCK if lo + _SUM_BLOCK < m else m
+        # rows lo .. r - 1 are left-half rows
+        r = n + 1 if lo <= n < hi else (lo if lo > n else hi)
         _left(grid, lo, nodes[lo:r], weights[lo:r])
-        # row q >= n + 1 mirrors row 2n - q: rows 2n + 1 - hi .. 2n - r, reversed
-        _mirror(grid, nodes[m - hi : m - r][::-1], nodes[r:hi])
-        weights[r:hi] = weights[m - hi : m - r][::-1]
-        yield nodes[lo:hi], weights[lo:hi]
+        # row q >= n + 1 mirrors row 2n - q: rows 2n - r down to 2n + 1 - hi,
+        # indexed from the end, where the last block's stop, -m - 1, is
+        # before row 0
+        _mirror(grid, nodes[-r - 1 : -hi - 1 : -1], nodes[r:hi])
+        weights[r:hi] = weights[-r - 1 : -hi - 1 : -1]
+        # from the last node of the block before, so that the order is
+        # checked across the block edges too
+        inc, pos = _tally(nodes[lo - 1 if lo else 0 : hi], weights[lo:hi], sums)
+        increasing = increasing and inc
+        positive = positive and pos
+    _verdict(grid, increasing, positive, sums, nodes[0], nodes[-1])
+    block.setflags(write=False)
+    return QuadratureRule(grid=grid, nodes=nodes, weights=weights)
 
 
 def _mirror(grid: UniformKnotGrid, tau: np.ndarray, out: np.ndarray) -> None:
@@ -594,19 +575,17 @@ def _spans(grid: UniformKnotGrid, stop: Optional[int] = None) -> Iterator[
         yield nodes, weights
 
 
-def _checked(
-    grid: UniformKnotGrid, spans: Iterable[tuple[np.ndarray, np.ndarray]]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The spans of a whole rule over grid, passed on as they come; after the
-    last, ``ConstructionError`` where build_rule refuses the rule they make
-    up, with the message it gives.
+def _check(grid: UniformKnotGrid, spans: Iterable[tuple[np.ndarray, np.ndarray]]) -> None:
+    """``ConstructionError`` where build_rule refuses the rule over grid
+    that the spans make up, with the message it gives.
 
     Carried from span to span: whether the nodes so far strictly increase
     (the last node included), whether every weight is positive, the first
     node, and the sums of the weights in blocks of ``_SUM_BLOCK``
     (``_tally``).  The spans start at multiples of ``_SUM_BLOCK`` (as
-    ``_spans`` and a whole rule do), so the blocks, and hence the total and
-    every decision (``_verdict``), are the same however the rule is split.
+    ``_spans`` and build_rule's blocks do), so the blocks, and hence the
+    total and every decision (``_verdict``), are the same however the rule
+    is split.
     """
     increasing = positive = True
     first = last = None
@@ -620,23 +599,12 @@ def _checked(
         increasing = increasing and span_increasing
         positive = positive and span_positive
         last = nodes[-1]
-        yield nodes, weights
     _verdict(grid, increasing, positive, sums, first, last)
 
 
-def _validate_rule(grid: UniformKnotGrid, nodes: np.ndarray, weights: np.ndarray) -> None:
-    """Raise ``ConstructionError`` where build_rule refuses the whole rule
-    (nodes, weights) over grid, with its message: ``_checked``'s decisions
-    (``_tally`` and ``_verdict``) taken on the rule as one span, without a
-    generator around it."""
-    sums = []
-    increasing, positive = _tally(nodes, weights, sums)
-    _verdict(grid, increasing, positive, sums, nodes[0], nodes[-1])
-
-
 def _tally(nodes: np.ndarray, weights: np.ndarray, sums: list) -> tuple[bool, bool]:
-    """Whether the nodes of one span strictly increase and its weights are
-    all positive; appends the sums of its weights in blocks of ``_SUM_BLOCK``."""
+    """Whether the nodes strictly increase and the weights are all
+    positive; appends the sums of the weights in blocks of ``_SUM_BLOCK``."""
     for s in range(0, len(weights), _SUM_BLOCK):
         sums.append(np.add.reduce(weights[s : s + _SUM_BLOCK]))
     # count_nonzero skips the ufunc reduce machinery: about 1 us faster on a

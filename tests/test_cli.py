@@ -318,6 +318,32 @@ def test_check_fails_a_nan_residual(monkeypatch, capsys):
     assert lines[-1] == "OVERALL: FAIL"
 
 
+def test_check_reports_a_rule_the_kernel_profile_refuses(monkeypatch, capsys):
+    # weight 5 of the n = 7 rule on [0, 1] off by 1e-6: kernel_profile's own
+    # negativity gate refuses it.  check counts that as a Peano failure,
+    # runs the remaining suites and exits 1
+    build = cli.quadrature.build_rule
+
+    def with_a_weight_off(grid):
+        rule = build(grid)
+        if grid.n != 7 or grid.b != 1.0:
+            return rule
+        weights = rule.weights.copy()
+        weights[5] *= 1.0 + 1e-6
+        return QuadratureRule(grid=grid, nodes=rule.nodes, weights=weights)
+
+    monkeypatch.setattr(cli.quadrature, "build_rule", with_a_weight_off)
+    assert cli.main(["check", "--n-max", "20", "--seeds", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    refused = [line for line in lines if line.startswith("peano.kernel_profile")]
+    assert len(refused) == 1, lines
+    assert refused[0].startswith("peano.kernel_profile n=7 status=FAIL (kernel dips to -5.8")
+    assert "np.float64" not in refused[0]
+    assert any(line.startswith("peano.knot_values") for line in lines)
+    assert any(line.startswith("limit.deviation_beyond_cell_9") for line in lines)
+    assert lines[-1] == "OVERALL: FAIL"
+
+
 def test_check_full_range():
     cp = run_cli("check", "--n-max", "50", "--seeds", "5")
     assert cp.returncode == 0, cp.stdout + cp.stderr

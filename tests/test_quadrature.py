@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splinequad import quadrature
 from splinequad.grid_basis import SplineCoefficients, basis_eval, basis_integral, make_grid
 from splinequad.quadrature import (
     ARRAY_MIN_NODES,
@@ -29,7 +30,7 @@ from splinequad.quadrature import (
     _ROWS,
     _SPAN,
     _TABLE_ROWS,
-    _checked,
+    _check,
     _fsum_products,
     _middle_even,
     _middle_odd,
@@ -37,7 +38,6 @@ from splinequad.quadrature import (
     _span,
     _spans,
     _update_cell,
-    _validate_rule,
 )
 
 # Residues after cells 1..3 are exactly rational (the update is a symmetric
@@ -568,7 +568,7 @@ def test_validate_rule_checks_what_scaling_can_break():
     grid = make_grid(0.0, 1.0, 3)
     rule = build_rule(grid)
     nodes, weights = rule.nodes.copy(), rule.weights.copy()
-    _validate_rule(grid, nodes, weights)
+    _check(grid, [(nodes, weights)])
     swapped = nodes.copy()
     swapped[[2, 3]] = swapped[[3, 2]]
     bad = {
@@ -579,7 +579,7 @@ def test_validate_rule_checks_what_scaling_can_break():
     }
     for match, (t, w) in bad.items():
         with pytest.raises(ConstructionError, match=match):
-            _validate_rule(grid, t, w)
+            _check(grid, [(t, w)])
 
 
 def test_extreme_spans_build_or_fail_cleanly():
@@ -650,7 +650,8 @@ def test_spans_are_slices_of_the_whole_rule(a, b):
             _span(grid, i, nodes, weights)
             assert nodes.tobytes() == rule.nodes[i:j].tobytes(), (n, i, j)
             assert weights.tobytes() == rule.weights[i:j].tobytes(), (n, i, j)
-        spans = list(_checked(grid, _spans(grid)))
+        spans = list(_spans(grid))
+        _check(grid, spans)
         assert len(spans) == -(-m // _SPAN)
         assert np.concatenate([t for t, _ in spans]).tobytes() == rule.nodes.tobytes()
         assert np.concatenate([w for _, w in spans]).tobytes() == rule.weights.tobytes()
@@ -660,30 +661,47 @@ def test_spans_are_slices_of_the_whole_rule(a, b):
 
 def test_checks_over_spans_refuse_as_the_whole_rule():
     # carried across a span boundary: the order of the nodes, the sign of
-    # the weights and their sum; each refusal is build_rule's message.  The
-    # one-block rule (n = 10) is checked as one span and directly: the two
-    # refuse every broken case with the same message
-    for n, cut in ((_SPAN, _SPAN), (10, None)):
-        grid = make_grid(0.0, 1.0, n)
-        rule = build_rule(grid)
-        nodes, weights = rule.nodes.copy(), rule.weights.copy()
-        i = cut or n  # a node and weight that the broken cases change
-        swapped = nodes.copy()
-        swapped[[i - 1, i]] = swapped[[i, i - 1]]
-        bad = {
-            "strictly increasing": (swapped, weights),
-            "positive": (nodes, np.where(np.arange(len(weights)) == i, -weights, weights)),
-            "sum to": (nodes, weights * (1.0 + 1e-9)),
-            "inside": (np.append(nodes[:-1], 1.0), weights),
-        }
-        for match, (t, w) in bad.items():
-            spans = [(t[:cut], w[:cut]), (t[cut:], w[cut:])] if cut else [(t, w)]
-            with pytest.raises(ConstructionError, match=match) as by_spans:
-                for _ in _checked(grid, spans):
-                    pass
-            with pytest.raises(ConstructionError, match=match) as whole:
-                _validate_rule(grid, t, w)
-            assert str(whole.value) == str(by_spans.value), (n, match)
+    # the weights and their sum.  Over two spans, each broken rule is
+    # refused with the message of the same rule checked as one span
+    n = _SPAN
+    grid = make_grid(0.0, 1.0, n)
+    rule = build_rule(grid)
+    nodes, weights = rule.nodes.copy(), rule.weights.copy()
+    swapped = nodes.copy()
+    swapped[[n - 1, n]] = swapped[[n, n - 1]]
+    bad = {
+        "strictly increasing": (swapped, weights),
+        "positive": (nodes, np.where(np.arange(len(weights)) == n, -weights, weights)),
+        "sum to": (nodes, weights * (1.0 + 1e-9)),
+        "inside": (np.append(nodes[:-1], 1.0), weights),
+    }
+    for match, (t, w) in bad.items():
+        with pytest.raises(ConstructionError, match=match) as by_spans:
+            _check(grid, [(t[:n], w[:n]), (t[n:], w[n:])])
+        with pytest.raises(ConstructionError, match=match) as whole:
+            _check(grid, [(t, w)])
+        assert str(whole.value) == str(by_spans.value), match
+
+
+def test_build_refuses_a_disorder_only_across_a_block_edge(monkeypatch):
+    # n = _SUM_BLOCK: row n, the middle knot, starts the second block and is
+    # mirrored nowhere.  Written just below row n - 1, it leaves each block
+    # in order and the weights as they were: only the order across the
+    # block edge is broken
+    n = _SUM_BLOCK
+    left = quadrature._left
+
+    def middle_below_its_neighbour(grid, lo, nodes, weights):
+        left(grid, lo, nodes, weights)
+        if lo == n:
+            before = np.empty((2, 1))
+            left(grid, n - 1, *before)
+            nodes[0] = np.nextafter(before[0, 0], -np.inf)
+
+    monkeypatch.setattr(quadrature, "_left", middle_below_its_neighbour)
+    for a, b in ((0.0, 1.0), (0.0, float(n))):
+        with pytest.raises(ConstructionError, match="strictly increasing"):
+            build_rule(make_grid(a, b, n))
 
 
 def test_grids_where_a_plus_b_overflows_build():
