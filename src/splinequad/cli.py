@@ -190,7 +190,9 @@ def _cmd_rule(args: argparse.Namespace) -> int:
 
 
 def _cmd_kernel(args: argparse.Namespace) -> int:
-    rule = quadrature.build_rule(make_grid(args.a, args.b, args.n))
+    grid = make_grid(args.a, args.b, args.n)
+    error_analysis._validate_samples(grid.n, args.samples_per_cell)
+    rule = quadrature.build_rule(grid)
     profile = error_analysis.kernel_profile(rule, args.samples_per_cell)
     rows = _rows([profile.samples.T], "%.17g", b",", index=False)
     _emit(chain((b"t,K6\n",), rows), args.out)

@@ -222,6 +222,19 @@ def _local_samples(
     return samples
 
 
+def _validate_samples(n: int, samples_per_cell: int) -> None:
+    """``ValueError`` where ``kernel_profile`` refuses samples_per_cell on a
+    rule over n cells; the ``kernel`` command asks before it builds one."""
+    if samples_per_cell < 2:
+        raise ValueError("need at least two samples per cell")
+    count = samples_per_cell * n + 1
+    if count > MAX_KERNEL_SAMPLES:
+        raise ValueError(
+            f"kernel profile of {count} samples requested, over the cap of "
+            f"{MAX_KERNEL_SAMPLES} (samples_per_cell * n + 1)"
+        )
+
+
 def kernel_profile(rule: QuadratureRule, samples_per_cell: int = 1000) -> PeanoProfile:
     """Sample the kernel on a uniform grid of samples_per_cell points per cell.
 
@@ -273,15 +286,8 @@ def kernel_profile(rule: QuadratureRule, samples_per_cell: int = 1000) -> PeanoP
         double-precision evaluation of a valid kernel allows, or if either
         is NaN (a weight or node that is not finite).
     """
-    if samples_per_cell < 2:
-        raise ValueError("need at least two samples per cell")
     grid = rule.grid
-    count = samples_per_cell * grid.n + 1
-    if count > MAX_KERNEL_SAMPLES:
-        raise ValueError(
-            f"kernel profile of {count} samples requested, over the cap of "
-            f"{MAX_KERNEL_SAMPLES} (samples_per_cell * n + 1)"
-        )
+    _validate_samples(grid.n, samples_per_cell)
     span = grid.b - grid.a
     # span**6 raises OverflowError where the kernel's terms would overflow
     scale = max(1.0, span**6)

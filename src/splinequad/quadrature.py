@@ -41,13 +41,13 @@ middle are the same for every rule: the prefix cells, then the two-third
 fill.  So their first ``_TABLE_ROWS`` (4097) are a second read-only array,
 ``_ROWS``, made from ``TABLE`` at import, and a rule of n <= 4097 cells
 reads every such row from it; only rows 4097 and beyond, on larger grids,
-make k from q and (off, w) by parity.  ``build_rule`` makes rows 0..n and
-mirrors them into the two rows of one block, written and checked
-``_SUM_BLOCK`` rows at a time while they are in cache.  ``_span`` makes
-any run of rows with the same doubles, so that ``_spans`` makes a rule
-``_SPAN`` rows at a time and ``splinequad rule`` never holds it whole;
-``_check`` takes build_rule's checks span by span, with the same decisions
-(``_tally`` and ``_verdict``).
+make k from q and (off, w) by parity.  Two generators make a rule's rows
+a span at a time: ``_fill`` writes rows 0..n and their mirror images into
+the two rows of build_rule's one block, ``_SUM_BLOCK`` rows at a time, and
+``_spans`` makes ``_SPAN`` rows at a time with ``_span`` (any run of rows,
+the same doubles), so that ``splinequad rule`` never holds the rule whole.
+Both feed one check, ``_check``, which takes each span while it is in
+cache and decides the same however the rule is split.
 
 Rules are immutable once built; ``apply_rule`` is pure.  ``TABLE`` and
 ``_ROWS`` are computed once and never written afterwards, so builds share
@@ -101,12 +101,6 @@ LIMIT_MIDPOINT_WEIGHT = 8.0 / 15.0
 # per node.
 ARRAY_MIN_NODES = 57
 
-# Per-node products checked for complex values at a time on large rules
-# (see apply_rule): a list of 4096 stays in cache, and at n = 10^6 with
-# math.sin it ran as fast as 16384 or 65536 and 20 % faster than a check
-# per product.
-_CHECK_BLOCK = 1 << 12
-
 # Arrays of at least this many products are summed by error-free
 # extraction (see _fsum_products), shorter ones by math.fsum alone.  On a
 # 2-vCPU x86-64 VM (Python 3.11, numpy 2.4) the two break even near 1000
@@ -114,10 +108,11 @@ _CHECK_BLOCK = 1 << 12
 # 30 % faster on both, a margin that keeps every sum from running slower.
 _EXTRACT_MIN = 1 << 11
 
-# Products extracted at a time, and nodes per array call of f in apply_rule:
-# a block, its temporaries and f's (about 0.4 MB for a Horner quintic) stay
-# in cache, and at 2*10^6 + 1 products 2^14 ran as fast as 2^15 and 30 %
-# faster than 2^12, whose per-block numpy calls cost more.
+# Rows a build writes and checks at a time; in apply_rule, products
+# extracted, nodes per array call of f, and per-node products checked for
+# complex values at a time: a block, its temporaries and f's (about 0.4 MB
+# for a Horner quintic) stay in cache, and at 2*10^6 + 1 products 2^14 ran
+# as fast as 2^15 and 30 % faster than 2^12, whose numpy calls cost more.
 _SUM_BLOCK = 1 << 14
 
 # sigma = 2^(e + _SUM_SHIFT) for a block whose largest |r| is below 2^e:
@@ -132,6 +127,8 @@ _SUM_REST = 128
 # Slack for the residue inequality 2(4A - B) + 1/12 >= 1/6, which holds
 # with equality at the first cell.
 _RESIDUE_SLACK = 1e-14
+
+_FLOAT64 = np.dtype(float)  # the one dtype object of native float64 arrays
 
 
 class ConstructionError(ArithmeticError):
@@ -187,6 +184,8 @@ class QuadratureRule:
 
     Nodes are strictly increasing; weights are positive and sum to b - a;
     node i and node 2n+2-i mirror each other around the domain midpoint.
+    Nodes and weights are read-only float64 arrays: copies of the arrays
+    given, unless those and their memory are read-only already.
     """
 
     grid: UniformKnotGrid
@@ -194,18 +193,28 @@ class QuadratureRule:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        nodes = np.ascontiguousarray(self.nodes, dtype=float)
-        weights = np.ascontiguousarray(self.weights, dtype=float)
+        nodes, weights = _frozen(self.nodes), _frozen(self.weights)
         m = 2 * self.grid.n + 1
         if nodes.shape != (m,) or weights.shape != (m,):
             raise ValueError(f"rule over n={self.grid.n} cells needs {m} entries")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
     def __len__(self) -> int:
         return self.nodes.shape[0]
+
+
+def _frozen(x) -> np.ndarray:
+    """x where it is a read-only contiguous float64 array on read-only memory
+    (``x.base``), as build_rule's rows are; else a read-only float64 copy."""
+    base = x.base if type(x) is np.ndarray else None
+    if type(base) is np.ndarray and x.dtype is _FLOAT64:
+        flags = x.flags
+        if not (flags.writeable or base.flags.writeable) and flags.c_contiguous:
+            return x
+    x = np.array(x, dtype=float)
+    x.setflags(write=False)
+    return x
 
 
 def _solve_cell(state: ResidueState) -> tuple[float, float, float, float]:
@@ -439,12 +448,10 @@ _SPAN = 1 << 17
 def build_rule(grid: UniformKnotGrid) -> QuadratureRule:
     """Construct the full 2n+1-node rule for a grid from ``TABLE``.
 
-    The rule is the two rows of one read-only (2, 2n+1) block, written and
-    checked ``_SUM_BLOCK`` (16384) rows at a time while they are in cache:
-    ``_left``'s rows up to n, then the mirror images of rows n-1..0
-    (``_mirror``), with the same weights, which an earlier block, or this
-    one, has written already.  The build holds no full-length temporary,
-    and the one allocation spares the page faults of two (``BENCH_20.json``).
+    The rule is the two rows of one read-only (2, 2n+1) block, written by
+    ``_fill`` and checked by ``_check`` ``_SUM_BLOCK`` (16384) rows at a
+    time, while they are in cache.  The build holds no full-length
+    temporary, and the one allocation spares the page faults of two.
 
     Raises
     ------
@@ -454,12 +461,17 @@ def build_rule(grid: UniformKnotGrid) -> QuadratureRule:
         positive, weights not summing to b - a, or an extreme node not
         strictly inside (a, b).
     """
-    n = grid.n
-    m = 2 * n + 1
-    block = np.empty((2, m))
-    nodes, weights = block[0], block[1]
-    increasing = positive = True
-    sums = []
+    block = np.empty((2, 2 * grid.n + 1))
+    _check(grid, _fill(grid, block[0], block[1]))
+    block.setflags(write=False)
+    return QuadratureRule(grid=grid, nodes=block[0], weights=block[1])
+
+
+def _fill(grid: UniformKnotGrid, nodes: np.ndarray, weights: np.ndarray) -> Iterator:
+    """Write the rule over grid into nodes and weights, and yield the rows of
+    each block of ``_SUM_BLOCK`` once written: ``_left``'s rows up to n, then
+    the mirror images of rows n-1..0 (``_mirror``), written already."""
+    n, m = grid.n, len(nodes)
     for lo in range(0, m, _SUM_BLOCK):
         hi = lo + _SUM_BLOCK if lo + _SUM_BLOCK < m else m
         # rows lo .. r - 1 are left-half rows
@@ -470,14 +482,7 @@ def build_rule(grid: UniformKnotGrid) -> QuadratureRule:
         # before row 0
         _mirror(grid, nodes[-r - 1 : -hi - 1 : -1], nodes[r:hi])
         weights[r:hi] = weights[-r - 1 : -hi - 1 : -1]
-        # from the last node of the block before, so that the order is
-        # checked across the block edges too
-        inc, pos = _tally(nodes[lo - 1 if lo else 0 : hi], weights[lo:hi], sums)
-        increasing = increasing and inc
-        positive = positive and pos
-    _verdict(grid, increasing, positive, sums, nodes[0], nodes[-1])
-    block.setflags(write=False)
-    return QuadratureRule(grid=grid, nodes=nodes, weights=weights)
+        yield nodes[lo:hi], weights[lo:hi]
 
 
 def _mirror(grid: UniformKnotGrid, tau: np.ndarray, out: np.ndarray) -> None:
@@ -576,16 +581,14 @@ def _spans(grid: UniformKnotGrid, stop: Optional[int] = None) -> Iterator[
 
 
 def _check(grid: UniformKnotGrid, spans: Iterable[tuple[np.ndarray, np.ndarray]]) -> None:
-    """``ConstructionError`` where build_rule refuses the rule over grid
-    that the spans make up, with the message it gives.
-
-    Carried from span to span: whether the nodes so far strictly increase
-    (the last node included), whether every weight is positive, the first
-    node, and the sums of the weights in blocks of ``_SUM_BLOCK``
-    (``_tally``).  The spans start at multiples of ``_SUM_BLOCK`` (as
-    ``_spans`` and build_rule's blocks do), so the blocks, and hence the
-    total and every decision (``_verdict``), are the same however the rule
-    is split.
+    """``ConstructionError`` for the first check that the rule over grid,
+    the spans (``_fill``'s or ``_spans``') in order, fails: its nodes strictly
+    increasing, its weights positive, their sum b - a, and its first and
+    last node strictly inside (a, b).  Carried from span to span: the order
+    across the span edges, the first node, and the sums of the weights in
+    blocks of ``_SUM_BLOCK``, rounded once by ``math.fsum``.  The spans
+    start at multiples of ``_SUM_BLOCK``, so every decision is the same
+    however the rule is split.
     """
     increasing = positive = True
     first = last = None
@@ -595,33 +598,17 @@ def _check(grid: UniformKnotGrid, spans: Iterable[tuple[np.ndarray, np.ndarray]]
             first = nodes[0]
         else:
             increasing = increasing and last < nodes[0]
-        span_increasing, span_positive = _tally(nodes, weights, sums)
-        increasing = increasing and span_increasing
-        positive = positive and span_positive
+        if len(weights) <= _SUM_BLOCK:  # a build_rule block: unsliced, 0.5 us faster
+            sums.append(np.add.reduce(weights))
+        else:
+            for s in range(0, len(weights), _SUM_BLOCK):
+                sums.append(np.add.reduce(weights[s : s + _SUM_BLOCK]))
+        # count_nonzero skips the ufunc reduce machinery: about 1 us faster on
+        # a short array, 4 us slower on a span of 2^17 nodes; minimum's reduce
+        # is the ufunc's, not the ndarray method that calls it through Python
+        increasing = increasing and np.count_nonzero(nodes[1:] > nodes[:-1]) == len(nodes) - 1
+        positive = positive and np.minimum.reduce(weights) > 0.0
         last = nodes[-1]
-    _verdict(grid, increasing, positive, sums, first, last)
-
-
-def _tally(nodes: np.ndarray, weights: np.ndarray, sums: list) -> tuple[bool, bool]:
-    """Whether the nodes strictly increase and the weights are all
-    positive; appends the sums of the weights in blocks of ``_SUM_BLOCK``."""
-    for s in range(0, len(weights), _SUM_BLOCK):
-        sums.append(np.add.reduce(weights[s : s + _SUM_BLOCK]))
-    # count_nonzero skips the ufunc reduce machinery: about 1 us faster on a
-    # short array, 4 us slower on a span of 2^17 nodes; minimum's reduce is
-    # the ufunc's, not the ndarray method that calls it through Python
-    return (
-        np.count_nonzero(nodes[1:] > nodes[:-1]) == len(nodes) - 1,
-        np.minimum.reduce(weights) > 0.0,
-    )
-
-
-def _verdict(
-    grid: UniformKnotGrid, increasing: bool, positive: bool, sums: list, first: float, last: float
-) -> None:
-    """``ConstructionError`` for the first check a rule over grid fails: its
-    nodes in order, its weights positive, their block sums, rounded once by
-    ``math.fsum``, equal to b - a, and its first and last node inside (a, b)."""
     if not increasing:
         raise ConstructionError("nodes are not strictly increasing")
     if not positive:
@@ -667,7 +654,7 @@ def apply_rule(
     products are formed as ``w * f(t)``;
     a complex product, numpy's complex scalars included, raises
     ``TypeError`` (checked per product below the cut, and per block of
-    ``_CHECK_BLOCK`` products above it).  A scalar-only f therefore works
+    ``_SUM_BLOCK`` products above it).  A scalar-only f therefore works
     unchanged; an array-capable f should compute elementwise what it
     computes per node, whatever block a node comes in.  Where
     ``math.fsum``'s own rules decide the sum (a product that is inf or nan
@@ -681,7 +668,7 @@ def apply_rule(
         if total is not None:
             return total
         products = map(operator.mul, _items(weights), map(f, _items(nodes)))
-        blocks = iter(lambda: list(islice(products, _CHECK_BLOCK)), [])
+        blocks = iter(lambda: list(islice(products, _SUM_BLOCK)), [])
         return math.fsum(chain.from_iterable(map(_real_block, blocks)))
     products = map(operator.mul, _items(weights), map(f, _items(nodes)))
     return math.fsum(map(_real, products))

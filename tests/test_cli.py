@@ -407,6 +407,19 @@ def test_rule_refuses_the_grids_build_rule_refuses(tmp_path, capsys, fmt):
     assert refused >= 10
 
 
+def test_rule_refuses_colliding_nodes_over_many_spans(tmp_path, capsys):
+    # h = 1 < ulp(1e16) = 2 at n = 2^17: 2^18 + 1 rows in 3 spans, checked
+    # before the first byte, as build_rule checks its 17 blocks
+    n = 1 << 17
+    assert -(-(2 * n + 1) // _SPAN) == 3
+    out = tmp_path / "rule.csv"
+    argv = ["rule", "--n", str(n), "--a", "1e16", "--b", repr(1e16 + n),
+            "--format", "csv", "--out", str(out)]
+    assert cli.main(argv) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err == "construction failed: nodes are not strictly increasing\n"
+
+
 def test_rule_at_extreme_scale_builds():
     # the rule is a + h * (unit-cell table): no power of h is formed
     cp = run_cli("rule", "--n", "3", "--a", "0", "--b", "1e60", "--format", "csv")
@@ -492,6 +505,20 @@ def test_out_of_memory_is_exit_3_without_a_traceback():
     assert "Traceback" not in cp.stderr
     assert cp.stderr.startswith("out of memory: ")
     assert cp.stderr.count("\n") == 1 and cp.stderr.endswith("\n")
+
+
+def test_kernel_refuses_the_cap_before_building_the_rule():
+    # n = 10^8 would take a rule of 3 GiB; the request is over the sample
+    # cap, so under 512 MiB of address space it is refused as such
+    limit = _address_space_limit()
+    cmd = [sys.executable, "-m", "splinequad", "kernel", "--n", "100000000",
+           "--samples-per-cell", "2", "--out", os.devnull]
+    cp = subprocess.run(cmd, capture_output=True, text=True, preexec_fn=limit)
+    assert cp.returncode == 2, cp.stderr
+    assert cp.stderr == (
+        "error: kernel profile of 200000001 samples requested, over the cap of "
+        "4194304 (samples_per_cell * n + 1)\n"
+    )
 
 
 def test_rule_streams_at_a_size_it_could_not_hold():

@@ -19,10 +19,10 @@ from splinequad.quadrature import (
     CONVERGENCE_TOL,
     TABLE,
     ConstructionError,
+    QuadratureRule,
     ResidueState,
     apply_rule,
     build_rule,
-    _CHECK_BLOCK,
     _EXTRACT_MIN,
     _SUM_BLOCK,
     _SUM_REST,
@@ -559,9 +559,40 @@ def test_unit_spaced_rules_equal_the_cell_by_cell_recursion(a):
 
 
 def test_build_refuses_cells_narrower_than_the_coordinates_resolve():
-    # ulp(1e16) = 2 > h = 1: scaled nodes collide after rounding
-    with pytest.raises(ConstructionError, match="strictly increasing"):
-        build_rule(make_grid(1e16, 1e16 + 64.0, 64))
+    # ulp(1e16) = 2 > h = 1: scaled nodes collide after rounding, in one
+    # block of _SUM_BLOCK rows at n = 64 and over 17 at n = 2^17
+    assert -(-(2 * (1 << 17) + 1) // _SUM_BLOCK) == 17
+    for n in (64, 1 << 17):
+        with pytest.raises(ConstructionError, match="nodes are not strictly increasing"):
+            build_rule(make_grid(1e16, 1e16 + n, n))
+
+
+def test_hand_built_rule_leaves_the_callers_arrays_alone():
+    grid = make_grid(0.0, 1.0, 3)
+    rule = build_rule(grid)
+    nodes, weights = rule.nodes.copy(), rule.weights.copy()
+    q = QuadratureRule(grid, nodes, weights)
+    assert nodes.flags.writeable and weights.flags.writeable
+    nodes[0] = 5.0
+    assert q.nodes[0] == rule.nodes[0]
+    assert not (q.nodes.flags.writeable or q.weights.flags.writeable)
+
+
+def test_hand_built_rule_does_not_change_with_a_writable_base():
+    # read-only views of a writable array: the base can still be written
+    grid = make_grid(0.0, 1.0, 3)
+    rule = build_rule(grid)
+    base = np.vstack([rule.nodes, rule.weights])
+    nodes, weights = base
+    nodes.setflags(write=False)
+    for q in (QuadratureRule(grid, base[0], base[1]), QuadratureRule(grid, nodes, weights)):
+        base[0, 0] = 5.0
+        assert q.nodes.tobytes() == rule.nodes.tobytes()
+        base[0, 0] = rule.nodes[0]
+    # build_rule's rows are read-only views of a read-only block: kept as
+    # they are, not copied
+    q = QuadratureRule(grid, rule.nodes, rule.weights)
+    assert q.nodes is rule.nodes and q.weights is rule.weights
 
 
 def test_validate_rule_checks_what_scaling_can_break():
@@ -868,8 +899,8 @@ def test_apply_refuses_a_numpy_complex_value_past_the_first_block():
     # a scalar-only f on a large rule: the products are checked a block at
     # a time, and the one complex value sits in the second block
     rule = build_rule(make_grid(0.0, 1.0, 40000))
-    at = float(rule.nodes[_CHECK_BLOCK + 7])
-    assert len(rule) > 2 * _CHECK_BLOCK
+    at = float(rule.nodes[_SUM_BLOCK + 7])
+    assert len(rule) > 2 * _SUM_BLOCK
 
     def f(t):
         if not isinstance(t, float):
