@@ -32,9 +32,11 @@ is exact. The digits:
 A decision closer than ``_ERR`` = 2^-40 to its boundary is not taken,
 except where the product is exact: there every test is exact, so values
 with short exact decimals (the nodes of an h = 1 rule) stay on this path.
-A value falls back to its Python expression when a decision was not
-taken; when it is 0, subnormal, not finite or outside the window; and in
-"repr" when it is a power of two (the gap below it is half the gap above).
+Zeros are written directly, with their sign: ``0`` and ``-0``, or ``0.0``
+and ``-0.0`` in "repr". A value falls back to its Python expression when
+a decision was not taken; when it is subnormal, not finite or outside the
+window; and in "repr" when it is a power of two (the gap below it is half
+the gap above).
 
 Digits come four at a time from a table of ASCII quads. Each value becomes
 one row of a uint8 matrix padded with NUL bytes, laid out with column
@@ -58,6 +60,7 @@ import numpy as np
 __all__ = ["lines", "row_numbers"]
 
 _XMIN, _XMAX = -280, 280  # the Veltkamp split of 10^296 still fits a double
+_NO_ROWS = np.empty(0, dtype=np.intp)
 _ERR = 2.0**-40
 _SPLIT = 134217729.0  # 2^27 + 1
 _SIG16 = Context(prec=16, rounding=ROUND_DOWN)
@@ -241,12 +244,14 @@ def _layout(values: np.ndarray, mode: str):
         return width, write_each
     inside = (x >= 10.0**_XMIN) & (x < 10.0 ** (_XMAX + 1))
     at = slice(None) if inside.all() else np.flatnonzero(inside)
+    zero = _NO_ROWS if isinstance(at, slice) else np.flatnonzero(x == 0.0)
     text, X, unsure = _analyse(x[at], mode)
     if unsure.any():
         keep = np.flatnonzero(~unsure)
         at, text, X = np.arange(len(values))[at][keep], text[keep], X[keep]
     slow = np.ones(len(values), dtype=bool)
     slow[at] = False
+    slow[zero] = False
     slow = np.flatnonzero(slow)
     slow_text = [_FALLBACK[mode](v).encode() for v in values[slow].tolist()]
 
@@ -262,13 +267,18 @@ def _layout(values: np.ndarray, mode: str):
         groups = [(int(key[rows[0]]), rows) for rows in np.split(order, ends) if rows.size]
         groups = [(None if g > high else g, rows) for g, rows in groups]
     ndig = text.shape[1]
-    width = max([_width(g, ndig) for g, _ in groups] + [len(t) for t in slow_text] + [1])
+    zero_text = b"0.0" if mode == "repr" else b"0"
+    width = max([_width(g, ndig) for g, _ in groups] + [len(t) for t in slow_text]
+                + [1 + len(zero_text) if zero.size else 1])
 
     def write(out: np.ndarray) -> None:
         out[at, 0] = (values[at] < 0.0) * np.uint8(_MINUS)
         for g, sel in groups:
             rows = sel if isinstance(at, slice) else at[sel]
             _place(out, rows, text[sel], X[sel], g, mode == "repr")
+        if zero.size:
+            out[zero, 0] = (values[zero].view(np.int64) < 0) * np.uint8(_MINUS)  # -0.0
+            out[zero, 1 : 1 + len(zero_text)] = np.frombuffer(zero_text, dtype=np.uint8)
         if slow_text:
             padded = b"".join(t.ljust(width, b"\0") for t in slow_text)
             out[slow] = np.frombuffer(padded, dtype=np.uint8).reshape(-1, width)

@@ -16,17 +16,18 @@ while K6 is of size h^6.  The local form, used for the samples of
 that equals it outside t's cell; a rule exact on the spline space
 integrates that spline exactly, so only the nodes of t's cell remain,
 and they enter through two numbers per cell and their own truncated
-powers (``_cell_kernel``).  It costs O(1) per sample and its
-terms are of size h^6, like K6, but it is the kernel only if the rule is
-exact.  So the knot check of
-``kernel_profile`` keeps the global form, which needs no such assumption.
-It runs in O(n log n) time all the same: every knot lies a whole number
-of cells from a, so the nodes enter through six moments per cell about
-the cell's right knot, and one doubling scan of ceil(log2 n) steps
-carries them to every later knot by a binomial shift whose terms are
-all positive.
-A profile takes at most ``MAX_KERNEL_SAMPLES`` samples and refuses a
-larger request before it allocates anything.
+powers (``_local_form``).  It costs O(1) per sample and its terms are of
+size h^6, like K6, but it is the kernel only if the rule is exact.  So
+the knot check of ``kernel_profile`` keeps the global form, which needs
+no such assumption.  It runs in O(n log B) time all the same, for blocks
+of B <= 4095 cells: every knot lies a whole number of cells from a, so
+the nodes enter through six moments per cell about the cell's right
+knot, and in each block a doubling scan of ceil(log2 (B + 1)) steps
+carries them, and the moments of every node left of the block, to every
+knot of the block by a binomial shift whose terms are all positive.
+The samples and the knot moments are made in one pass over the blocks
+(``_blocks``).  A profile takes at most ``MAX_KERNEL_SAMPLES`` samples
+and refuses a larger request before it allocates anything.
 
 The constant has the same two forms.  By definition c = ((b-a)^7/7 -
 Q[(t-a)^6]) / 720, a difference of two terms of size (b-a)^7 while c is
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid_basis import UniformKnotGrid, _by_row, _locate
+from .grid_basis import UniformKnotGrid, _locate
 from .quadrature import TABLE, ConstructionError, QuadratureRule, _layout
 
 __all__ = [
@@ -68,11 +69,18 @@ MAX_KERNEL_SAMPLES = 1 << 22
 
 # Element budget of the kernel samples' blocked array temporaries.
 _CHUNK = 1 << 16
+# Most cells in one block of kernel_profile: 4096 columns of its knot scan.
+_BLOCK = 4095
 
-# C(k, i) at [k, i] and the power k - i that goes with it, for i <= k;
-# zero above the diagonal
-_BINOMIAL = np.array([[math.comb(k, i) for i in range(6)] for k in range(6)], dtype=float)
-_BINOMIAL_ORDER = np.maximum(np.subtract.outer(np.arange(6), np.arange(6)), 0)
+# (s, S) for s = 1, 2, 4, ..., 2048: S moves the moments M_0..M_5 about o to
+# moments about o + s, (S M)_k = sum_i C(k, i) s^(k-i) M_i, each entry a
+# nonnegative integer held exactly (3 KiB in all; made without a ufunc, whose
+# first call would load code pages at import)
+_SHIFTS = [
+    (s, np.array([[math.comb(k, i) * s ** max(k - i, 0) for i in range(6)] for k in range(6)],
+                 dtype=float))
+    for s in (1 << p for p in range(12))
+]
 
 
 @dataclass(frozen=True)
@@ -115,111 +123,199 @@ def peano_kernel(rule: QuadratureRule, t: float) -> float:
     return u**6 / 720.0 - math.fsum(terms) / 120.0
 
 
-def _knot_values(rule: QuadratureRule, cells: np.ndarray) -> np.ndarray:
-    """The global form of ``peano_kernel`` at the n + 1 knots, in
-    O(n log n) time.
+def _blocks(rule: QuadratureRule, samples: np.ndarray):
+    """Write the samples of ``kernel_profile`` into samples, a block of at
+    most ``_BLOCK`` cells and ``_CHUNK`` samples at a time (one cell, a
+    piece of ``_CHUNK`` samples at a time, where a cell takes more), and
+    yield each block's lowest sample and its knot values in the global
+    form.
 
-    Knot j lies at u_j = j h from a.  Row j of an (n + 1, 6) table starts
-    as the moments M_k = sum w d^k, k = 0..5, of the nodes of cell j - 1
-    (``grid_basis._locate``) about u_j, with d = u_j - (tau - a) (at
-    least 0); row 0 is empty.  Moments move from one knot to a knot L
-    further right by the binomial shift
-    M_k(o + L) = sum_i C(k, i) L^(k-i) M_i(o), whose terms are all
-    positive for positive weights, so the carry cancels nothing.
-    A doubling scan (Hillis & Steele) runs ceil(log2 n) steps: at step s
-    = 1, 2, 4, ... every row j > s adds row j - s shifted by s h, so that
-    row j then holds the moments of the nodes of cells j - 2s .. j - 1.
-    At the end it holds those of every node left of u_j, and
+    The samples of cells j0..j1-1 lie at the points of ``np.linspace(a, b,
+    len(samples))``, with b in the last block, and are taken in the local
+    form (``_local_form``).  The block's knot values are those at knots
+    j0 + 1..j1 (knot 0 is 0).  The nodes are placed in cells once
+    (``grid_basis._locate``) and taken in cell order, as a built rule
+    holds them.
 
-        K6(u_j) = u_j^6 / 720 - M_5(u_j) / 120.
+    Knot values come from the moments M_k = sum w d^k, k = 0..5, of the
+    nodes left of a knot about that knot, d in units of h.  Column 0 of a
+    block's (6, c + 1) table is the carry: the moments of every node left
+    of the block's first knot.  Column r > 0 starts as those of the nodes
+    of cell j0 + r - 1 about its right knot.  Moments move from one knot to
+    a knot s cells further right by the binomial shift
+    M_k(o + s) = sum_i C(k, i) s^(k-i) M_i(o), whose terms are all
+    positive for positive weights, so the carry cancels nothing.  A
+    doubling scan (Hillis & Steele) of ceil(log2 (c + 1)) steps adds to
+    column r >= s column r - s shifted by s, at s = 1, 2, 4, ..., after
+    which column r holds the moments of every node left of its knot,
+    column c is the next block's carry, and
+
+        K6(u) = u^6 / 720 - h^5 M_5(u) / 120,  u = j h.
 
     This is the global form regrouped, with no assumption that the rule
     is exact, and it equals ``peano_kernel`` at each knot up to rounding.
-    Besides the result it holds two (n + 1, 6) tables at once.
     """
     grid = rule.grid
-    n, h = grid.n, grid.h
-    d = np.maximum((cells + 1) * h - (rule.nodes - grid.a), 0.0)
-    moments = np.zeros((n + 1, 6))
-    wd = rule.weights
-    for k in range(6):
-        moments[1:, k] = np.bincount(cells, wd, minlength=n)
-        wd = wd * d
-    del d, wd  # the scan, where this check peaks, needs the moments only
-    step = 1
-    while step < n:
-        moments[1 + step :] += moments[1:-step] @ _shift(step * h).T
-        step *= 2
-    u = np.arange(n + 1) * h
-    return u**6 / 720.0 - moments[:, 5] / 120.0
+    n, h, a = grid.n, grid.h, grid.a
+    per_cell = (len(samples) - 1) // n
+    cells, offsets = _locate(grid, rule.nodes)
+    weights = rule.weights
+    if not (cells[1:] >= cells[:-1]).all():
+        order = np.argsort(cells, kind="stable")
+        cells, offsets, weights = cells[order], offsets[order], weights[order]
+    step = (grid.b - a) / (len(samples) - 1)  # np.linspace's
+    block = max(1, min(_BLOCK, _CHUNK // per_cell))
+    samples[-1, 0] = grid.b
+    for j0 in range(0, n, block):
+        j1 = min(j0 + block, n)
+        c, last = j1 - j0, j1 == n
+        starts = np.searchsorted(cells, np.arange(j0, j1 + 1))  # cell j0 + k: starts[k]..
+        i0, i1 = starts[0], starts[-1]
+        key, s, w = cells[i0:i1] - j0, offsets[i0:i1], weights[i0:i1]
+        alpha, beta, scan = _cell_sums(h, key, s, w, c)
+
+        u = np.arange(j0, j1 + 1) * h  # the block's knots, from a
+        left = (u[:-1] + a)[:, None]
+        # the samples k0..k1-1 of each cell: all at once, unless a cell
+        # takes more than _CHUNK
+        for k0 in range(0, per_cell, _CHUNK):
+            k1 = min(k0 + _CHUNK, per_cell)
+            i, size = j0 * per_cell + k0, (c - 1) * per_cell + k1 - k0
+            end = last and k1 == per_cell
+            rows = samples[i : i + size + end]
+            t = np.arange(i, i + size, dtype=float)
+            if step:
+                t *= step
+            else:  # np.linspace's order where the step underflows
+                t /= len(samples) - 1
+                t *= grid.b - a
+            t += a
+            rows[:size, 0] = t
+            v = t.reshape(c, k1 - k0)
+            v -= left
+            slots = _slots(key, s, w, starts, v) if i1 > i0 else []
+            kernel = np.empty(len(rows))  # 120 K6
+            _local_form(v, alpha[:, None], beta[:, None], slots, kernel[:size])
+            if end:  # b, in cell n - 1, by _local_form's operations on floats
+                v = grid.b - (a + (n - 1) * h)
+                k6 = (v / 6.0 + float(alpha[-1])) * v + float(beta[-1])
+                k6 *= (v * v) * (v * v)
+                for sk, wk in zip(offsets[starts[-2] :].tolist(), weights[starts[-2] :].tolist()):
+                    d = max(v - sk, 0.0)
+                    k6 -= (d * d) * (d * d) * d * wk
+                kernel[-1] = k6
+            np.divide(kernel, 120.0, out=rows[:, 1])
+            # NaN, which np.minimum keeps, fails the gate
+            low = kernel.min() if k0 == 0 else np.minimum(low, kernel.min())
+        # dividing by 120 keeps the order, so the least sample is the least
+        # value divided
+        lowest = low / 120.0
+
+        if j0:
+            scan[:, 0] = carry
+        for shift, matrix in _SHIFTS:
+            if shift > c:
+                break
+            # (6, 6) @ (6, 4096 at most): OpenBLAS runs it on one thread, so
+            # its bits do not depend on the thread count; np.einsum, with no
+            # BLAS, made the profile 1.4x as slow at n = 10^6 (2-vCPU VM)
+            scan[:, shift:] += matrix @ scan[:, :-shift]
+        knots = u[1:] ** 6 / 720.0 - scan[5, 1:] * h**5 / 120.0
+        carry = scan[:, c]
+        yield lowest, knots
 
 
-def _shift(length: float) -> np.ndarray:
-    """The matrix S that moves the moments M_0..M_5 about o to moments
-    about o + length: (S M)_k = sum_i C(k, i) length^(k-i) M_i, every entry
-    nonnegative for a nonnegative length."""
-    return (length ** np.arange(6))[_BINOMIAL_ORDER] * _BINOMIAL
+def _slots(key: np.ndarray, s: np.ndarray, w: np.ndarray, starts: np.ndarray, v: np.ndarray):
+    """The slots of ``_local_form`` for a block whose cell j holds nodes
+    starts[j]..starts[j + 1] - 1 (cells key, offsets s and weights w, from
+    node starts[0] on) and is sampled at the offsets v[j]: slot k holds the
+    k-th node of each cell, in node order.  Slots 0 and 1 take every cell,
+    a cell with fewer nodes a node of weight 0; later slots take only the
+    cells whose k-th node lies left of their last sample, since with a
+    finite positive weight a node right of it adds +0, as a knot rounded
+    into the cell on its left does."""
+    first = starts[:-1]
+    held = starts[1:] - first
+    m = held.max()
+    table = np.zeros((2, m, len(held), 1))
+    rank = np.arange(starts[0], starts[-1]) - first[key]
+    table[0, rank, key, 0] = s
+    table[1, rank, key, 0] = w
+    slots = [(slice(None), table[0, k], table[1, k]) for k in range(min(m, 2))]
+    tame = m > 2 and 0.0 < w.min() and w.max() < np.inf
+    for k in range(2, m):
+        live = held[:, None] > k
+        if tame:
+            live &= table[0, k] < v[:, -1:]
+        at = np.flatnonzero(live)
+        if at.size:
+            slots.append((at, table[0, k][at], table[1, k][at]))
+    return slots
 
 
-def _cell_kernel(
-    h: float, v: np.ndarray, s: np.ndarray, w: np.ndarray
-) -> np.ndarray:
-    """The local form of K6 at the offsets v (c, k) of c cells of width h.
+def _cell_sums(h: float, key: np.ndarray, s: np.ndarray, w: np.ndarray, cells: int):
+    """alpha and beta of ``_local_form`` for cells 0..cells-1, given the
+    cells (key), offsets s and weights w of their nodes and summed in node
+    order, and a (6, cells + 1) table whose column j + 1 holds the moments
+    sum w e^k of cell j's nodes about its right knot, e = 1 - s/h, and
+    whose column 0 is 0.  A two-third cell (7h/15 at 0, 8h/15 at h/2) has
+    alpha = 7h/30 and beta = h^2/12."""
+    terms = np.empty((8, len(key)))  # per node: the terms of each sum
+    r = s / h
+    e = 1.0 - r
+    q = e * e
+    q *= w
+    np.multiply(r, 2.0, out=terms[0])
+    terms[0] += 1.0
+    terms[0] *= q
+    np.multiply(q, s, out=terms[1])
+    np.maximum(e, 0.0, out=e)
+    terms[2] = w
+    for k in range(3, 8):
+        np.multiply(terms[k - 1], e, out=terms[k])
+    at = key + np.arange(1, 8 * cells + 9, cells + 1)[:, None]  # row k, column j + 1
+    sums = np.bincount(at.ravel(), terms.ravel(), minlength=8 * cells + 8)
+    sums = sums.reshape(8, cells + 1)
+    return sums[0, 1:] - h / 2.0, 5.0 * h * h / 12.0 - 5.0 * sums[1, 1:], sums[2:]
 
-    Row j of s and w (c, m) holds the node offsets and weights of the cell
-    that row j of v lies in.  Outside the cell, (v - s)_+^5 as a function
-    of s is a C1 spline whose piece on the cell is the cubic Hermite piece
-    with value v^5 and slope -5v^4 at s = 0, value and slope 0 at s = h.
-    The rule integrates that spline exactly, and the piece is linear in
-    the nodes, so with r = s/h
+
+def _local_form(v: np.ndarray, alpha, beta, slots, out: np.ndarray) -> None:
+    """120 K6 in the local form at the offsets v (c, k) of c cells of width
+    h, written to out (c * k).
+
+    Outside a cell, (v - s)_+^5 as a function of s is a C1 spline whose
+    piece on the cell is the cubic Hermite piece with value v^5 and slope
+    -5v^4 at s = 0, value and slope 0 at s = h.  The rule integrates that
+    spline exactly, and the piece is linear in the nodes, so with r = s/h
 
         120 K6 = v^4 (v^2/6 + alpha v + beta) - sum w (v - s)_+^5,
         alpha = sum w (1 - r)^2 (1 + 2r) - h/2,
         beta = 5h^2/12 - 5 sum w (1 - r)^2 s,
 
-    with alpha and beta once per cell (``_alpha_beta``).
+    summed over the nodes s of the cell with weights w (``_cell_sums``);
+    alpha and beta come as (c, 1) columns.  Slot (rows, s, w) gives one
+    node of each of those rows of v (``_slots``); the slots are subtracted
+    in order.
     """
-    alpha, beta = _alpha_beta(h, s, w)
-    out = (v / 6.0 + alpha) * v + beta
-    out *= (v * v) ** 2
-    for sm, wm in zip(s.T, w.T):
-        d = np.maximum(v - sm[:, None], 0.0)
-        out -= (d * d) ** 2 * d * wm[:, None]
-    out /= 120.0
-    return out
-
-
-def _alpha_beta(h: float, s: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """alpha and beta of ``_cell_kernel`` for the cells whose node
-    offsets and weights are the rows of s and w, as (c, 1) columns; 7h/30
-    and h^2/12 on a two-third cell (7h/15 at 0, 8h/15 at h/2)."""
-    r = s / h
-    q = w * (1.0 - r) ** 2
-    alpha = np.sum(q * (1.0 + 2.0 * r), axis=1, keepdims=True) - h / 2.0
-    beta = 5.0 * h * h / 12.0 - 5.0 * np.sum(q * s, axis=1, keepdims=True)
-    return alpha, beta
-
-
-def _local_samples(
-    rule: QuadratureRule, samples_per_cell: int, cells: np.ndarray, offsets: np.ndarray
-) -> np.ndarray:
-    """(t, K6) at samples_per_cell uniform points per cell and at b, in the
-    local form, as one (samples_per_cell * n + 1, 2) array; cells and
-    offsets place the rule's nodes (see ``grid_basis._locate``)."""
-    grid = rule.grid
-    samples = np.empty((samples_per_cell * grid.n + 1, 2))
-    samples[:, 0] = np.linspace(grid.a, grid.b, len(samples))
-    s, w = _by_row(grid.n, cells, offsets, rule.weights)
-    t = samples[:-1, 0].reshape(grid.n, samples_per_cell)
-    vals = samples[:-1, 1].reshape(grid.n, samples_per_cell)
-    left = grid.a + np.arange(grid.n) * grid.h
-    rows = max(1, _CHUNK // (samples_per_cell * s.shape[1]))
-    for j in range(0, grid.n, rows):
-        v = t[j : j + rows] - left[j : j + rows, None]
-        vals[j : j + rows] = _cell_kernel(grid.h, v, s[j : j + rows], w[j : j + rows])
-    v = samples[-1:, :1] - left[-1]
-    samples[-1, 1] = _cell_kernel(grid.h, v, s[-1:], w[-1:])[0, 0]
-    return samples
+    out = out.reshape(v.shape)
+    np.divide(v, 6.0, out=out)
+    out += alpha
+    out *= v
+    out += beta
+    p = v * v
+    p *= p
+    out *= p
+    d = np.empty_like(v)
+    for rows, s, w in slots:
+        dense = type(rows) is slice
+        dd = np.subtract(v, s, out=d) if dense else v[rows] - s
+        pp = p if dense else np.empty_like(dd)
+        np.maximum(dd, 0.0, out=dd)
+        np.multiply(dd, dd, out=pp)
+        pp *= pp
+        pp *= dd
+        pp *= w
+        out[rows] -= pp
 
 
 def _validate_samples(n: int, samples_per_cell: int) -> None:
@@ -242,31 +338,34 @@ def kernel_profile(rule: QuadratureRule, samples_per_cell: int = 1000) -> PeanoP
     (t - x)_+^5 equals, outside cell j, a C1 spline that is the cubic
     Hermite piece on cell j.  The rule integrates that spline exactly, so
     only cell j's nodes enter K6(t), through alpha_j and beta_j and their
-    own truncated powers (see ``_cell_kernel``): each sample costs
+    own truncated powers (see ``_local_form``): each sample costs
     O(1) time, and no term larger than h^6 cancels.  The local form equals
     the kernel only for a rule that is exact on the spline space.  The
     nodes are placed in cells once (``grid_basis._locate``), for the
-    samples and the knot check alike.
+    samples and the knot check alike, and both run in one pass over
+    blocks of at most 4095 cells (``_blocks``).
 
     At most ``MAX_KERNEL_SAMPLES`` = 2^22 samples (samples_per_cell * n + 1)
     are taken; a larger request is refused with ``ValueError`` before
     anything is allocated.  The rule holds 32 bytes per cell and the
-    profile 16 per sample (24 while the sample points are laid out).
-    Beyond those the profile peaks at 144 bytes per cell while it groups
-    the nodes by cell, and the knot check takes at most 96 (tracemalloc
-    at n = 2^20).  So at the cap the ``kernel`` command peaks near 450 MB
-    with 2 samples per cell (n = 2^21 - 1) and near 130 MB with 64
-    (n = 65535).
+    profile 16 per sample.  Beyond those the profile holds 34 bytes per
+    cell, the cells and offsets of the nodes (tracemalloc at n = 2^20 with
+    2 samples per cell), and a block's temporaries, about 4 doubles for
+    each of its at most 2^16 samples (2 MiB); a cell of more samples is
+    sampled 2^16 at a time.
+    So at the cap the ``kernel`` command peaks near 225 MB with 2 samples
+    per cell (n = 2^21 - 1) and near 105 MB with 64 (n = 65535).
 
     The profile is validated before it is returned: the kernel must be
     nonnegative up to rounding and must vanish at every knot.  The knot
     check evaluates the global form (the definition, as ``peano_kernel``),
     which assumes nothing about the rule, so a rule that fails to
     integrate the truncated powers at the knots is rejected.  It runs in
-    O(n log n) time: each cell's nodes enter through their moments about
-    the cell's right knot, and one doubling scan carries them to every
-    later knot by a binomial shift with positive terms (see
-    ``_knot_values``).  The
+    O(n log B) time for blocks of B cells: each cell's nodes enter through
+    their moments about the cell's right knot, and a doubling scan in each
+    block carries them, with those of every node left of the block, to
+    every knot of the block by a binomial shift with positive terms (see
+    ``_blocks``).  The
     thresholds scale with (b-a)^6, plus a term for node-coordinate
     rounding (nodes stored far from the origin carry offsets only to
     ulp(|a|), which perturbs the kernel by up to ~(b-a)^5 * ulp(|a|) / 24).
@@ -292,13 +391,16 @@ def kernel_profile(rule: QuadratureRule, samples_per_cell: int = 1000) -> PeanoP
     # span**6 raises OverflowError where the kernel's terms would overflow
     scale = max(1.0, span**6)
     placement = span**5 * max(abs(grid.a), abs(grid.b), 1.0) * 2e-17
-    cells, offsets = _locate(grid, rule.nodes)
-    samples = _local_samples(rule, samples_per_cell, cells, offsets)
-    # NaN (which min and max propagate) fails both gates
-    lowest = samples[:, 1].min()
+    samples = np.empty((samples_per_cell * grid.n + 1, 2))
+    lowest, knot_max = math.inf, 0.0
+    for low, knots in _blocks(rule, samples):
+        # NaN sticks once it comes, and fails both gates
+        if lowest == lowest:
+            lowest = min(low, lowest)
+        if knot_max == knot_max:
+            knot_max = max(np.abs(knots).max(), knot_max)
     if not lowest >= -(1e-15 * scale + placement):
         raise ConstructionError(f"kernel dips to {float(lowest)!r}")
-    knot_max = np.max(np.abs(_knot_values(rule, cells)))
     if not knot_max <= 1e-14 * scale + placement:
         raise ConstructionError(f"kernel fails to vanish at a knot: {float(knot_max)!r}")
     return PeanoProfile(rule=rule, samples=samples)

@@ -157,26 +157,15 @@ def _locate(grid: UniformKnotGrid, points: np.ndarray) -> tuple[np.ndarray, np.n
     """
     if points.size and not (grid.a <= points.min() and points.max() <= grid.b):
         raise ValueError(f"points outside [{grid.a}, {grid.b}]")
-    cells = np.floor((points - grid.a) / grid.h)
-    np.clip(cells, 0, grid.n - 1, out=cells)
-    offsets = points - (grid.a + cells * grid.h)
-    return cells.astype(np.intp), offsets
-
-
-def _by_row(rows: int, keys: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Each column regrouped into a zero-padded (rows, m) array.
-
-    Row k holds, in their original order, the entries whose key is k; m is
-    the most entries of one row.
-    """
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    slots = np.arange(len(keys)) - np.searchsorted(keys, keys)
-    m = int(slots.max()) + 1
-    tables = np.zeros((len(columns), rows, m))
-    for table, column in zip(tables, columns):
-        table[keys, slots] = column[order]
-    return tuple(tables)
+    cells = points - grid.a
+    cells /= grid.h
+    np.floor(cells, out=cells)  # at least 0: no point lies below a
+    np.minimum(cells, grid.n - 1, out=cells)
+    cells = cells.astype(np.intp)
+    offsets = cells * grid.h
+    offsets += grid.a
+    np.subtract(points, offsets, out=offsets)
+    return cells, offsets
 
 
 def basis_eval(grid: UniformKnotGrid, i: int, t: float) -> float:

@@ -477,24 +477,24 @@ def test_overflow_at_extreme_scale_is_a_construction_failure(args):
     assert cp.stdout == ""
 
 
-def _address_space_limit():
-    """A child's preexec_fn that caps its address space at 512 MiB."""
+def _address_space_limit(mib=512):
+    """A child's preexec_fn that caps its address space at mib MiB."""
     resource = pytest.importorskip("resource")
     if not hasattr(resource, "RLIMIT_AS"):
         pytest.skip("no address-space limit on this platform")
 
     def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+        resource.setrlimit(resource.RLIMIT_AS, (mib << 20, mib << 20))
 
     return limit
 
 
 def test_out_of_memory_is_exit_3_without_a_traceback():
     # a kernel profile holds its samples and the rule: at n = 2^21 - 1 with
-    # 2 samples per cell (just under the sample cap) it needs about 450 MB
-    # beyond the interpreter, more than a child limited to 512 MiB of
+    # 2 samples per cell (just under the sample cap) it needs about 200 MB
+    # beyond the interpreter, more than a child limited to 256 MiB of
     # address space has; a small rule runs under the same limit
-    limit = _address_space_limit()
+    limit = _address_space_limit(256)
     small = subprocess.run([sys.executable, "-m", "splinequad", "rule", "--n", "1"],
                            capture_output=True, text=True, preexec_fn=limit)
     assert small.returncode == 0, small.stderr

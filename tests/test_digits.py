@@ -147,11 +147,32 @@ def test_rule_values_stay_on_the_array_path(monkeypatch, mode):
 
 @pytest.mark.parametrize("mode", sorted(REFERENCES))
 def test_values_outside_the_window_fall_back(monkeypatch, mode):
+    # every value but the two zeros, which are written on the array path
     values = np.array([0.0, -0.0, 5e-324, 1e-300, 1e300, 1.7e308, np.inf, -np.inf, np.nan])
-    assert fallbacks(monkeypatch, values, mode) == len(values)
+    assert fallbacks(monkeypatch, values, mode) == len(values) - 2
     reference = json.dumps if mode == "repr" else REFERENCES[mode]
     texts = "".join(reference(v) + "\n" for v in values.tolist())
     assert _digits.lines([(values, mode), b"\n"]) == texts.encode()
+
+
+@pytest.mark.parametrize("mode", sorted(REFERENCES))
+def test_signed_zeros_stay_on_the_array_path(monkeypatch, mode):
+    # each cell's first kernel sample is an exact zero, so a kernel column
+    # at 2 samples per cell is half zeros, of either sign: mixed with
+    # values of every layout (fixed point, exponent form, the fallback's
+    # subnormals), they are written without the fallback
+    rng = np.random.default_rng(23)
+    values = rng.standard_normal(6000) * 10.0 ** rng.integers(-30, 30, 6000)
+    values[::2] = 0.0
+    values[1::6] = -0.0
+    values[3::10] = 3e-310
+    for column in (values, values[::2], values[1::6], np.array([-0.0]), np.zeros(3)):
+        assert_matches(column, mode)
+    calls = []
+    fallback = _digits._FALLBACK[mode]
+    monkeypatch.setitem(_digits._FALLBACK, mode, lambda v: calls.append(v) or fallback(v))
+    _digits.lines([(values, mode)])
+    assert 3e-310 in calls and 0.0 not in calls
 
 
 @pytest.mark.parametrize("mode", sorted(REFERENCES))

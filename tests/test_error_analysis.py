@@ -1,10 +1,12 @@
 """Tests for the Peano kernel and the remainder constant."""
 
+import hashlib
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,14 +15,14 @@ from splinequad import error_analysis
 from splinequad.error_analysis import (
     MAX_KERNEL_SAMPLES,
     PeanoProfile,
-    _alpha_beta,
-    _knot_values,
+    _blocks,
+    _cell_sums,
     error_constant,
     kernel_profile,
     peano_kernel,
     remainder_bound,
 )
-from splinequad.grid_basis import _by_row, _locate, make_grid
+from splinequad.grid_basis import _locate, make_grid
 from splinequad.quadrature import (
     ConstructionError,
     QuadratureRule,
@@ -141,19 +143,149 @@ def test_alpha_beta_of_a_two_third_cell(h):
     # 7h/15 at the left knot and 8h/15 at the midpoint: alpha = 7h/30 to a
     # few ulps, and beta = h^2/12 to a few ulps of the 5h^2/12 it is
     # taken from
-    alpha, beta = _alpha_beta(h, np.array([[0.0, h / 2]]), np.array([[7 * h / 15, 8 * h / 15]]))
-    assert abs(alpha[0, 0] - 7 * h / 30) <= 4 * np.spacing(7 * h / 30)
-    assert abs(beta[0, 0] - h * h / 12) <= 4 * np.spacing(5 * h * h / 12)
+    alpha, beta, _ = _cell_sums(h, np.array([0, 0]), np.array([0.0, h / 2]),
+                                 np.array([7 * h / 15, 8 * h / 15]), 1)
+    assert abs(alpha[0] - 7 * h / 30) <= 4 * np.spacing(7 * h / 30)
+    assert abs(beta[0] - h * h / 12) <= 4 * np.spacing(5 * h * h / 12)
 
 
 def test_alpha_beta_on_the_plateau_cells_of_a_built_rule():
     # on [0, 40] every node of a plateau cell is a double of the table,
     # two per cell from cell 10 to cell 30
     rule = build_rule(make_grid(0.0, 40.0, 40))
-    s, w = _by_row(40, *_locate(rule.grid, rule.nodes), rule.weights)
-    alpha, beta = _alpha_beta(1.0, s[9:30], w[9:30])
+    alpha, beta, _ = _cell_sums(1.0, *_locate(rule.grid, rule.nodes), rule.weights, 40)
+    alpha, beta = alpha[9:30], beta[9:30]
     assert np.max(np.abs(alpha - 7 / 30)) <= 4 * np.spacing(7 / 30)
     assert np.max(np.abs(beta - 1 / 12)) <= 4 * np.spacing(5 / 12)
+
+
+# Grids of the pinned profile digest: every n up to 64, n = 199 and 200
+# (cells of one and three nodes where a node rounds across a knot) and
+# n = 4097 (past one block of cells), on a unit interval, a wide one and
+# one far from the origin, at the fewest samples per cell, an odd count
+# and the audits' 64
+PROFILE_INTERVALS = ((0.0, 1.0), (-3.0, 17.0), (1e6, 1e6 + 1.0))
+PROFILE_NS = (*range(1, 65), 199, 200, 4097)
+PROFILE_SAMPLES = (2, 3, 64)
+
+
+def _layout_rule(a, b, counts, order=None):
+    """A rule over len(counts) cells of [a, b] whose cell j holds counts[j]
+    nodes, spread over the cell, the first at its left knot where the cell
+    holds four, with weights h / counts[j]; order permutes the nodes."""
+    n = len(counts)
+    grid = make_grid(a, b, n)
+    nodes, weights = [], []
+    for j, m in enumerate(counts):
+        start = 0 if m == 4 else 1
+        for k in range(m):
+            nodes.append(a + (j + (k + start) / (m + start)) * grid.h)
+            weights.append(grid.h / m)
+    nodes, weights = np.array(nodes), np.array(weights)
+    if order is not None:
+        nodes, weights = nodes[order], weights[order]
+    return QuadratureRule(grid=grid, nodes=nodes, weights=weights)
+
+
+def _reordered(rule, order):
+    return QuadratureRule(grid=rule.grid, nodes=rule.nodes[order], weights=rule.weights[order])
+
+
+def _hand_built_rules():
+    """Rules that ``build_rule`` never makes: cells of 0, 1, 3 and 4 nodes,
+    and nodes out of order, on an interval where the gates refuse them and
+    on ones where the kernel is far below the gates' floors."""
+    gl3 = QuadratureRule(  # three-point Gauss-Legendre on one cell: exact
+        grid=make_grid(0.0, 1.0, 1),
+        nodes=np.array([0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)]),
+        weights=np.array([5.0, 8.0, 5.0]) / 18.0,
+    )
+    rules = [("gl3", gl3), ("gl3 reversed", _reordered(gl3, [2, 1, 0]))]
+    layouts = [(0, 1, 4, 4), (3, 3, 1, 0, 4), (4, 0, 3, 0, 4), (1, 3, 1, 3, 1, 4)]
+    for a, b in ((0.0, 1.0), (0.0, 1e-3), (1e6, 1e6 + 1e-3)):
+        for counts in layouts:
+            rules.append((f"{counts} on [{a!r}, {b!r}]", _layout_rule(a, b, counts)))
+            m = 2 * len(counts) + 1
+            shuffled = _layout_rule(a, b, counts, np.random.default_rng(m).permutation(m))
+            rules.append((f"{counts} shuffled on [{a!r}, {b!r}]", shuffled))
+    for a, b, n in ((0.0, 1.0, 7), (-3.0, 17.0, 200), (1e6, 1e6 + 1.0, 199)):
+        built = build_rule(make_grid(a, b, n))
+        rules.append((f"built n={n} reversed", _reordered(built, np.arange(2 * n, -1, -1))))
+        shuffled = _reordered(built, np.random.default_rng(n).permutation(2 * n + 1))
+        rules.append((f"built n={n} shuffled", shuffled))
+    # a weight of cell 33 of 40 off by 1e-4: the samples pass, the knots fail
+    built = build_rule(make_grid(0.0, 1.0, 40))
+    weights = built.weights.copy()
+    weights[65] *= 1.0 + 1e-4
+    off = QuadratureRule(grid=built.grid, nodes=built.nodes, weights=weights)
+    rules.append(("built n=40 weight off", off))
+    rules.append(("built n=40 weight off reversed", _reordered(off, np.arange(80, -1, -1))))
+    return rules
+
+
+def _profiles_digest(rules, per_cells=PROFILE_SAMPLES):
+    """sha256 of each profile's samples at each count of samples per cell,
+    or of its refusal: the whole message where the samples fail (it names
+    the lowest sample), the gate's words where the knots do."""
+    digest = hashlib.sha256()
+    for label, rule in rules:
+        for per_cell in per_cells:
+            digest.update(f"{label} {per_cell}\n".encode())
+            try:
+                samples = kernel_profile(rule, per_cell).samples
+            except ConstructionError as exc:
+                text = str(exc)
+                if "vanish" in text:
+                    text = text.split(":")[0]
+                digest.update(f"refused: {text}\n".encode())
+            else:
+                digest.update(samples.tobytes())
+    return digest.hexdigest()
+
+
+def _pinned_profile_digests():
+    text = (Path(__file__).parent / "golden" / "kernel_profile_small.sha256").read_text()
+    return [line.split()[0] for line in text.splitlines()]
+
+
+def test_profiles_of_built_rules_match_their_pinned_digest():
+    # captured from the profile that grouped the nodes by cell into a
+    # padded table and sampled every cell in one chunk: bit for bit
+    rules = ((f"{a!r} {b!r} {n}", build_rule(make_grid(a, b, n)))
+             for n in PROFILE_NS for a, b in PROFILE_INTERVALS)
+    assert _profiles_digest(rules) == _pinned_profile_digests()[0]
+
+
+def test_profiles_of_hand_built_layouts_match_their_pinned_digest():
+    # the same profile's samples and gate decisions on layouts no build
+    # makes: empty cells, cells of four nodes, and nodes out of order
+    assert _profiles_digest(_hand_built_rules()) == _pinned_profile_digests()[1]
+
+
+def test_profiles_with_more_samples_than_a_block_match_their_pinned_digest():
+    # a cell of more than 2^16 samples is sampled a piece at a time
+    rules = ((f"{a!r} {b!r} {n}", build_rule(make_grid(a, b, n)))
+             for n in (1, 3) for a, b in PROFILE_INTERVALS)
+    assert _profiles_digest(rules, ((1 << 16) + 1, 150001)) == _pinned_profile_digests()[2]
+
+
+def test_hand_built_layouts_reach_both_gates_and_pass_them():
+    # the pinned layouts are worth pinning: some are refused by each gate,
+    # and every one is accepted where its kernel lies below the floors
+    outcomes = {}
+    for label, rule in _hand_built_rules():
+        try:
+            kernel_profile(rule, 3)
+            outcomes[label] = "accepted"
+        except ConstructionError as exc:
+            outcomes[label] = "knots" if "vanish" in str(exc) else "dips"
+    for label, outcome in outcomes.items():
+        if "weight off" in label:
+            assert outcome == "knots", label
+        elif "on [0.0, 1.0]" in label:
+            assert outcome == "dips", label
+        else:
+            assert outcome == "accepted", label
 
 
 @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-3.0, 17.0)])
@@ -214,15 +346,54 @@ def test_knot_check_matches_global_kernel(a, b, n, off):
     at = np.arange(n + 1)
     if n > 2000:
         at = np.unique(np.r_[0:40, 9990:10030, n - 300 : n + 1])
-    cells = _locate(rule.grid, rule.nodes)[0]
     ref = kernel_values(rule, knots[at])
-    diff = np.abs(_knot_values(rule, cells)[at] - ref)
+    blocks = _blocks(rule, np.empty((2 * n + 1, 2)))
+    values = np.concatenate([[0.0], *(knots for _, knots in blocks)])
+    diff = np.abs(values[at] - ref)
     span = b - a
     placement = span**5 * max(abs(a), abs(b), 1.0) * 2e-17
     gate = 1e-14 * max(1.0, span**6) + placement
     assert np.max(diff) <= 1e-2 * gate
     if off:
         assert np.max(np.abs(ref)) > 1e-2 * gate
+
+
+def test_knot_values_do_not_depend_on_the_block_size():
+    # 2, 64 and 1000 samples per cell take blocks of 4095, 1024 and 65
+    # cells, so the moments reach a knot through different carries: the
+    # values agree to rounding, well inside the gate, and the samples
+    # agree bit for bit where the points are the same
+    a, b, n = -3.0, 17.0, 5000
+    rule = build_rule(make_grid(a, b, n))
+    values = {}
+    for per_cell in (2, 64, 1000):
+        samples = np.empty((per_cell * n + 1, 2))
+        values[per_cell] = np.concatenate([knots for _, knots in _blocks(rule, samples)])
+        if per_cell == 2:
+            two = samples
+        elif per_cell == 64:
+            assert samples[::32].tobytes() == two.tobytes()
+    gate = 1e-14 * (b - a) ** 6
+    assert np.max(np.abs(values[64] - values[2])) <= 1e-3 * gate
+    assert np.max(np.abs(values[1000] - values[2])) <= 1e-3 * gate
+
+
+def test_knot_values_do_not_depend_on_blas_threads():
+    # the knot scan multiplies 6 x 6 shifts into blocks of at most 4096
+    # moments, which OpenBLAS runs on one thread: one thread or the
+    # default gives the same bytes; n = 20000 takes five blocks
+    code = ("import hashlib, numpy as np\n"
+            "from splinequad import build_rule, make_grid\n"
+            "from splinequad.error_analysis import _blocks\n"
+            "rule = build_rule(make_grid(-3.0, 17.0, 20000))\n"
+            "samples = np.empty((40001, 2))\n"
+            "knots = np.concatenate([k for _, k in _blocks(rule, samples)])\n"
+            "print(hashlib.sha256(knots.tobytes() + samples.tobytes()).hexdigest())\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    one = dict(env, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    texts = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=e, check=True).stdout for e in (env, one)]
+    assert texts[0] == texts[1] != ""
 
 
 @pytest.mark.parametrize("n, cell, eps", [(40, 33, 1e-4), (2000, 1000, -1e-5)])
@@ -275,6 +446,18 @@ def test_profile_memory_is_linear_in_samples():
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
+
+
+def test_profile_memory_stays_within_a_block_of_many_samples_per_cell():
+    # 2^20 samples in one cell: a 16 MiB profile, sampled 2^16 at a time
+    rule = build_rule(make_grid(0.0, 1.0, 1))
+    tracemalloc.start()
+    try:
+        samples = kernel_profile(rule, samples_per_cell=1 << 20).samples
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - samples.nbytes < 4 << 20
 
 
 def test_profile_shape_check():
