@@ -125,10 +125,9 @@ def peano_kernel(rule: QuadratureRule, t: float) -> float:
 
 def _blocks(rule: QuadratureRule, samples: np.ndarray):
     """Write the samples of ``kernel_profile`` into samples, a block of at
-    most ``_BLOCK`` cells and ``_CHUNK`` samples at a time (one cell, a
-    piece of ``_CHUNK`` samples at a time, where a cell takes more), and
-    yield each block's lowest sample and its knot values in the global
-    form.
+    most ``_BLOCK`` cells and ``_CHUNK`` samples at a time (one cell where
+    a cell takes more), and yield each block's lowest sample and its knot
+    values in the global form.
 
     The samples of cells j0..j1-1 lie at the points of ``np.linspace(a, b,
     len(samples))``, with b in the last block, and are taken in the local
@@ -175,41 +174,33 @@ def _blocks(rule: QuadratureRule, samples: np.ndarray):
         alpha, beta, scan = _cell_sums(h, key, s, w, c)
 
         u = np.arange(j0, j1 + 1) * h  # the block's knots, from a
-        left = (u[:-1] + a)[:, None]
-        # the samples k0..k1-1 of each cell: all at once, unless a cell
-        # takes more than _CHUNK
-        for k0 in range(0, per_cell, _CHUNK):
-            k1 = min(k0 + _CHUNK, per_cell)
-            i, size = j0 * per_cell + k0, (c - 1) * per_cell + k1 - k0
-            end = last and k1 == per_cell
-            rows = samples[i : i + size + end]
-            t = np.arange(i, i + size, dtype=float)
-            if step:
-                t *= step
-            else:  # np.linspace's order where the step underflows
-                t /= len(samples) - 1
-                t *= grid.b - a
-            t += a
-            rows[:size, 0] = t
-            v = t.reshape(c, k1 - k0)
-            v -= left
-            slots = _slots(key, s, w, starts, v) if i1 > i0 else []
-            kernel = np.empty(len(rows))  # 120 K6
-            _local_form(v, alpha[:, None], beta[:, None], slots, kernel[:size])
-            if end:  # b, in cell n - 1, by _local_form's operations on floats
-                v = grid.b - (a + (n - 1) * h)
-                k6 = (v / 6.0 + float(alpha[-1])) * v + float(beta[-1])
-                k6 *= (v * v) * (v * v)
-                for sk, wk in zip(offsets[starts[-2] :].tolist(), weights[starts[-2] :].tolist()):
-                    d = max(v - sk, 0.0)
-                    k6 -= (d * d) * (d * d) * d * wk
-                kernel[-1] = k6
-            np.divide(kernel, 120.0, out=rows[:, 1])
-            # NaN, which np.minimum keeps, fails the gate
-            low = kernel.min() if k0 == 0 else np.minimum(low, kernel.min())
+        i, size = j0 * per_cell, c * per_cell
+        rows = samples[i : i + size + last]
+        t = np.arange(i, i + size, dtype=float)
+        if step:
+            t *= step
+        else:  # np.linspace's order where the step underflows
+            t /= len(samples) - 1
+            t *= grid.b - a
+        t += a
+        rows[:size, 0] = t
+        v = t.reshape(c, per_cell)
+        v -= (u[:-1] + a)[:, None]
+        slots = _slots(key, s, w, starts, v) if i1 > i0 else []
+        kernel = np.empty(len(rows))  # 120 K6
+        _local_form(v, alpha[:, None], beta[:, None], slots, kernel[:size])
+        if last:  # b, in cell n - 1, by _local_form's operations on floats
+            v = grid.b - (a + (n - 1) * h)
+            k6 = (v / 6.0 + float(alpha[-1])) * v + float(beta[-1])
+            k6 *= (v * v) * (v * v)
+            for sk, wk in zip(offsets[starts[-2] :].tolist(), weights[starts[-2] :].tolist()):
+                d = max(v - sk, 0.0)
+                k6 -= (d * d) * (d * d) * d * wk
+            kernel[-1] = k6
+        np.divide(kernel, 120.0, out=rows[:, 1])
         # dividing by 120 keeps the order, so the least sample is the least
-        # value divided
-        lowest = low / 120.0
+        # value divided (NaN, which min keeps, fails the gate)
+        lowest = kernel.min() / 120.0
 
         if j0:
             scan[:, 0] = carry
@@ -217,8 +208,10 @@ def _blocks(rule: QuadratureRule, samples: np.ndarray):
             if shift > c:
                 break
             # (6, 6) @ (6, 4096 at most): OpenBLAS runs it on one thread, so
-            # its bits do not depend on the thread count; np.einsum, with no
-            # BLAS, made the profile 1.4x as slow at n = 10^6 (2-vCPU VM)
+            # its bits do not depend on the thread count.  Without BLAS the
+            # profile was slower on a 2-vCPU VM: with np.einsum 1.4x at
+            # n = 10^6; with the shift as row adds (a Pascal matrix between
+            # scalings by powers of s) 1.6x there and 1.35x at audit's sizes
             scan[:, shift:] += matrix @ scan[:, :-shift]
         knots = u[1:] ** 6 / 720.0 - scan[5, 1:] * h**5 / 120.0
         carry = scan[:, c]
@@ -232,8 +225,9 @@ def _slots(key: np.ndarray, s: np.ndarray, w: np.ndarray, starts: np.ndarray, v:
     k-th node of each cell, in node order.  Slots 0 and 1 take every cell,
     a cell with fewer nodes a node of weight 0; later slots take only the
     cells whose k-th node lies left of their last sample, since with a
-    finite positive weight a node right of it adds +0, as a knot rounded
-    into the cell on its left does."""
+    finite positive weight a node right of it adds +0.  Such a node is a
+    knot rounded into the cell on its left: a sixth of the cells over
+    audit's inputs, and skipping them saves 4-6 % of a profile there."""
     first = starts[:-1]
     held = starts[1:] - first
     m = held.max()
@@ -307,9 +301,13 @@ def _local_form(v: np.ndarray, alpha, beta, slots, out: np.ndarray) -> None:
     out *= p
     d = np.empty_like(v)
     for rows, s, w in slots:
-        dense = type(rows) is slice
-        dd = np.subtract(v, s, out=d) if dense else v[rows] - s
-        pp = p if dense else np.empty_like(dd)
+        # (v - s)_+ in d and its fifth power in p, on the slot's rows
+        dd, pp = d[: len(s)], p[: len(s)]
+        if type(rows) is slice:
+            np.subtract(v, s, out=dd)
+        else:
+            np.take(v, rows, axis=0, out=dd)
+            dd -= s
         np.maximum(dd, 0.0, out=dd)
         np.multiply(dd, dd, out=pp)
         pp *= pp
@@ -350,11 +348,12 @@ def kernel_profile(rule: QuadratureRule, samples_per_cell: int = 1000) -> PeanoP
     anything is allocated.  The rule holds 32 bytes per cell and the
     profile 16 per sample.  Beyond those the profile holds 34 bytes per
     cell, the cells and offsets of the nodes (tracemalloc at n = 2^20 with
-    2 samples per cell), and a block's temporaries, about 4 doubles for
-    each of its at most 2^16 samples (2 MiB); a cell of more samples is
-    sampled 2^16 at a time.
-    So at the cap the ``kernel`` command peaks near 225 MB with 2 samples
-    per cell (n = 2^21 - 1) and near 105 MB with 64 (n = 65535).
+    2 samples per cell), and a block's temporaries, 4 to 5 doubles per
+    sample: about 2 MiB where a cell takes at most 2^16 samples.  A cell
+    of more is a block of its own, whose temporaries grow with it (160 MiB
+    for one cell of 2^22 - 1 samples).  So at the cap the ``kernel``
+    command peaks near 225 MB with 2 samples per cell (n = 2^21 - 1), near
+    255 MB with one cell and near 105 MB with 64 per cell (n = 65535).
 
     The profile is validated before it is returned: the kernel must be
     nonnegative up to rounding and must vanish at every knot.  The knot

@@ -489,19 +489,34 @@ def _address_space_limit(mib=512):
     return limit
 
 
+def _address_space_after_import_mib():
+    """The address space a child holds once it has imported the CLI (its
+    VmPeak, with numpy's and OpenBLAS's threads and libraries), in MiB."""
+    if not Path("/proc/self/status").exists():
+        pytest.skip("no /proc/self/status to read a child's address space from")
+    code = ("import splinequad.cli\n"
+            "for line in open('/proc/self/status'):\n"
+            "    if line.startswith('VmPeak:'):\n"
+            "        print(int(line.split()[1]) >> 10)\n")
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return int(cp.stdout)
+
+
 def test_out_of_memory_is_exit_3_without_a_traceback():
-    # a kernel profile holds its samples and the rule: at n = 2^21 - 1 with
-    # 2 samples per cell (just under the sample cap) it needs about 200 MB
-    # beyond the interpreter, more than a child limited to 256 MiB of
-    # address space has; a small rule runs under the same limit
-    limit = _address_space_limit(256)
+    # at n = 2^21 - 1 with 2 samples per cell (just under the sample cap)
+    # the kernel command builds a rule of 64 MiB, then asks for 64 MiB of
+    # samples.  A child allowed 96 MiB beyond its imports holds the rule
+    # but not the samples, so it runs out in numpy, before the knot
+    # scan's first BLAS call, whatever the interpreter and OpenBLAS's
+    # threads take; a small rule runs under the same limit
+    limit = _address_space_limit(_address_space_after_import_mib() + 96)
     small = subprocess.run([sys.executable, "-m", "splinequad", "rule", "--n", "1"],
                            capture_output=True, text=True, preexec_fn=limit)
     assert small.returncode == 0, small.stderr
     cmd = [sys.executable, "-m", "splinequad", "kernel", "--n", "2097151",
            "--samples-per-cell", "2", "--out", os.devnull]
     cp = subprocess.run(cmd, capture_output=True, text=True, preexec_fn=limit)
-    assert cp.returncode == 3
+    assert cp.returncode == 3, cp.stderr
     assert "Traceback" not in cp.stderr
     assert cp.stderr.startswith("out of memory: ")
     assert cp.stderr.count("\n") == 1 and cp.stderr.endswith("\n")
