@@ -107,7 +107,33 @@ def _check_index(grid: UniformKnotGrid, i: int) -> None:
         raise ValueError(f"basis index {i} outside [1, {grid.dimension}]")
 
 
-def _shapes(h: float, u):
+def _powers(h: float, u: float):
+    """g^k and u^k, k = 1..5, g = h - u, of a float u, by ``**``."""
+    g = h - u
+    return g, u, g**2, u**2, g**3, u**3, g**4, u**4, g**5, u**5
+
+
+def _products(h: float, u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``_powers`` of an array u clamped to [0, h] as ``_place`` clamps, by
+    products: g^k and u^k are the two rows of one (2,) + u.shape array.
+
+    numpy raises an array to the powers 3..5 by calling libm ``pow`` once
+    per element: ``u**3`` took 2.4 us on 201 points against 0.58 us for
+    ``u * u`` (2-vCPU x86-64 VM, numpy 2.4).  The products round
+    differently from ``pow``: over 120000 seeded points on six grids, two
+    thirds of the shapes kept their bits and the others moved by at most 4
+    ulps of the largest of the six (the tests bound the array shapes
+    against 50 digits).
+    """
+    x = np.empty((2,) + u.shape)
+    np.minimum(np.maximum(u, 0.0, out=x[1]), h, out=x[1])
+    np.subtract(h, x[1], out=x[0])
+    x2 = x * x
+    x4 = x2 * x2
+    return (*x, *x2, *(x2 * x), *x4, *(x4 * x))
+
+
+def _shapes(h: float, u, powers=_powers):
     """The six basis functions alive on a cell of width h, at the local
     coordinate u in [0, h] (a float, or an ndarray of them).
 
@@ -116,15 +142,22 @@ def _shapes(h: float, u):
     D_{4j} are the scaled Bernstein bumps supported on the cell alone, and
     D_{4j+1} and D_{4j+2} rise toward its right knot.  Local coordinates
     keep wide or far-from-origin grids from losing precision.
+
+    ``powers(h, u)`` gives g^k and u^k, k = 1..5, with g = h - u:
+    ``_powers`` by ``**`` on the scalar path, whose bits are pinned, and
+    ``_products`` on the array path (``_cell_shapes``).
     """
-    g = h - u
+    g, u, g2, u2, g3, u3, g4, u4, g5, u5 = powers(h, u)
+    h6 = h**6
+    h6x4 = 4.0 * h6
+    u9 = 9.0 * u
     return (
-        g**5 / (4.0 * h**6),                        # D_{4j-3}, decaying
-        g**4 * (h + 9.0 * u) / (4.0 * h**6),        # D_{4j-2}, decaying
-        10.0 * u**2 * g**3 / h**6,                  # D_{4j-1}
-        10.0 * u**3 * g**2 / h**6,                  # D_{4j}
-        u**4 * (10.0 * h - 9.0 * u) / (4.0 * h**6),  # D_{4j+1}, rising
-        u**5 / (4.0 * h**6),                        # D_{4j+2}, rising
+        g5 / h6x4,                        # D_{4j-3}, decaying
+        g4 * (h + u9) / h6x4,             # D_{4j-2}, decaying
+        10.0 * u2 * g3 / h6,              # D_{4j-1}
+        10.0 * u3 * g2 / h6,              # D_{4j}
+        u4 * (10.0 * h - u9) / h6x4,      # D_{4j+1}, rising
+        u5 / h6x4,                        # D_{4j+2}, rising
     )
 
 
@@ -140,9 +173,14 @@ def _place(grid: UniformKnotGrid, t: float) -> tuple[int, float]:
 
 def _cell_shapes(grid: UniformKnotGrid, u: np.ndarray) -> np.ndarray:
     """``_shapes`` at the local coordinates u, clamped to [0, h] as
-    ``_place`` clamps, stacked on a last axis: the result has shape
-    ``u.shape + (6,)``."""
-    return np.stack(_shapes(grid.h, np.clip(u, 0.0, grid.h)), axis=-1)
+    ``_place`` clamps, with the powers by ``_products``: the result has
+    shape (6,) + u.shape, entry s first."""
+    return np.array(_shapes(grid.h, u, _products))
+
+
+# Entry s of a cell's six, as a column: 4 * cells + _SIX indexes the
+# coefficients (or basis functions) of the (6, m) shapes of m points.
+_SIX = np.arange(6)[:, None]
 
 
 def _locate(grid: UniformKnotGrid, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -155,13 +193,15 @@ def _locate(grid: UniformKnotGrid, points: np.ndarray) -> tuple[np.ndarray, np.n
     ValueError
         If a point lies outside [a, b] (or is NaN).
     """
-    if points.size and not (grid.a <= points.min() and points.max() <= grid.b):
+    # ufunc reductions: the methods min and max pass through Python wrappers
+    if points.size and not (grid.a <= np.minimum.reduce(points)
+                            and np.maximum.reduce(points) <= grid.b):
         raise ValueError(f"points outside [{grid.a}, {grid.b}]")
     cells = points - grid.a
     cells /= grid.h
-    np.floor(cells, out=cells)  # at least 0: no point lies below a
-    np.minimum(cells, grid.n - 1, out=cells)
+    # at least 0, as no point lies below a: the cast truncates to the floor
     cells = cells.astype(np.intp)
+    np.minimum(cells, grid.n - 1, out=cells)
     offsets = cells * grid.h
     offsets += grid.a
     np.subtract(points, offsets, out=offsets)
@@ -198,11 +238,16 @@ def basis_integral(grid: UniformKnotGrid, i: int) -> float:
     return 1.0 / 6.0
 
 
+# ``basis_integral`` of D_1 and D_2; D_{4n+2} and D_{4n+1} mirror them, and
+# every other index integrates to 1/6.
+_END_INTEGRALS = np.array([1.0 / 24.0, 1.0 / 8.0])
+
+
 def _basis_integrals(grid: UniformKnotGrid) -> np.ndarray:
     """``basis_integral`` of every index, as one array of length 4n + 2."""
     out = np.full(grid.dimension, 1.0 / 6.0)
-    out[[0, -1]] = 1.0 / 24.0
-    out[[1, -2]] = 1.0 / 8.0
+    out[:2] = _END_INTEGRALS
+    out[-2:] = _END_INTEGRALS[::-1]
     return out
 
 
@@ -231,10 +276,11 @@ class SplineCoefficients:
         placed in a cell j as ``cell_of`` places it, and the six shapes
         alive there (``_shapes``) meet the coefficients c_{4j-3} .. c_{4j+2}.
         A float t gives the ``math.fsum`` of the six products.  An array is
-        evaluated in one pass, the shapes stacked (``_cell_shapes``) and
-        contracted with each cell's coefficients, so ``apply_rule`` takes
-        its array path; its result equals the float one to a few ulps of
-        sum |c_i D_i(t)|.
+        evaluated in one pass: its shapes are ``_cell_shapes``, powers by
+        products, multiplied by each cell's coefficients and summed in
+        order of s, so ``apply_rule`` takes its array path.  Its result is
+        within 4 ulps of sum |c_i D_i(t)| of the float one (at most 2.5
+        over the 3126 points of the tests' 40 seeded grids).
 
         Raises
         ------
@@ -243,9 +289,10 @@ class SplineCoefficients:
         """
         grid = self.grid
         if isinstance(t, np.ndarray):
-            cells, u = _locate(grid, t)
-            c = self.c[4 * cells[..., None] + np.arange(6)]
-            return np.einsum("...s,...s->...", c, _cell_shapes(grid, u))
+            cells, u = _locate(grid, t.ravel())
+            c = self.c[4 * cells + _SIX]
+            c *= _cell_shapes(grid, u)
+            return np.add.reduce(c).reshape(t.shape)
         j, u = _place(grid, t)
         c = self.c[4 * j - 4 : 4 * j + 2].tolist()
         return math.fsum(map(operator.mul, c, _shapes(grid.h, u)))

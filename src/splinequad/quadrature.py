@@ -95,11 +95,13 @@ LIMIT_MIDPOINT_WEIGHT = 8.0 / 15.0
 # Rules with at least this many nodes first offer f their nodes as arrays
 # (see apply_rule).  The array call pays a fixed cost (numpy dispatch per
 # operation in f, and the errstate switch); the per-node loop pays per
-# node.  On a 2-vCPU x86-64 VM (Python 3.11, numpy 2.4) they break even at
-# 49 nodes for a rational 1/(1 + x^2) and at 57 for a Horner quintic; the
-# cut takes the later one, so no integrand of that cost runs slower than
-# per node.
-ARRAY_MIN_NODES = 57
+# node.  On a 2-vCPU x86-64 VM (Python 3.11, numpy 2.4) they break even
+# below 31 nodes for a rational 1/(1 + x^2) and at 33-37 for a Horner
+# quintic (per node against array: 10.5 against 10.4 us at 35 nodes, 11.0
+# against 11.0 at 37, 11.9 against 11.3 at 39); the cut takes the later
+# end, so no integrand of that cost runs slower than per node.  A
+# spline's ``value`` takes at most half its per-node time from 31 nodes on.
+ARRAY_MIN_NODES = 37
 
 # Arrays of at least this many products are summed by error-free
 # extraction (see _fsum_products), shorter ones by math.fsum alone.  On a
@@ -464,7 +466,11 @@ def build_rule(grid: UniformKnotGrid) -> QuadratureRule:
     block = np.empty((2, 2 * grid.n + 1))
     _check(grid, _fill(grid, block[0], block[1]))
     block.setflags(write=False)
-    return QuadratureRule(grid=grid, nodes=block[0], weights=block[1])
+    # the rows are read-only float64 views of a read-only block already, so
+    # the rule takes them without the constructor's copy-and-freeze pass
+    rule = object.__new__(QuadratureRule)
+    rule.__dict__.update(grid=grid, nodes=block[0], weights=block[1])
+    return rule
 
 
 def _fill(grid: UniformKnotGrid, nodes: np.ndarray, weights: np.ndarray) -> Iterator:
@@ -809,7 +815,7 @@ def _array_values(f: Callable, nodes: np.ndarray) -> Optional[np.ndarray]:
     if (
         isinstance(values, np.ndarray)
         and values.shape == nodes.shape
-        and np.can_cast(values.dtype, np.float64)
+        and (values.dtype is _FLOAT64 or np.can_cast(values.dtype, np.float64))
     ):
         return values
     return None

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from splinequad.grid_basis import (
     SplineCoefficients,
     _basis_integrals,
+    _cell_shapes,
+    _locate,
     basis_eval,
     basis_integral,
     make_grid,
@@ -404,6 +406,51 @@ def test_spline_value_array_matches_scalar():
             err = abs(vi - spline.value(ti)) / (size.value(ti) * np.finfo(float).eps)
             worst = max(worst, err)
     assert worst <= 4.0
+
+
+def _mp_shapes(mp, h, u):
+    """The six shapes on a cell of width h at the double offset u, clamped
+    to [0, h], in 50 digits: g = h - u is exact here."""
+    with mp.workdps(50):
+        h, u = mp.mpf(h), mp.mpf(min(max(u, 0.0), h))
+        g = h - u
+        c = 4 * h**6
+        return [g**5 / c, g**4 * (h + 9 * u) / c, 40 * u**2 * g**3 / c,
+                40 * u**3 * g**2 / c, u**4 * (10 * h - 9 * u) / c, u**5 / c]
+
+
+# The array shapes (powers by products) are within this many ulps of the
+# largest of the six at the point.  Most of it is the formulas' own: near
+# u = h, 10h - 9u and h + 9u are about h but rounded to ulps of 10h.  Over
+# 12000 seeded offsets on six grids the worst was 13.2 (12.1 with powers by
+# pow), always in D_{4j+1} or D_{4j-1}; the points below reach 8.3.
+SHAPE_ULPS = 16.0
+
+
+def test_array_shapes_match_50_digit_shapes():
+    # at u = 0 and u = h, offsets that the clamp moves, the cell middle and
+    # seeded offsets, and the offsets of knots and seeded points as _locate
+    # places them, on grids near and far from the origin
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261019)
+    worst = 0.0
+    for a, b, n in [(0.0, 1.0, 7), (-3.0, 17.0, 27), (1e6, 1e6 + 3.7, 11),
+                    (-1e12, -1e12 + 5.0, 3), (2.5e-3, 2.5e-3 + 1e-3, 5), (0.0, 1e4, 1)]:
+        grid = make_grid(a, b, n)
+        h = grid.h
+        points = np.concatenate([grid.knots(), rng.uniform(a, b, 40)])
+        u = np.concatenate([
+            [0.0, h, -0.0, -1e-3 * h, -math.ulp(h), h + math.ulp(h), 1.001 * h, h / 2],
+            rng.uniform(0.0, h, 40), _locate(grid, np.minimum(points, b))[1],
+        ])
+        shapes = _cell_shapes(grid, u)
+        assert shapes.shape == (6, len(u))
+        for k, uk in enumerate(u.tolist()):
+            exact = _mp_shapes(mp, h, uk)
+            ulp = math.ulp(float(max(exact)))
+            for s in range(6):
+                worst = max(worst, float(abs(mp.mpf(shapes[s, k]) - exact[s])) / ulp)
+    assert worst <= SHAPE_ULPS, worst
 
 
 # sha256 of the .hex() texts of basis_eval at every index and of a random

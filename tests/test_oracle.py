@@ -1,13 +1,23 @@
 """Tests for the independent verification machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from splinequad.error_analysis import error_constant
-from splinequad.grid_basis import _locate, basis_eval, basis_integral, make_grid
+from splinequad.grid_basis import (
+    _SIX,
+    _basis_integrals,
+    _cell_shapes,
+    _locate,
+    basis_eval,
+    basis_integral,
+    make_grid,
+)
 from splinequad.oracle import (
+    _REPORT_BLOCK,
     _node_counts,
     cubic_coefficients,
     cubic_rootfree_check,
@@ -238,6 +248,80 @@ def test_exactness_report_ignores_node_order():
     rep, ref = exactness_report(shuffled), exactness_report(rule)
     assert rep.per_interval_node_counts == ref.per_interval_node_counts
     assert abs(rep.max_basis_residual - ref.max_basis_residual) <= 1e-16
+
+
+def _one_block_report(rule):
+    """The report's residual and node counts with every node in one block:
+    one ``np.bincount`` of all the (6, 2n + 1) products, then the residuals
+    against the array of the basis integrals."""
+    grid = rule.grid
+    cells, offsets = _locate(grid, rule.nodes)
+    products = _cell_shapes(grid, offsets) * rule.weights
+    q = np.bincount((4 * cells + _SIX).ravel(), products.ravel(), minlength=grid.dimension)
+    return float(np.max(np.abs(q - _basis_integrals(grid)))), _node_counts(grid, cells, offsets)
+
+
+# Each quadrature value of a built rule sums at most six nonnegative
+# products (the nodes of two cells), so two summation orders give values
+# within 10 u of their sum (u = 2^-53), and the sums are at most 1/6 plus
+# the residual.
+def _within_rounding(residual, reference):
+    return abs(residual - reference) <= 10 * 2.0**-53 * (1.0 / 6.0 + reference)
+
+
+# 2n + 1 nodes just below and just above one and two blocks; a rule has an
+# odd number of nodes, so none has exactly _REPORT_BLOCK
+@pytest.mark.parametrize("nodes", [_REPORT_BLOCK - 1, _REPORT_BLOCK + 1,
+                                   2 * _REPORT_BLOCK - 1, 2 * _REPORT_BLOCK + 1])
+def test_blocked_report_matches_one_block_reference(nodes):
+    n = (nodes - 1) // 2
+    for a, b in ((0.0, 1.0), (-3.0, 17.0), (1e6, 1e6 + 3.7)):
+        rule = build_rule(make_grid(a, b, n))
+        assert len(rule) == nodes
+        rep = exactness_report(rule)
+        residual, counts = _one_block_report(rule)
+        assert rep.per_interval_node_counts == counts
+        assert _within_rounding(rep.max_basis_residual, residual), (a, b)
+
+
+def test_shuffled_rule_over_several_blocks_reports_as_sorted():
+    rule = build_rule(make_grid(-3.0, 17.0, 3 * _REPORT_BLOCK // 2))
+    assert len(rule) > 3 * _REPORT_BLOCK
+    order = np.random.default_rng(11).permutation(len(rule))
+    shuffled = QuadratureRule(grid=rule.grid, nodes=rule.nodes[order],
+                              weights=rule.weights[order])
+    rep, ref = exactness_report(shuffled), exactness_report(rule)
+    assert rep.per_interval_node_counts == ref.per_interval_node_counts
+    assert _within_rounding(rep.max_basis_residual, ref.max_basis_residual)
+    assert _within_rounding(rep.max_basis_residual, _one_block_report(shuffled)[0])
+
+
+@pytest.mark.parametrize("crowd", [255, 256, 300, 513])
+def test_exactness_report_counts_crowded_cells(crowd):
+    # a count is held in one byte; a cell of 256 nodes or more is counted
+    # again, over the whole rule
+    grid = make_grid(0.0, 2.0, crowd)
+    h = grid.h
+    nodes = np.concatenate([np.linspace(0.1 * h, 0.9 * h, crowd),
+                            np.linspace(1.5 * h, 2.0 - 0.5 * h, crowd + 1)])
+    rule = QuadratureRule(grid=grid, nodes=nodes, weights=np.full(2 * crowd + 1, h))
+    counts = exactness_report(rule).per_interval_node_counts
+    assert counts == _node_counts(grid, *_locate(grid, rule.nodes))
+    assert counts[0] == crowd and sum(counts) == 2 * crowd + 1
+
+
+def test_exactness_report_holds_its_sums_and_a_byte_per_cell():
+    # beyond the rule: the 4n + 2 sums, one byte per cell and a block's
+    # temporaries, within 2 MiB of the sums
+    n = 1 << 17
+    rule = build_rule(make_grid(0.0, 1.0, n))
+    tracemalloc.start()
+    try:
+        exactness_report(rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (4 * n + 2) * 8 + (2 << 20), peak
 
 
 def test_exactness_report_rejects_nodes_outside_the_interval():

@@ -578,6 +578,31 @@ def test_hand_built_rule_leaves_the_callers_arrays_alone():
     assert not (q.nodes.flags.writeable or q.weights.flags.writeable)
 
 
+def test_built_rule_holds_the_rows_of_its_one_block():
+    # build_rule hands its read-only block's rows to the rule as they are
+    for n in (1, 64, 10_000):
+        rule = build_rule(make_grid(-3.0, 17.0, n))
+        block = rule.nodes.base
+        assert rule.weights.base is block and block.shape == (2, 2 * n + 1)
+        assert not (block.flags.writeable or rule.nodes.flags.writeable
+                    or rule.weights.flags.writeable)
+        assert np.shares_memory(rule.nodes, block) and np.shares_memory(rule.weights, block)
+
+
+def test_hand_built_rule_from_writable_lists_or_arrays_is_a_frozen_copy():
+    grid = make_grid(0.0, 1.0, 3)
+    rule = build_rule(grid)
+    lists = rule.nodes.tolist(), rule.weights.tolist()
+    arrays = rule.nodes.copy(), rule.weights.copy()
+    for nodes, weights in (lists, arrays):
+        q = QuadratureRule(grid, nodes, weights)
+        for given, kept in ((nodes, q.nodes), (weights, q.weights)):
+            assert type(kept) is np.ndarray and kept.dtype == np.float64
+            assert not kept.flags.writeable
+            assert kept.tobytes() == np.asarray(given).tobytes()
+            assert not (isinstance(given, np.ndarray) and np.shares_memory(given, kept))
+
+
 def test_hand_built_rule_does_not_change_with_a_writable_base():
     # read-only views of a writable array: the base can still be written
     grid = make_grid(0.0, 1.0, 3)
@@ -832,7 +857,7 @@ def test_apply_accepts_bool_and_integer_arrays():
         assert apply_rule(rule, f).hex() == per_node(rule, scalar).hex()
 
 
-@pytest.mark.parametrize("n", (2, CUT_N + 1))
+@pytest.mark.parametrize("n", (2, CUT_N + 1, 29))
 def test_apply_scalar_only_callables_unchanged(n):
     grid = make_grid(0.0, math.pi, n)
     rule = build_rule(grid)
@@ -884,10 +909,11 @@ def test_apply_takes_a_long_double_integrand_per_node(n):
     assert apply_rule(rule, f).hex() == per_node(rule, f).hex()
 
 
-@pytest.mark.parametrize("n", (3, CUT_N, 40))
+@pytest.mark.parametrize("n", (3, CUT_N, 28, 40))
 def test_apply_refuses_numpy_complex_values(n):
-    # math.fsum would take a numpy complex scalar by its real part; at 57
-    # nodes and more the complex array result sends f to the per-node path
+    # math.fsum would take a numpy complex scalar by its real part; from
+    # ARRAY_MIN_NODES nodes on the complex array result sends f to the
+    # per-node path
     rule = build_rule(make_grid(-1.0, 1.0, n))
     with pytest.raises(TypeError, match="complex"):
         apply_rule(rule, lambda t: np.exp(1j * t))
@@ -911,7 +937,7 @@ def test_apply_refuses_a_numpy_complex_value_past_the_first_block():
         apply_rule(rule, f)
 
 
-@pytest.mark.parametrize("n", (2, CUT_N + 1))
+@pytest.mark.parametrize("n", (2, CUT_N + 1, 29))
 def test_apply_does_not_swallow_errors(n):
     def broken(t):
         raise KeyError("broken integrand")
