@@ -174,7 +174,11 @@ def _place(grid: UniformKnotGrid, t: float) -> tuple[int, float]:
 def _cell_shapes(grid: UniformKnotGrid, u: np.ndarray) -> np.ndarray:
     """``_shapes`` at the local coordinates u, clamped to [0, h] as
     ``_place`` clamps, with the powers by ``_products``: the result has
-    shape (6,) + u.shape, entry s first."""
+    shape (6,) + u.shape, entry s first.  It took 17.2, 20.2 and 24.3 us on
+    11, 201 and 401 points, against 21.7, 29.3 and 38.4 us with powers by
+    ``**`` stacked by ``np.stack`` on a last axis (interleaved medians,
+    2-vCPU x86-64 VM, numpy 2.4); ``np.array`` stacks six rows of 201 in
+    1.2 us, ``np.stack`` in 4.7."""
     return np.array(_shapes(grid.h, u, _products))
 
 
