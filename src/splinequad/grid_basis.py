@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +134,13 @@ def _products(h: float, u: np.ndarray) -> tuple[np.ndarray, ...]:
     return (*x, *x2, *(x2 * x), *x4, *(x4 * x))
 
 
+# The bounds of h**6 where it and 4 h**6 are normal doubles: cells of width
+# about 5.3e-52 to 1.9e51.  Outside them the shapes divide by a subnormal,
+# zero or infinite power of h, and come out inexact, zero or NaN.
+_H6_MIN = sys.float_info.min
+_H6_MAX = sys.float_info.max / 4.0
+
+
 def _shapes(h: float, u, powers=_powers):
     """The six basis functions alive on a cell of width h, at the local
     coordinate u in [0, h] (a float, or an ndarray of them).
@@ -146,9 +154,19 @@ def _shapes(h: float, u, powers=_powers):
     ``powers(h, u)`` gives g^k and u^k, k = 1..5, with g = h - u:
     ``_powers`` by ``**`` on the scalar path, whose bits are pinned, and
     ``_products`` on the array path (``_cell_shapes``).
+
+    Raises ``ValueError`` where h**6 or 4 h**6 is not a normal double.
     """
+    try:
+        h6 = h**6
+    except OverflowError:  # a Python float raises where numpy gives inf
+        h6 = math.inf
+    if not _H6_MIN <= h6 <= _H6_MAX:
+        raise ValueError(
+            f"cell width {h!r} is outside the range of the basis shapes: "
+            "h**6 and 4 h**6 must be normal doubles"
+        )
     g, u, g2, u2, g3, u3, g4, u4, g5, u5 = powers(h, u)
-    h6 = h**6
     h6x4 = 4.0 * h6
     u9 = 9.0 * u
     return (
@@ -223,7 +241,8 @@ def basis_eval(grid: UniformKnotGrid, i: int, t: float) -> float:
     Raises
     ------
     ValueError
-        If i is outside [1, 4n+2] or t outside [a, b].
+        If i is outside [1, 4n+2] or t outside [a, b], or D_i is alive at
+        t on a cell too narrow or too wide for the shapes (``_shapes``).
     """
     _check_index(grid, i)
     j, u = _place(grid, t)
@@ -289,7 +308,8 @@ class SplineCoefficients:
         Raises
         ------
         ValueError
-            If t (any point of an array t) lies outside [a, b].
+            If t (any point of an array t) lies outside [a, b], or the
+            cells are too narrow or too wide for the shapes (``_shapes``).
         """
         grid = self.grid
         if isinstance(t, np.ndarray):

@@ -35,7 +35,6 @@ __all__ = [
     "exactness_report",
     "limit_rule_deviation",
     "middle_system_residual",
-    "cubic_coefficients",
     "cubic_rootfree_check",
 ]
 
@@ -127,7 +126,9 @@ def exactness_report(rule: QuadratureRule) -> ExactnessReport:
     Raises
     ------
     ValueError
-        If a node lies outside [a, b], where the basis is not defined.
+        If a node lies outside [a, b], where the basis is not defined, or
+        the cells are too narrow or too wide for the basis shapes
+        (``grid_basis._shapes``).
     """
     grid = rule.grid
     nodes, weights = rule.nodes, rule.weights
@@ -197,24 +198,20 @@ def middle_system_residual(
     return float(q[0] - A), float(q[1] - B), float(q[2] - 1.0 / 6.0)
 
 
-def cubic_coefficients(state: ResidueState) -> tuple[float, float, float, float]:
-    """Monomial coefficients (c0, c1, c2, c3) of the cubic factor paired
-    with each unit cell's node quadratic (on a cell of width h the factor
-    is h^3 times this one at t/h)."""
-    A, B = state.A, state.B
-    return (-1.0, 4.0, 24.0 * B - 24.0 * A - 5.0, -216.0 * A - 24.0 * B + 2.0)
-
-
 def cubic_rootfree_check(state: ResidueState) -> bool:
     """True iff the cubic factor has no root in the unit cell [0, 1].
 
-    The cubic is split at the real critical points of its derivative (a
-    quadratic, solved in closed form); on each resulting monotone piece a
-    root exists iff the endpoint values change sign or hit zero, so the
-    check is exact up to endpoint evaluation.  Valid states always yield
-    True; the factor never contributes nodes.
+    The cubic factor paired with each unit cell's node quadratic is
+    c0 + c1 t + c2 t^2 + c3 t^3, with c0 = -1, c1 = 4, c2 = 24B - 24A - 5
+    and c3 = 2 - 216A - 24B (on a cell of width h the factor is h^3 times
+    this one at t/h).  It is split at the real critical points of its
+    derivative (a quadratic, solved in closed form); on each resulting
+    monotone piece a root exists iff the endpoint values change sign or hit
+    zero, so the check is exact up to endpoint evaluation.  Valid states
+    always yield True; the factor never contributes nodes.
     """
-    c0, c1, c2, c3 = cubic_coefficients(state)
+    A, B = state.A, state.B
+    c0, c1, c2, c3 = -1.0, 4.0, 24.0 * B - 24.0 * A - 5.0, -216.0 * A - 24.0 * B + 2.0
 
     def p(t: float) -> float:
         return ((c3 * t + c2) * t + c1) * t + c0

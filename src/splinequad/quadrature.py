@@ -35,19 +35,23 @@ scaling can break: nodes strictly increasing, weights positive, weights
 summing to b - a, and the extreme nodes strictly inside (a, b).
 
 That arithmetic is written once, row by row: row q of the left half lies
-at (k h + a) + h off, k = q >> 1, with the weight h w (``_left``), and
-``_mirror`` makes the right half.  The unit rows (k, off, w) before the
-middle are the same for every rule: the prefix cells, then the two-third
-fill.  So their first ``_TABLE_ROWS`` (4097) are a second read-only array,
-``_ROWS``, made from ``TABLE`` at import, and a rule of n <= 4097 cells
-reads every such row from it; only rows 4097 and beyond, on larger grids,
-make k from q and (off, w) by parity.  Two generators make a rule's rows
-a span at a time: ``_fill`` writes rows 0..n and their mirror images into
-the two rows of build_rule's one block, ``_SUM_BLOCK`` rows at a time, and
-``_spans`` makes ``_SPAN`` rows at a time with ``_span`` (any run of rows,
-the same doubles), so that ``splinequad rule`` never holds the rule whole.
-Both feed one check, ``_check``, which takes each span while it is in
-cache and decides the same however the rule is split.
+at (k h + a) + h off, k = q >> 1, with the weight h w (``_rows``), the
+middle closure's rows are written by ``_middle``, and ``_mirror`` makes
+the right half.  The unit rows (k, off, w) before the middle are the same
+for every rule: the prefix cells, then the two-third fill.  So their first
+``_TABLE_ROWS`` (4097) are a second read-only array, ``_ROWS``, made from
+``TABLE`` at import, and a rule of n <= 4097 cells reads every such row
+from it; only rows 4097 and beyond, on larger grids, make k from q and
+(off, w) by parity.  build_rule writes a rule of one ``_SUM_BLOCK``
+(n <= 8191) in one pass, and ``_flags`` and ``_verdict`` make its four
+checks.  Two generators make the other rules' rows a span at a time:
+``_fill`` writes rows 0..n and their mirror images into the two rows of
+build_rule's one block, ``_SUM_BLOCK`` rows at a time, and ``_spans``
+makes ``_SPAN`` rows at a time with ``_span`` (any run of rows, the same
+doubles), so that ``splinequad rule`` never holds the rule whole, whatever
+its n.  Both feed one check, ``_check``, which takes each span while it is
+in cache and carries across spans what ``_verdict`` decides from, so that
+every rule is decided the same however it is split.
 
 Rules are immutable once built; ``apply_rule`` is pure.  ``TABLE`` and
 ``_ROWS`` are computed once and never written afterwards, so builds share
@@ -96,11 +100,13 @@ LIMIT_MIDPOINT_WEIGHT = 8.0 / 15.0
 # (see apply_rule).  The array call pays a fixed cost (numpy dispatch per
 # operation in f, and the errstate switch); the per-node loop pays per
 # node.  On a 2-vCPU x86-64 VM (Python 3.11, numpy 2.4) they break even
-# below 31 nodes for a rational 1/(1 + x^2) and at 33-37 for a Horner
-# quintic (per node against array: 10.5 against 10.4 us at 35 nodes, 11.0
-# against 11.0 at 37, 11.9 against 11.3 at 39); the cut takes the later
-# end, so no integrand of that cost runs slower than per node.  A
-# spline's ``value`` takes at most half its per-node time from 31 nodes on.
+# below 27 nodes for a rational 1/(1 + x^2) and at 31-35 for a Horner
+# quintic (per node against array: 10.0 against 9.6 us at 33 nodes, 10.5
+# against 9.9 at 35, 11.2 against 9.9 at 37; the array call is 0.3-0.5 us
+# cheaper since it skips _sum_products below _EXTRACT_MIN, and broke even
+# at 33-37 before); the cut stays at the later end, so no integrand of that
+# cost runs slower than per node.  A spline's ``value`` takes at most half
+# its per-node time from 27 nodes on.
 ARRAY_MIN_NODES = 37
 
 # Arrays of at least this many products are summed by error-free
@@ -450,9 +456,12 @@ _SPAN = 1 << 17
 def build_rule(grid: UniformKnotGrid) -> QuadratureRule:
     """Construct the full 2n+1-node rule for a grid from ``TABLE``.
 
-    The rule is the two rows of one read-only (2, 2n+1) block, written by
-    ``_fill`` and checked by ``_check`` ``_SUM_BLOCK`` (16384) rows at a
-    time, while they are in cache.  The build holds no full-length
+    The rule is the two rows of one read-only (2, 2n+1) block.  A rule of
+    at most ``_SUM_BLOCK`` (16384) rows, n <= 8191, is written and checked
+    in one pass: ``_rows`` and ``_middle`` write rows 0..n, ``_mirror`` the
+    rest, and ``_flags`` and ``_verdict`` make the checks.  A larger one is
+    written by ``_fill`` and checked by ``_check`` ``_SUM_BLOCK`` rows at a
+    time, while they are in cache: the build holds no full-length
     temporary, and the one allocation spares the page faults of two.
 
     Raises
@@ -463,8 +472,19 @@ def build_rule(grid: UniformKnotGrid) -> QuadratureRule:
         positive, weights not summing to b - a, or an extreme node not
         strictly inside (a, b).
     """
-    block = np.empty((2, 2 * grid.n + 1))
-    _check(grid, _fill(grid, block[0], block[1]))
+    n = grid.n
+    block = np.empty((2, 2 * n + 1))
+    nodes, weights = block[0], block[1]  # 0.4 us faster than unpacking
+    if 2 * n < _SUM_BLOCK:
+        half, _, middle = _layout(n)
+        _rows(grid, 0, 2 * half, nodes, weights)
+        _middle(grid, half, middle, 0, nodes, weights)
+        _mirror(grid, nodes[n - 1 :: -1], nodes[n + 1 :])
+        weights[n + 1 :] = weights[n - 1 :: -1]
+        ordered, signed = _flags(nodes, weights)
+        _verdict(grid, ordered, signed, (np.add.reduce(weights),), nodes[0], nodes[-1])
+    else:
+        _check(grid, _fill(grid, nodes, weights))
     block.setflags(write=False)
     # the rows are read-only float64 views of a read-only block already, so
     # the rule takes them without the constructor's copy-and-freeze pass
@@ -517,49 +537,63 @@ def _span(grid: UniformKnotGrid, i: int, nodes: np.ndarray, weights: np.ndarray)
 
 def _left(grid: UniformKnotGrid, lo: int, nodes: np.ndarray, weights: np.ndarray) -> None:
     """Write rows lo .. lo + len(nodes) - 1 of the left half and the middle
-    (rows 0..n) into nodes and weights.
+    (rows 0..n) into nodes and weights: ``_rows`` up to 2 (n//2), then
+    ``_middle``'s rows."""
+    half, _, middle = _layout(grid.n)
+    _rows(grid, lo, min(lo + len(nodes), 2 * half), nodes, weights)
+    _middle(grid, half, middle, lo, nodes, weights)
+
+
+def _rows(grid: UniformKnotGrid, lo: int, hi: int, nodes: np.ndarray, weights: np.ndarray) -> None:
+    """Write the prefix and two-third rows lo .. hi - 1 (hi <= 2 (n//2), none
+    where hi <= lo) into the first hi - lo entries of nodes and weights.
 
     Row q lies at (k h + a) + h off, k = q >> 1, with the weight h w, from
     ``_layout``'s unit cells: ``TABLE``'s (off, w) on the prefix rows
-    0..2p-1, (0, 7/15) and (1/2, 8/15) on the even and odd two-third rows
-    up to 2 (n//2), then the middle closure's rows: the knot x_{n//2}
-    (even n), or the outer node of cell n//2 + 1 and the midpoint (odd n).
-    Up to 2 (n//2), rows below ``_TABLE_ROWS`` read (k, off, w) from
-    ``_ROWS`` in four array operations; two-third rows beyond it, on grids
-    of more than 4097 cells, make k from q and (off, w) by parity.
+    0..2p-1, then (0, 7/15) and (1/2, 8/15) on the even and odd two-third
+    rows.  Rows below ``_TABLE_ROWS`` read (k, off, w) from ``_ROWS`` in
+    four array operations; two-third rows beyond it, on grids of more than
+    4097 cells, make k from q and (off, w) by parity.
     """
-    a, n, h = grid.a, grid.n, grid.h
-    half, _, middle = _layout(n)
-    hi = lo + len(nodes)
-    e = min(hi, 2 * half)  # the prefix and two-third rows end at 2 (n//2)
-    if lo < e:
-        f = min(e, _TABLE_ROWS)  # rows lo .. f - 1 from the table
-        if lo < f:
-            # h as a 0-d array, which a ufunc takes about 0.3 us faster
-            # than a Python float (numpy 2.4): the same doubles
-            hv = np.array(h)
-            x = np.multiply(_K[lo:f], hv, out=nodes[: f - lo])
-            x += a
-            x += hv * _OFF[lo:f]
-            np.multiply(_W[lo:f], hv, out=weights[: f - lo])
-        s = max(lo, _TABLE_ROWS)  # two-third rows s .. e - 1 beyond it
-        if s < e:
-            # k = q >> 1 as the floor of exact halves: with no int-to-float
-            # cast, 1.2-1.7x as fast as an int arange at n = 10^5..10^6
-            x = np.floor(np.arange(0.5 * s, 0.5 * e, 0.5), out=nodes[s - lo : e - lo])
-            x *= h
-            x += a
-            x[1 - s % 2 :: 2] += 0.5 * h
-            y = weights[s - lo : e - lo]
-            y[s % 2 :: 2] = LIMIT_KNOT_WEIGHT * h
-            y[1 - s % 2 :: 2] = LIMIT_MIDPOINT_WEIGHT * h
-    knot, b = half * h + a, grid.b  # the middle rows 2 (n//2) .. n
+    a, h = grid.a, grid.h
+    f = min(hi, _TABLE_ROWS)  # rows lo .. f - 1 from the table
+    if lo < f:
+        # h as a 0-d array, which a ufunc takes about 0.3 us faster than a
+        # Python float (numpy 2.4): the same doubles
+        hv = np.array(h)
+        x = np.multiply(_K[lo:f], hv, out=nodes[: f - lo])
+        x += a
+        x += hv * _OFF[lo:f]
+        np.multiply(_W[lo:f], hv, out=weights[: f - lo])
+    s = max(lo, _TABLE_ROWS)  # two-third rows s .. hi - 1 beyond it
+    if s < hi:
+        # k = q >> 1 as the floor of exact halves: with no int-to-float
+        # cast, 1.2-1.7x as fast as an int arange at n = 10^5..10^6
+        x = np.floor(np.arange(0.5 * s, 0.5 * hi, 0.5), out=nodes[s - lo : hi - lo])
+        x *= h
+        x += a
+        x[1 - s % 2 :: 2] += 0.5 * h
+        y = weights[s - lo : hi - lo]
+        y[s % 2 :: 2] = LIMIT_KNOT_WEIGHT * h
+        y[1 - s % 2 :: 2] = LIMIT_MIDPOINT_WEIGHT * h
+
+
+def _middle(
+    grid: UniformKnotGrid, half: int, middle, lo: int, nodes: np.ndarray, weights: np.ndarray
+) -> None:
+    """Write those of the middle rows 2 (n//2) .. n that lie in lo ..
+    lo + len(nodes) - 1 into nodes and weights, from ``_layout``'s half and
+    closure: the knot x_{n//2} (even n), or the outer node of cell
+    n//2 + 1 and the midpoint (odd n), their weights h w."""
+    a, b, n, h = grid.a, grid.b, grid.n, grid.h
+    knot = half * h + a
     if n % 2:
         r1, w_out, w_mid = middle
         mid = 0.5 * (a + b) if math.isfinite(a + b) else a + 0.5 * (b - a)
         rows = ((n - 1, knot + h * r1, w_out), (n, mid, w_mid))
     else:
         rows = ((n, knot, middle),)
+    hi = lo + len(nodes)
     for q, t, w in rows:
         if lo <= q < hi:
             nodes[q - lo], weights[q - lo] = t, h * w
@@ -609,12 +643,29 @@ def _check(grid: UniformKnotGrid, spans: Iterable[tuple[np.ndarray, np.ndarray]]
         else:
             for s in range(0, len(weights), _SUM_BLOCK):
                 sums.append(np.add.reduce(weights[s : s + _SUM_BLOCK]))
-        # count_nonzero skips the ufunc reduce machinery: about 1 us faster on
-        # a short array, 4 us slower on a span of 2^17 nodes; minimum's reduce
-        # is the ufunc's, not the ndarray method that calls it through Python
-        increasing = increasing and np.count_nonzero(nodes[1:] > nodes[:-1]) == len(nodes) - 1
-        positive = positive and np.minimum.reduce(weights) > 0.0
+        ordered, signed = _flags(nodes, weights)
+        increasing, positive = increasing and ordered, positive and signed
         last = nodes[-1]
+    _verdict(grid, increasing, positive, sums, first, last)
+
+
+def _flags(nodes: np.ndarray, weights: np.ndarray) -> tuple[bool, bool]:
+    """Whether a span's nodes strictly increase, and its weights are all
+    positive."""
+    # count_nonzero skips the ufunc reduce machinery: about 1 us faster on a
+    # short array, 4 us slower on a span of 2^17 nodes; minimum's reduce is
+    # the ufunc's, not the ndarray method that calls it through Python
+    return (
+        np.count_nonzero(nodes[1:] > nodes[:-1]) == len(nodes) - 1,
+        np.minimum.reduce(weights) > 0.0,
+    )
+
+
+def _verdict(grid: UniformKnotGrid, increasing, positive, sums, first, last) -> None:
+    """``ConstructionError`` for the first of the four checks that failed:
+    the nodes strictly increasing, the weights positive, the sums of their
+    blocks summing to b - a (rounded once by ``math.fsum``), and the first
+    and last node strictly inside (a, b)."""
     if not increasing:
         raise ConstructionError("nodes are not strictly increasing")
     if not positive:
@@ -670,7 +721,11 @@ def apply_rule(
     """
     nodes, weights = rule.nodes, rule.weights
     if len(nodes) >= ARRAY_MIN_NODES:
-        total = _sum_products(weights, nodes, partial(_array_values, f))
+        if len(nodes) < _EXTRACT_MIN:  # one block: 0.3-0.5 us less than _sum_products
+            values = _array_values(f, nodes)
+            total = None if values is None else _fsum_products(weights, values)
+        else:
+            total = _sum_products(weights, nodes, partial(_array_values, f))
         if total is not None:
             return total
         products = map(operator.mul, _items(weights), map(f, _items(nodes)))
@@ -684,7 +739,10 @@ def _fsum_products(weights: np.ndarray, values: np.ndarray) -> float:
     """``math.fsum((weights * values).tolist())``, bit for bit and exceptions
     included, without a Python float per product on long arrays.  The
     weights are float64 and the values of a dtype float64 takes in (as
-    ``_array_values`` admits them), so the products are doubles."""
+    ``_array_values`` admits them), so the products are doubles.  Under
+    ``_EXTRACT_MIN`` products ``math.fsum`` sums them itself."""
+    if len(weights) < _EXTRACT_MIN:
+        return math.fsum(_items(weights * values))
     return _sum_products(weights, values, lambda v: v)
 
 
@@ -696,11 +754,10 @@ def _sum_products(
     ``values`` gives None on any block (or on its second call on a block,
     below).
 
-    Under ``_EXTRACT_MIN`` products, values(x) is one block and the products
-    are summed by ``math.fsum``.  From ``_EXTRACT_MIN`` on, the blocks are
-    ``_SUM_BLOCK`` long: each block's products are formed and reduced by
-    error-free extraction (``_extract``) at once, and the exact partial sums
-    of all blocks are rounded once by ``math.fsum``.
+    The blocks are ``_SUM_BLOCK`` long: each block's products are formed and
+    reduced by error-free extraction (``_extract``) at once, and the exact
+    partial sums of all blocks are rounded once by ``math.fsum``.  Callers
+    sum fewer than ``_EXTRACT_MIN`` products by ``math.fsum`` alone.
 
     ``math.fsum`` of the products themselves decides where the two sums
     could differ: a product that is inf or nan, a product at 2^emax or
@@ -708,9 +765,6 @@ def _sum_products(
     zero).  The blocks' values are then taken a second time.
     """
     n = len(weights)
-    if n < _EXTRACT_MIN:
-        v = values(x)
-        return None if v is None else math.fsum(_items(weights * v))
     partials, exact = [], True
     for i in range(0, n, _SUM_BLOCK):
         v = values(x[i : i + _SUM_BLOCK])

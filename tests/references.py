@@ -3,7 +3,8 @@
 Each is an independent way to get a value the library computes another
 way: composite Gauss-Legendre integrals with hard-coded nodes, the global
 Peano kernel as one dense sum over the nodes, the two-nodes-per-cell
-certificate of the basis, and a rule document read back from its json.
+certificate of the basis, the cubic factor that the root-free check
+examines, and a rule document read back from its json.
 """
 
 import json
@@ -113,6 +114,15 @@ def kernel_values(rule: QuadratureRule, ts: np.ndarray) -> np.ndarray:
         np.clip(d, 0.0, None, out=d)
         out[i : i + rows] = u**6 / 720.0 - (d**5) @ rule.weights[left] / 120.0
     return out
+
+
+def cubic_coefficients(state) -> tuple[float, float, float, float]:
+    """Monomial coefficients (c0, c1, c2, c3) of the cubic factor paired
+    with each unit cell's node quadratic, entered in the residue state
+    (A, B): the cubic that ``oracle.cubic_rootfree_check`` tests for roots
+    in the unit cell."""
+    A, B = state.A, state.B
+    return (-1.0, 4.0, 24.0 * B - 24.0 * A - 5.0, -216.0 * A - 24.0 * B + 2.0)
 
 
 def rule_document_from_json(text: str) -> RuleDocument:

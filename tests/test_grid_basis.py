@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -485,6 +486,39 @@ def test_spline_value_array_refuses_points_outside():
     wide = build_rule(make_grid(0.0, 2.0, 40))
     with pytest.raises(ValueError, match=r"^point 1\.0[0-9]* outside \[0\.0, 1\.0\]"):
         apply_rule(wide, spline.value)
+
+
+# [0, b] in two cells: h**6 subnormal (h = 5e-53), zero (5e-61), or 4 h**6
+# (h = 1.9e51) or h**6 itself (5e59) beyond the double range
+@pytest.mark.parametrize("b", [1e-52, 1e-60, 3.8e51, 1e60])
+def test_shapes_refuse_cells_outside_the_range_of_h6(b):
+    grid = make_grid(0.0, b, 2)
+    spline = SplineCoefficients(grid=grid, c=np.ones(grid.dimension))
+    t = 0.3 * b
+    evaluations = (
+        lambda: basis_eval(grid, 3, t),
+        lambda: spline.value(t),
+        lambda: spline.value(np.array([t, 0.7 * b])),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic warns
+        for evaluate in evaluations:
+            with pytest.raises(ValueError, match="outside the range of the basis shapes"):
+                evaluate()
+
+
+@pytest.mark.parametrize("b", [1.1e-51, 3.7e51])
+def test_shapes_on_the_narrowest_and_widest_cells_scale_the_unit_cell(b):
+    # just inside the range: D_i(t) = D_i(t / h) / h on the unit-width grid
+    grid, unit = make_grid(0.0, b, 2), make_grid(0.0, 2.0, 2)
+    spline = SplineCoefficients(grid=grid, c=np.ones(grid.dimension))
+    ts = (0.1, 0.75, 1.0, 1.4, 2.0)
+    for s in ts:
+        for i in range(1, grid.dimension + 1):
+            assert basis_eval(grid, i, s * grid.h) * grid.h == pytest.approx(
+                basis_eval(unit, i, s), rel=1e-13, abs=1e-300), (i, s)
+    values = spline.value(np.array(ts) * grid.h) * grid.h
+    assert values == pytest.approx([spline.value(s * grid.h) * grid.h for s in ts], rel=1e-13)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

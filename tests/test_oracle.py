@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from splinequad.grid_basis import (
 from splinequad.oracle import (
     _REPORT_BLOCK,
     _node_counts,
-    cubic_coefficients,
     cubic_rootfree_check,
     exactness_report,
     limit_rule_deviation,
@@ -35,7 +35,7 @@ from splinequad.quadrature import (
     build_rule,
 )
 
-from references import gauss_legendre_between, reference_integral
+from references import cubic_coefficients, gauss_legendre_between, reference_integral
 
 
 # -------------------------------------------------------- reference integral
@@ -455,6 +455,24 @@ def test_middle_system_holds_for_every_odd_closure_of_the_table():
         assert max(abs(r) for r in res) <= 1e-10, state
 
 
+@pytest.mark.parametrize("b", [1e-52, 1e-60, 3.8e51])
+def test_exactness_report_refuses_cells_outside_the_range_of_h6(b):
+    # the built rule is fine; its basis shapes are not defined in doubles
+    # (NaN residuals after ten RuntimeWarnings on [0, 1e-60] before)
+    rule = build_rule(make_grid(0.0, b, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="outside the range of the basis shapes"):
+            exactness_report(rule)
+
+
+@pytest.mark.parametrize("b", [1.1e-51, 3.7e51])
+def test_exactness_report_holds_on_the_narrowest_and_widest_cells(b):
+    report = exactness_report(build_rule(make_grid(0.0, b, 2)))
+    assert report.max_basis_residual <= 1e-15
+    assert report.per_interval_node_counts == (2, 3)
+
+
 # ------------------------------------------------------------- cubic factor
 
 def test_cubic_coefficients_initial_state():
@@ -479,6 +497,26 @@ def test_cubic_detects_roots():
     # unreachable residues push a root into [0, 1]: near A = B = 0 the
     # cubic is ~ (t-1)^2 (2t-1), which crosses zero inside the cell
     assert not cubic_rootfree_check(ResidueState(k=1, A=1e-4, B=2e-4))
+
+
+def test_cubic_rootfree_check_agrees_with_the_roots_of_the_reference_cubic():
+    # the check writes its own coefficients; numpy's roots of the reference
+    # cubic decide the same on the table's states and on seeded residues
+    # 0 < A < B < 1/6, reachable or not, away from roots at 0 or 1
+    rng = np.random.default_rng(25)
+    states = list(TABLE.states)
+    for A, B in np.sort(rng.uniform(0.0, 1.0 / 6.0, (400, 2)), axis=1).tolist():
+        states.append(ResidueState(k=1, A=A, B=B))
+    decided = set()
+    for state in states:
+        roots = np.roots(cubic_coefficients(state)[::-1])
+        real = roots[abs(roots.imag) <= 1e-9].real
+        if any(min(abs(r), abs(r - 1.0)) <= 1e-9 for r in real):
+            continue
+        rootfree = not any(0.0 < r < 1.0 for r in real)
+        assert cubic_rootfree_check(state) == rootfree, state
+        decided.add(rootfree)
+    assert decided == {True, False}
 
 
 # ------------------------------------------- unit-cell table vs 50 digits

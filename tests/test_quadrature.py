@@ -715,6 +715,36 @@ def test_spans_are_slices_of_the_whole_rule(a, b):
         assert table.tobytes() == rule.nodes[: n + 1].tobytes()
 
 
+def test_build_and_streamed_spans_agree_on_every_pinned_grid():
+    # build_rule writes and checks a rule of one block in its own pass;
+    # splinequad rule checks the spans of _spans with _check.  On every
+    # grid of the pinned small-rule digest they give the same bytes, or
+    # refuse with the same message
+    refused = 0
+    for n in PINNED_NS:
+        for a, b in (*PINNED_INTERVALS, (0.0, float(n))):
+            grid = make_grid(a, b, n)
+            try:
+                rule = build_rule(grid)
+            except ConstructionError as exc:
+                built = f"refused: {exc}"
+                refused += 1
+            else:
+                built = rule.nodes.tobytes() + rule.weights.tobytes()
+            spans = list(_spans(grid))
+            try:
+                _check(grid, spans)
+            except ConstructionError as exc:
+                streamed = f"refused: {exc}"
+            else:
+                nodes, weights = zip(*spans)
+                streamed = np.concatenate(nodes).tobytes() + np.concatenate(weights).tobytes()
+            assert built == streamed, (a, b, n)
+    # 936 of the 3636 grids are refused, for disorder, the weight sum or an
+    # extreme node, as the pinned digest records
+    assert refused == 936
+
+
 def test_checks_over_spans_refuse_as_the_whole_rule():
     # carried across a span boundary: the order of the nodes, the sign of
     # the weights and their sum.  Over two spans, each broken rule is
