@@ -110,11 +110,16 @@ LIMIT_MIDPOINT_WEIGHT = 8.0 / 15.0
 ARRAY_MIN_NODES = 37
 
 # Arrays of at least this many products are summed by error-free
-# extraction (see _fsum_products), shorter ones by math.fsum alone.  On a
-# 2-vCPU x86-64 VM (Python 3.11, numpy 2.4) the two break even near 1000
-# products of a quintic and 1400 of a rational; at the cut extraction is
-# 30 % faster on both, a margin that keeps every sum from running slower.
-_EXTRACT_MIN = 1 << 11
+# extraction (see _sum_products), shorter ones by math.fsum alone.  On a
+# 2-vCPU x86-64 VM (Python 3.11, numpy 2.4), with random coefficients, the
+# two break even near 520-580 products for SplineCoefficients.exact_integral
+# and a rational 1/(1 + x^2) and near 640 for a Horner quintic in
+# apply_rule; at the cut extraction is 15 % (quintic) to 40 %
+# (exact_integral) faster, a margin that keeps every sum from running
+# slower.  So apply_rule extracts from n = 512 cells on and exact_integral
+# from n = 256 (4n + 2 coefficients); smaller rules and splines, all of
+# the many-small and audit sizes, keep math.fsum.
+_EXTRACT_MIN = 1 << 10
 
 # Rows a build writes and checks at a time; in apply_rule, products
 # extracted, nodes per array call of f, and per-node products checked for
@@ -125,12 +130,24 @@ _SUM_BLOCK = 1 << 14
 
 # sigma = 2^(e + _SUM_SHIFT) for a block whose largest |r| is below 2^e:
 # 2^_SUM_SHIFT exceeds the block length + 2, so the q of one pass sum to a
-# double exactly (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008).
+# double exactly, and each remainder r - q is at most ulp(sigma)/2 (Rump,
+# Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008, parts I and II).
 _SUM_SHIFT = (_SUM_BLOCK + 2).bit_length()
 
-# A block's remainders go to the final math.fsum as they are once fewer
-# than this many are nonzero: a pass costs what fsum takes for about 300.
+# A block shorter than this (only the last can be) is summed as it is, and
+# in the exact extraction a block's remainders are, once fewer than this
+# many are nonzero: a pass costs what math.fsum takes for about 300.
 _SUM_REST = 128
+
+# gamma_(m-1) * m for m = _SUM_BLOCK, rounded up, gamma_k = k u / (1 - k u)
+# with u = 2^-53: m remainders of at most 2^p each, added in any order,
+# err by at most this times 2^p (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., SIAM 2002, section 4.2).  About 2^-25, so
+# a sum of products of one size whose total is below about 2^-21 of their
+# absolute sum is seldom certified (see apply_rule).
+_SUM_SLACK = math.nextafter(
+    (_SUM_BLOCK - 1) * _SUM_BLOCK * 2.0**-53 / (1.0 - (_SUM_BLOCK - 1) * 2.0**-53), math.inf
+)
 
 # Slack for the residue inequality 2(4A - B) + 1/12 >= 1/6, which holds
 # with equality at the first cell.
@@ -701,8 +718,8 @@ def apply_rule(
     once on rules of up to 16384 nodes and ceil((2n+1) / 16384) times on
     larger ones.  A block's result is used when it is an ndarray of the
     block's shape whose dtype float64 takes in (bool, integer, or float of
-    at most 64 bits); its products are formed and reduced while in cache
-    (see ``_sum_products``).  In every other case, on any block (f raises,
+    at most 64 bits); its products are formed and reduced while in cache.
+    In every other case, on any block (f raises,
     a floating-point error included: division by zero, overflow or an
     invalid operation such as the root of a negative number; or f returns
     a scalar, a list, another shape, or a complex or long double array),
@@ -713,11 +730,31 @@ def apply_rule(
     ``TypeError`` (checked per product below the cut, and per block of
     ``_SUM_BLOCK`` products above it).  A scalar-only f therefore works
     unchanged; an array-capable f should compute elementwise what it
-    computes per node, whatever block a node comes in.  Where
-    ``math.fsum``'s own rules decide the sum (a product that is inf or nan
-    or near the overflow threshold, an exact-zero total), f is called a
-    second time on every block, and the products are summed by
-    ``math.fsum`` themselves.
+    computes per node, whatever block a node comes in.
+
+    Summation on the array path: under ``_EXTRACT_MIN`` (1024) products
+    ``math.fsum`` sums them.  From there on each block's products r are
+    split once: with sigma = 2^(e + 15) above every |r|, the heads
+    q = (sigma + r) - sigma sum exactly, and the remainders r - q, each
+    at most ulp(sigma)/2, are summed in floating point with an error
+    of at most gamma_(m-1) * m * ulp(sigma)/2 for m of them (Rump, Ogita &
+    Oishi, SIAM J. Sci. Comput. 31, 2008, parts I and II; Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., SIAM 2002, section
+    4.2).  Where the rounded total and the totals moved by the sum S of
+    those bounds, up and down, are the same double, that double is the
+    result, after one call of f per block.  Otherwise the sum is decided
+    exactly: a rule of one block goes on extracting the remainders it
+    holds, and on a larger rule f is called a second time on every block.
+    S is at most 2^-62 of the sum of the blocks' largest |w f|, so this
+    happens where |total| is small against sum |w f|: for random products
+    of one size nearly always below 2^-21 of it, and about one sum in 200
+    at 2^-14; in practice, a total at the rounding floor (sin over
+    [0, 2 pi] at n = 10^6 sums to about 7e-20).  Where ``math.fsum``'s own
+    rules decide the sum (a product that is inf or nan or near the
+    overflow threshold, an exact-zero total), f is called a second time on
+    every block (a third, where an uncertain total of several blocks
+    proves to be zero), and the products are summed by ``math.fsum``
+    themselves.
     """
     nodes, weights = rule.nodes, rule.weights
     if len(nodes) >= ARRAY_MIN_NODES:
@@ -751,72 +788,135 @@ def _sum_products(
 ) -> Optional[float]:
     """``math.fsum`` of the products ``weights * values(x)``, bit for bit and
     exceptions included, with values(x) taken a block at a time: None where
-    ``values`` gives None on any block (or on its second call on a block,
-    below).
+    ``values`` gives None on any block (or on a later call on a block).
 
-    The blocks are ``_SUM_BLOCK`` long: each block's products are formed and
-    reduced by error-free extraction (``_extract``) at once, and the exact
-    partial sums of all blocks are rounded once by ``math.fsum``.  Callers
-    sum fewer than ``_EXTRACT_MIN`` products by ``math.fsum`` alone.
-
-    ``math.fsum`` of the products themselves decides where the two sums
-    could differ: a product that is inf or nan, a product at 2^emax or
-    above (fsum may overflow), and an exact-zero total (fsum's sign of
-    zero).  The blocks' values are then taken a second time.
+    Each block of ``_SUM_BLOCK`` products is formed and split by ``_split``
+    while in cache.  Where ``_certain`` shows that the rounded total of the
+    parts is the products' own, it is the result (see ``apply_rule``).
+    Otherwise one block goes on extracting the remainders it still holds,
+    and several blocks take their values again and are extracted whole
+    (``_extract``).  ``math.fsum`` of the products themselves decides
+    where the two sums could differ: a product that is inf or nan or at
+    ``_top`` or above (fsum may overflow), and an exact-zero total (fsum's
+    sign of zero); the values are then taken once more.  Callers sum fewer
+    than ``_EXTRACT_MIN`` products by ``math.fsum`` alone.
     """
     n = len(weights)
-    partials, exact = [], True
-    for i in range(0, n, _SUM_BLOCK):
-        v = values(x[i : i + _SUM_BLOCK])
-        if v is None:
+
+    def blocks():  # each block's products, or None where values gives None
+        for i in range(0, n, _SUM_BLOCK):
+            v = values(x[i : i + _SUM_BLOCK])
+            yield None if v is None else weights[i : i + _SUM_BLOCK] * v
+
+    parts, slack = [], []
+    for r in blocks():
+        if r is None:
             return None
-        if exact:
-            exact = _extract(weights[i : i + _SUM_BLOCK] * v, partials, n)
-    total = math.fsum(partials) if exact else 0.0
+        if parts is not None and not _split(r, parts, slack, n):
+            parts = None
+    total = math.fsum(parts) if parts else 0.0
+    if total != 0.0 and not _certain(parts, total, slack):
+        if n <= _SUM_BLOCK:  # the one block's remainders are still in r
+            del parts[1:]  # its tail
+            _extract(r, parts, n)
+        else:
+            parts = []
+            for r in blocks():
+                if r is None:
+                    return None
+                if parts is not None and not _extract(r, parts, n):
+                    parts = None  # only where values gave other values
+        total = math.fsum(parts) if parts else 0.0
     if total != 0.0:
         return total
     refused = []
 
     def products():
-        for i in range(0, n, _SUM_BLOCK):
-            v = values(x[i : i + _SUM_BLOCK])
-            if v is None:
-                refused.append(i)
+        for r in blocks():
+            if r is None:
+                refused.append(r)
                 return
-            yield from _items(weights[i : i + _SUM_BLOCK] * v)
+            yield from _items(r)
 
     total = math.fsum(products())
     return None if refused else total
+
+
+def _top(count: int) -> float:
+    """2^emax for a sum of count doubles: every |r| below it keeps sigma
+    finite and the absolute sum below 2^1023, where neither summation can
+    overflow."""
+    return math.ldexp(1.0, 1023 - max(_SUM_SHIFT, (count + 2).bit_length()))
+
+
+def _split(r: np.ndarray, parts: list, slack: list, count: int) -> bool:
+    """Append to parts the exact head and the rounded tail of the sum of r,
+    one of the blocks of a sum of count doubles, and to slack 2^p, at
+    least every remainder, so that ``_SUM_SLACK`` * 2^p bounds the tail's
+    error; r is left holding the remainders.
+
+    One pass of ExtractVector: with sigma = 2^(e + _SUM_SHIFT) above every
+    |r|, q = (sigma + r) - sigma holds r's leading bits, the head
+    ``q.sum()`` is exact, and each remainder r - q is exact and at most
+    ulp(sigma)/2 = 2^p.  sigma is at least 2^-1022, which takes every
+    smaller r whole: those remainders are zero, as are those of a block
+    with no nonzero r, and neither adds slack.  A block shorter than
+    ``_SUM_REST`` is appended as it is.  Returns False, as ``_extract``
+    does, where r holds inf or nan or a value at ``_top(count)`` or above.
+    """
+    if len(r) < _SUM_REST:
+        parts += r.tolist()
+        return True
+    big = max(r.max(), -r.min())
+    if not big < _top(count):
+        return False
+    if big:
+        e = math.frexp(big)[1] + _SUM_SHIFT
+        sigma = math.ldexp(1.0, max(e, -1022))
+        q = r + sigma
+        q -= sigma
+        r -= q
+        parts += q.sum(), r.sum()
+        if e > -1022:
+            slack.append(math.ldexp(1.0, e - 53))
+    return True
+
+
+def _certain(parts: list, total: float, slack: list) -> bool:
+    """Whether total, ``math.fsum(parts)``, is also the correctly rounded
+    sum of the products, which lies within ``_SUM_SLACK`` times the sum of
+    slack of the exact sum of parts: both moved by that bound, up and
+    down, round to total.  inf and nan, from a block appended as it is,
+    are fsum's own, as is the sum of exact parts alone."""
+    if not slack or not math.isfinite(total):
+        return True
+    if not abs(total) < 2.0**1023:  # total + bound might not be finite
+        return False
+    # rounded up twice, the bound stays above gamma_(m-1) m 2^p summed
+    bound = math.nextafter(_SUM_SLACK * math.nextafter(math.fsum(slack), math.inf), math.inf)
+    return math.fsum(parts + [bound]) == total == math.fsum(parts + [-bound])
 
 
 def _extract(r: np.ndarray, partials: list, count: int) -> bool:
     """Append to partials doubles whose exact sum is that of r, one of the
     blocks of a sum of count doubles; r is overwritten.
 
-    Error-free extraction (ExtractVector of Rump, Ogita & Oishi, SIAM J.
-    Sci. Comput. 31, 2008): with sigma = 2^(e + _SUM_SHIFT) above every |r|
-    of the block, q = (sigma + r) - sigma holds r's leading bits,
-    ``q.sum()`` is exact, and r - q is exact and at most ulp(sigma)/2, so
-    below 2^(e + _SUM_SHIFT - 52): at least 2^37 times smaller than the
-    largest r.  Passes go in pairs: the first takes e from the largest |r|,
-    the second from that bound, as AccSum does (Rump, Ogita & Oishi, SIAM
-    J. Sci. Comput. 31, 2008), and zeros are dropped after the pair.  sigma
-    is at least 2^-1022: below 2^(-1022 - _SUM_SHIFT) every double is a
-    multiple of ulp(2^-1022) = 2^-1074, so that sigma takes every r whole
-    and their sum is exact.  Once fewer than ``_SUM_REST`` remainders are
-    left, they are appended as they are.  So ``math.fsum(partials)`` is the
-    correctly rounded sum of every block given, however the doubles are
-    split into blocks of at most ``_SUM_BLOCK``.
+    ExtractVector, as ``_split`` makes one pass of it, repeated.  Passes go
+    in pairs: the first takes e from the largest |r|, the second from the
+    first's bound on its remainders, 2^(52 - _SUM_SHIFT) = 2^37 times
+    smaller, as AccSum does, and zeros are dropped after each pair.  Once
+    fewer than ``_SUM_REST`` remainders are left, they are appended as they
+    are.  So ``math.fsum(partials)`` is the correctly rounded sum of every
+    block given, however the doubles are split into blocks of at most
+    ``_SUM_BLOCK``.
 
-    Returns False where r holds inf or nan or a value at 2^emax or above
-    (where sigma or the sum could overflow), and appends nothing.
+    Returns False where r holds inf or nan or a value at ``_top(count)``
+    or above, and appends nothing.
     """
-    # every |r| below 2^emax keeps sigma finite and the absolute sum of the
-    # count doubles below 2^1023, where neither summation can overflow
-    emax = 1023 - max(_SUM_SHIFT, (count + 2).bit_length())
+    top = _top(count)
     while len(r) >= _SUM_REST:
         big = max(r.max(), -r.min())
-        if not big < math.ldexp(1.0, emax):  # only on the first pass
+        if not big < top:  # only on the first pass
             return False
         e = math.frexp(big)[1]
         for e in (e, e + _SUM_SHIFT - 52):

@@ -5,8 +5,10 @@ Each mode must give, byte for byte, the text of its Python expression:
 and ``repr(v)``.
 """
 
+import hashlib
 import json
 from decimal import ROUND_DOWN, Context
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,14 +79,42 @@ def assert_matches(values: np.ndarray, mode: str) -> None:
             raise AssertionError(f"{mode} of {bad[2]!r}: {bad[0]!r}, expected {bad[1]!r}")
 
 
+# sha256 of each mode's reference text of random_bits(10**6, seed=6), one
+# line per mode; ``python tests/test_digits.py`` writes the file again from
+# the reference expressions
+RANDOM_DIGESTS = Path(__file__).parent / "golden" / "digits_random.sha256"
+
+
 @pytest.fixture(scope="module")
 def random_values() -> np.ndarray:
     return random_bits(10**6, seed=6)
 
 
+def pinned_digests() -> dict:
+    lines = RANDOM_DIGESTS.read_text().splitlines()
+    return {mode: digest for digest, mode in (line.split("  ", 1) for line in lines)}
+
+
 @pytest.mark.parametrize("mode", sorted(REFERENCES))
 def test_random_bit_patterns_match_references(random_values, mode):
-    assert_matches(random_values, mode)
+    # the formatter's text of all 10^6 values against the digest of the
+    # reference text; the reference text itself is made only on a mismatch,
+    # to name the first value that differs
+    digest = hashlib.sha256()
+    for start in range(0, len(random_values), 1 << 16):
+        digest.update(_digits.lines([(random_values[start : start + (1 << 16)], mode), b"\n"]))
+    if digest.hexdigest() != pinned_digests()[mode]:
+        assert_matches(random_values, mode)
+        raise AssertionError(f"{mode}: the text matches the references, not {RANDOM_DIGESTS.name}")
+
+
+def reference_digests() -> str:
+    """The text of ``RANDOM_DIGESTS``, from the reference expressions."""
+    values = random_bits(10**6, seed=6)
+    return "".join(
+        f"{hashlib.sha256(expected_text(values, mode)).hexdigest()}  {mode}\n"
+        for mode in sorted(REFERENCES)
+    )
 
 
 @pytest.mark.parametrize("mode", sorted(REFERENCES))
@@ -188,3 +218,7 @@ def test_row_numbers_and_lines():
         halves = np.arange(start, stop) * 0.5
         rows = _digits.lines([_digits.row_numbers(start, stop), b",", (halves, "repr"), b"\n"])
         assert rows == "".join(f"{i},{i * 0.5!r}\n" for i in range(start, stop)).encode()
+
+
+if __name__ == "__main__":
+    print(reference_digests(), end="")

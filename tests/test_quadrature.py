@@ -25,7 +25,6 @@ from splinequad.quadrature import (
     build_rule,
     _EXTRACT_MIN,
     _SUM_BLOCK,
-    _SUM_REST,
     _SUM_SHIFT,
     _ROWS,
     _SPAN,
@@ -1054,12 +1053,13 @@ def spread_values(rng, size, lo, hi):
     return np.ldexp(mantissas, rng.integers(lo, hi, size, endpoint=True))
 
 
-# at the cut and at the block ends, +-1, and where a block's tail holds
-# about _SUM_REST products
+# at the cut, at twice the cut and at the block ends, +-1, and a second
+# block of 127 and 128 products
 SUM_LENGTHS = (
     _EXTRACT_MIN - 1, _EXTRACT_MIN, _EXTRACT_MIN + 1,
+    2 * _EXTRACT_MIN - 1, 2 * _EXTRACT_MIN, 2 * _EXTRACT_MIN + 1,
     _SUM_BLOCK - 1, _SUM_BLOCK, _SUM_BLOCK + 1,
-    _SUM_BLOCK + _SUM_REST - 1, _SUM_BLOCK + _SUM_REST,
+    _SUM_BLOCK + 127, _SUM_BLOCK + 128,
     2 * _SUM_BLOCK - 1, 2 * _SUM_BLOCK, 2 * _SUM_BLOCK + 1,
 )
 
@@ -1090,7 +1090,7 @@ def test_sum_equals_fsum_on_seeded_arrays(n):
             assert_sums_as_fsum(np.ones(n), values)
 
 
-@pytest.mark.parametrize("n", (_EXTRACT_MIN, _SUM_BLOCK + 1, 2 * _SUM_BLOCK + 1))
+@pytest.mark.parametrize("n", (_EXTRACT_MIN, 2 * _EXTRACT_MIN, _SUM_BLOCK + 1, 2 * _SUM_BLOCK + 1))
 def test_sum_of_exact_cancellation_is_fsums_zero(n):
     rng = np.random.default_rng([n, 12])
     half = spread_values(rng, n // 2, -200, 200)
@@ -1120,7 +1120,7 @@ def test_sum_gives_a_zero_total_the_sign_fsum_gives(monkeypatch):
     assert _fsum_products(np.ones(n), np.full(n, -0.0)).hex() == "-0x0.0p+0"
 
 
-@pytest.mark.parametrize("n", (_EXTRACT_MIN, _SUM_BLOCK + 1, 2 * _SUM_BLOCK + 1))
+@pytest.mark.parametrize("n", (_EXTRACT_MIN, 2 * _EXTRACT_MIN, _SUM_BLOCK + 1, 2 * _SUM_BLOCK + 1))
 def test_sum_of_nonfinite_products_is_fsums(n):
     rng = np.random.default_rng([n, 13])
     base = spread_values(rng, n, -20, 20)
@@ -1140,7 +1140,7 @@ def test_sum_of_nonfinite_products_is_fsums(n):
     assert math.isnan(_fsum_products(np.ones(n), values))
 
 
-@pytest.mark.parametrize("n", (_EXTRACT_MIN, _SUM_BLOCK + 1, 2 * _SUM_BLOCK + 1))
+@pytest.mark.parametrize("n", (_EXTRACT_MIN, 2 * _EXTRACT_MIN, _SUM_BLOCK + 1, 2 * _SUM_BLOCK + 1))
 def test_sum_overflows_as_fsum_does(n):
     rng = np.random.default_rng([n, 14])
     shift = max(_SUM_SHIFT, (n + 2).bit_length())
@@ -1168,18 +1168,47 @@ def test_sum_overflows_as_fsum_does(n):
 
 
 def test_sum_second_pass_takes_remainders_at_their_bound():
-    # +-0.75 set the first pass's sigma to 2^_SUM_SHIFT; every other product
-    # lies just below half its ulp, so that pass leaves it whole, and the
-    # second pass gets remainders of one sign, as large as the bound its
-    # sigma is derived from.  The last product takes away the block's
-    # rounded sum: the total is that rounding error, in which an inexact
-    # pass would show
+    # +-0.75 make sigma = 2^_SUM_SHIFT for the first block; every other
+    # product lies just below ulp(sigma)/2, so it is a remainder as large as
+    # the bound the rounding of the sum is certified with, all of one sign.
+    # The last product takes away the block's rounded sum: the total is
+    # that rounding error, in which an inexact sum would show
     for seed in range(8):
         rng = np.random.default_rng([seed, 19])
         values = np.ldexp(rng.uniform(1.0 - 2.0**-20, 1.0, _SUM_BLOCK + 1), _SUM_SHIFT - 53)
         values[:2] = 0.75, -0.75
         values[-1] = -math.fsum(values[:-1].tolist())
         assert_sums_as_fsum(np.ones(_SUM_BLOCK + 1), values)
+
+
+def units(x: float) -> int:
+    """x exactly, in units of 2^-1100."""
+    num, den = x.as_integer_ratio()
+    return num * (2**1100 // den)
+
+
+def on_a_tie(values, offset, pieces=24):
+    """values with the last pieces entries replaced by doubles that make the
+    exact total the midpoint of two adjacent doubles near the total of the
+    others, plus offset 2^-30ths of their distance; None where the others
+    are not finite or their total is beyond the double range."""
+    if not np.isfinite(values).all():
+        return None
+    rest = sum(map(units, values[:-pieces].tolist()))
+    try:
+        low = float(Fraction(rest, 2**1100))
+        high = math.nextafter(low, math.inf)
+        gap = units(high) - units(low)
+        remainder = (units(low) + units(high)) // 2 + offset * (gap >> 30) - rest
+        tail = []
+        while remainder and len(tail) < pieces:
+            tail.append(float(Fraction(remainder, 2**1100)))
+            remainder -= units(tail[-1])
+    except OverflowError:  # a total or a piece beyond the doubles
+        return None
+    if remainder:
+        return None
+    return np.concatenate([values[:-pieces], tail, np.zeros(pieces - len(tail))])
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -1190,15 +1219,74 @@ def test_sum_second_pass_takes_remainders_at_their_bound():
     lo=st.integers(-1074, 1000),
     width=st.integers(0, 2100),
     seed=st.integers(0, 2**32 - 1),
+    tie=st.sampled_from((None, -1, 0, 1)),
 )
-def test_sum_equals_fsum_property(specials, n, lo, width, seed):
+def test_sum_equals_fsum_property(specials, n, lo, width, seed, tie):
     # arbitrary floats (hypothesis favours the edges: +-0, subnormals, the
-    # largest finite, inf, nan) scattered over random products
+    # largest finite, inf, nan) scattered over random products; with tie,
+    # the products' exact total is moved onto, or just beside, the midpoint
+    # of two doubles, where its rounding is decided by the last bit
     rng = np.random.default_rng(seed)
     values = spread_values(rng, n, lo, min(lo + width, 1000))
     values[rng.integers(0, n, len(specials))] = specials
+    if tie is not None:
+        values = on_a_tie(values, tie)
+        if values is None:
+            return
     assert_sums_as_fsum(np.ones(n), values)
     assert_sums_as_fsum(rng.uniform(0.5, 2.0, n), values)
+
+
+# one block (8193 nodes) and two (24577)
+@pytest.mark.parametrize("n", (4096, 3 * 4096))
+def test_apply_sums_landing_on_or_beside_a_rounding_tie_are_fsums(n):
+    # on [0, 15 n] most weights are 7 or 8, and integers k below 2^44 times
+    # 2^-40 at those nodes (0 elsewhere) make products w k 2^-40 that are
+    # exact, so their total is known exactly.  One k moved by d changes it
+    # by 7 d: enough to put it on the midpoint of two doubles.  Beside the
+    # midpoint, the first node (weight 4.53) holds 2^-60 or -2^-60, far
+    # closer to the midpoint than the bound a rounded sum is certified
+    # with, and it decides the rounding.  Such a sum
+    # takes one call of f per block when it is certified (a total that is
+    # a double), two when it is not, and one for a rule of one block,
+    # whose remainders are still at hand
+    rule = build_rule(make_grid(0.0, 15.0 * n, n))
+    blocks = -(-len(rule) // _SUM_BLOCK)
+    sevens = np.flatnonzero(rule.weights == 7.0)
+    eights = np.flatnonzero(rule.weights == 8.0)
+    rng = np.random.default_rng([n, 23])
+    k = np.zeros(len(rule), dtype=np.int64)
+    k[sevens] = rng.integers(0, 2**44, len(sevens))
+    k[eights] = rng.integers(0, 2**44, len(eights))
+    total = int(np.dot(rule.weights.astype(np.int64), k))
+    assert 2**54 < total < 2**62
+    gap = 1 << (total.bit_length() - 53)  # the doubles' spacing there
+    j = int(sevens[len(sevens) // 2])
+    d = ((gap // 2 - total) * pow(7, -1, gap)) % gap  # 7 d = gap / 2 - total (mod gap)
+    k_tie = k.copy()
+    k_tie[j] += d
+    assert (total + 7 * d) % gap == gap // 2 and (total + 7 * d).bit_length() == total.bit_length()
+    cases = {"a double": (k, 0.0, blocks), "the midpoint": (k_tie, 0.0, 2 * blocks)}
+    for side in (1.0, -1.0):
+        cases[f"beside the midpoint, {side:+}"] = (k_tie, side * 2.0**-60, 2 * blocks)
+    sums = {}
+    for name, (ks, nudge, expected_calls) in cases.items():
+        values = np.ldexp(ks.astype(float), -40)
+        values[0] = nudge
+        at = rule.nodes
+
+        def f(t, values=values):
+            return values[np.searchsorted(at, t)]
+
+        calls = [0]
+        got = apply_rule(rule, counting_array_calls(f, calls))
+        expected = math.fsum((rule.weights * values).tolist())
+        assert got.hex() == expected.hex(), name
+        assert calls[0] == (1 if blocks == 1 else expected_calls), name
+        sums[name] = got
+    assert blocks == (1 if n == 4096 else 2)
+    up, down = sums["beside the midpoint, +1.0"], sums["beside the midpoint, -1.0"]
+    assert up == math.nextafter(down, math.inf) and sums["the midpoint"] in (up, down)
 
 
 def test_apply_array_path_holds_one_array_of_values():
@@ -1289,8 +1377,8 @@ def test_apply_special_products_in_the_last_block_are_fsums(n):
         got = apply_outcome(rule, counting_array_calls(f, calls))
         assert got == fsum_outcome(rule, f), special
         # math.fsum of the products decides, after a second call per block;
-        # a last block under _SUM_REST products goes to the final math.fsum
-        # as it is, and that decides with no second call
+        # a last block of one product is summed as it is, which decides
+        # with no second call
         assert calls[0] == (2 * blocks if n > _SUM_BLOCK else blocks)
         outcomes.add(got)
     assert {"inf", "-inf", "nan"} <= outcomes
@@ -1328,11 +1416,8 @@ def test_apply_takes_the_per_node_path_when_a_second_call_is_refused():
 
 def test_apply_block_that_needs_a_third_pass_is_fsums():
     # values 2^-40 .. 2^40 times a quintic: the products of every block span
-    # more than 2^60.  A pass takes at most the 53 - _SUM_SHIFT bits below
-    # 2^e, e the exponent of the block's largest product, and then below
-    # its remainders' bound; in each block at least _SUM_REST products are
-    # not multiples of 2^(e - 2 (53 - _SUM_SHIFT)), so two passes leave
-    # them a nonzero remainder
+    # more than 2^60, far more than the 53 bits of one double, so no block
+    # is summed exactly from its largest products' leading bits alone
     rule = build_rule(make_grid(-1.0, 2.0, _SUM_BLOCK + 100))
     q = horner_quintic(-1.0, 2.0, (0.5, -1.0, 0.25, 2.0, -0.75, 1.0))
 
@@ -1342,9 +1427,7 @@ def test_apply_block_that_needs_a_third_pass_is_fsums():
     products = rule.weights * f(rule.nodes)
     for i in range(0, len(rule), _SUM_BLOCK):
         block = np.abs(products[i : i + _SUM_BLOCK])
-        e = math.frexp(block.max())[1]
         assert block.max() > 2.0**60 * block.min() > 0.0
-        assert np.count_nonzero(np.ldexp(block, 2 * (53 - _SUM_SHIFT) - e) % 1.0) >= _SUM_REST
     assert apply_rule(rule, f).hex() == math.fsum(products.tolist()).hex()
     assert_sums_as_fsum(np.ones(len(rule)), products)
     assert_sums_as_fsum(rule.weights, f(rule.nodes))
