@@ -749,12 +749,12 @@ def apply_rule(
     happens where |total| is small against sum |w f|: for random products
     of one size nearly always below 2^-21 of it, and about one sum in 200
     at 2^-14; in practice, a total at the rounding floor (sin over
-    [0, 2 pi] at n = 10^6 sums to about 7e-20).  Where ``math.fsum``'s own
-    rules decide the sum (a product that is inf or nan or near the
-    overflow threshold, an exact-zero total), f is called a second time on
-    every block (a third, where an uncertain total of several blocks
-    proves to be zero), and the products are summed by ``math.fsum``
-    themselves.
+    [0, 2 pi] at n = 10^6 sums to about 7e-20), and an exact-zero total
+    (an odd f over an interval symmetric about 0).  Where ``math.fsum``'s
+    own rules decide the sum (a product that is inf or nan or near the
+    overflow threshold, or products that are all zero or below 2^-1037
+    in magnitude and sum to zero), f is called a second time on every
+    block, and the products are summed by ``math.fsum`` themselves.
     """
     nodes, weights = rule.nodes, rule.weights
     if len(nodes) >= ARRAY_MIN_NODES:
@@ -795,11 +795,13 @@ def _sum_products(
     parts is the products' own, it is the result (see ``apply_rule``).
     Otherwise one block goes on extracting the remainders it still holds,
     and several blocks take their values again and are extracted whole
-    (``_extract``).  ``math.fsum`` of the products themselves decides
-    where the two sums could differ: a product that is inf or nan or at
-    ``_top`` or above (fsum may overflow), and an exact-zero total (fsum's
-    sign of zero); the values are then taken once more.  Callers sum fewer
-    than ``_EXTRACT_MIN`` products by ``math.fsum`` alone.
+    (``_extract``); an exact total of zero is then fsum's +0.0, since
+    some product was not zero.  ``math.fsum`` of the products themselves
+    decides where the two sums could differ: a product that is inf or nan
+    or at ``_top`` or above (fsum may overflow), and a zero total of
+    products that added no slack (fsum's sign of zero); the values are
+    then taken once more.  Callers sum fewer than ``_EXTRACT_MIN`` products
+    by ``math.fsum`` alone.
     """
     n = len(weights)
 
@@ -815,7 +817,7 @@ def _sum_products(
         if parts is not None and not _split(r, parts, slack, n):
             parts = None
     total = math.fsum(parts) if parts else 0.0
-    if total != 0.0 and not _certain(parts, total, slack):
+    if slack and parts is not None and not (total and _certain(parts, total, slack)):
         if n <= _SUM_BLOCK:  # the one block's remainders are still in r
             del parts[1:]  # its tail
             _extract(r, parts, n)
@@ -826,7 +828,8 @@ def _sum_products(
                     return None
                 if parts is not None and not _extract(r, parts, n):
                     parts = None  # only where values gave other values
-        total = math.fsum(parts) if parts else 0.0
+        if parts is not None:  # exact: a zero sums nonzero products, fsum's +0.0
+            return math.fsum(parts)
     if total != 0.0:
         return total
     refused = []
@@ -855,28 +858,21 @@ def _split(r: np.ndarray, parts: list, slack: list, count: int) -> bool:
     least every remainder, so that ``_SUM_SLACK`` * 2^p bounds the tail's
     error; r is left holding the remainders.
 
-    One pass of ExtractVector: with sigma = 2^(e + _SUM_SHIFT) above every
-    |r|, q = (sigma + r) - sigma holds r's leading bits, the head
-    ``q.sum()`` is exact, and each remainder r - q is exact and at most
-    ulp(sigma)/2 = 2^p.  sigma is at least 2^-1022, which takes every
-    smaller r whole: those remainders are zero, as are those of a block
-    with no nonzero r, and neither adds slack.  A block shorter than
+    One ``_pass`` with e from the largest |r|: sigma = 2^-1022 takes every
+    r whole, so its remainders are zero, as are those of a block with no
+    nonzero r, and neither adds slack.  A block shorter than
     ``_SUM_REST`` is appended as it is.  Returns False, as ``_extract``
     does, where r holds inf or nan or a value at ``_top(count)`` or above.
     """
     if len(r) < _SUM_REST:
         parts += r.tolist()
         return True
-    big = max(r.max(), -r.min())
-    if not big < _top(count):
+    big = _largest(r, count)
+    if big is None:
         return False
     if big:
         e = math.frexp(big)[1] + _SUM_SHIFT
-        sigma = math.ldexp(1.0, max(e, -1022))
-        q = r + sigma
-        q -= sigma
-        r -= q
-        parts += q.sum(), r.sum()
+        parts += _pass(r, e), r.sum()
         if e > -1022:
             slack.append(math.ldexp(1.0, e - 53))
     return True
@@ -887,8 +883,8 @@ def _certain(parts: list, total: float, slack: list) -> bool:
     sum of the products, which lies within ``_SUM_SLACK`` times the sum of
     slack of the exact sum of parts: both moved by that bound, up and
     down, round to total.  inf and nan, from a block appended as it is,
-    are fsum's own, as is the sum of exact parts alone."""
-    if not slack or not math.isfinite(total):
+    are fsum's own."""
+    if not math.isfinite(total):
         return True
     if not abs(total) < 2.0**1023:  # total + bound might not be finite
         return False
@@ -901,8 +897,8 @@ def _extract(r: np.ndarray, partials: list, count: int) -> bool:
     """Append to partials doubles whose exact sum is that of r, one of the
     blocks of a sum of count doubles; r is overwritten.
 
-    ExtractVector, as ``_split`` makes one pass of it, repeated.  Passes go
-    in pairs: the first takes e from the largest |r|, the second from the
+    ``_pass`` repeated, as ``_split`` makes it once.  Passes go in
+    pairs: the first takes e from the largest |r|, the second from the
     first's bound on its remainders, 2^(52 - _SUM_SHIFT) = 2^37 times
     smaller, as AccSum does, and zeros are dropped after each pair.  Once
     fewer than ``_SUM_REST`` remainders are left, they are appended as they
@@ -913,21 +909,36 @@ def _extract(r: np.ndarray, partials: list, count: int) -> bool:
     Returns False where r holds inf or nan or a value at ``_top(count)``
     or above, and appends nothing.
     """
-    top = _top(count)
     while len(r) >= _SUM_REST:
-        big = max(r.max(), -r.min())
-        if not big < top:  # only on the first pass
+        big = _largest(r, count)
+        if big is None:  # only on the first pass
             return False
-        e = math.frexp(big)[1]
-        for e in (e, e + _SUM_SHIFT - 52):
-            sigma = math.ldexp(1.0, max(e + _SUM_SHIFT, -1022))
-            q = r + sigma
-            q -= sigma
-            partials.append(q.sum())
-            r -= q
+        e = math.frexp(big)[1] + _SUM_SHIFT
+        partials += _pass(r, e), _pass(r, e + _SUM_SHIFT - 52)
         r = r[r != 0.0]
     partials += r.tolist()
     return True
+
+
+def _largest(r: np.ndarray, count: int) -> Optional[float]:
+    """The largest |r|, or None where r holds inf or nan or a value at
+    ``_top(count)`` or above."""
+    big = max(r.max(), -r.min())
+    return big if big < _top(count) else None
+
+
+def _pass(r: np.ndarray, e: int) -> float:
+    """One pass of ExtractVector (Rump, Ogita & Oishi) over r, a block of
+    at most ``_SUM_BLOCK`` doubles each below 2^(e - _SUM_SHIFT) in
+    magnitude: with sigma = 2^e, or 2^-1022 where e is smaller,
+    q = (sigma + r) - sigma holds r's leading bits and its sum is exact,
+    and r is left holding the remainders r - q, each exact and at most
+    ulp(sigma)/2 = 2^(e - 53).  Returns the head ``q.sum()``."""
+    sigma = math.ldexp(1.0, max(e, -1022))
+    q = r + sigma
+    q -= sigma
+    r -= q
+    return q.sum()
 
 
 def _real(product):

@@ -1224,17 +1224,17 @@ def on_a_tie(values, offset, pieces=24):
 def test_sum_equals_fsum_property(specials, n, lo, width, seed, tie):
     # arbitrary floats (hypothesis favours the edges: +-0, subnormals, the
     # largest finite, inf, nan) scattered over random products; with tie,
-    # the products' exact total is moved onto, or just beside, the midpoint
-    # of two doubles, where its rounding is decided by the last bit
+    # the same products are also checked with their exact total moved onto,
+    # or just beside, the midpoint of two doubles, where its rounding is
+    # decided by the last bit (where on_a_tie can place it)
     rng = np.random.default_rng(seed)
     values = spread_values(rng, n, lo, min(lo + width, 1000))
     values[rng.integers(0, n, len(specials))] = specials
-    if tie is not None:
-        values = on_a_tie(values, tie)
-        if values is None:
-            return
-    assert_sums_as_fsum(np.ones(n), values)
-    assert_sums_as_fsum(rng.uniform(0.5, 2.0, n), values)
+    weights = rng.uniform(0.5, 2.0, n)
+    tied = None if tie is None else on_a_tie(values, tie)
+    for v in (values,) if tied is None else (values, tied):
+        assert_sums_as_fsum(np.ones(n), v)
+        assert_sums_as_fsum(weights, v)
 
 
 # one block (8193 nodes) and two (24577)
@@ -1392,6 +1392,22 @@ def test_apply_zero_total_is_fsums():
     calls = [0]
     got = apply_rule(rule, counting_array_calls(np.zeros_like, calls))
     assert got.hex() == "0x0.0p+0" and calls[0] == 2 * 3
+
+
+@pytest.mark.parametrize("n", (4096, _SUM_BLOCK))
+def test_apply_odd_f_over_a_symmetric_interval_is_fsums_zero(n):
+    # the nodes on [-3, 3] are mirrored exactly, so the products of an odd
+    # f cancel in pairs and their exact total is zero; the one-pass sum
+    # cannot certify it, and the exact pass decides it as +0.0, fsum's
+    # zero: one call of f for a rule of one block, two per block otherwise
+    rule = build_rule(make_grid(-3.0, 3.0, n))
+    assert (rule.nodes == -rule.nodes[::-1]).all() and (rule.weights == rule.weights[::-1]).all()
+    blocks = -(-len(rule) // _SUM_BLOCK)
+    for f in (np.sin, np.arctan, lambda t: t * (t * t - 2.0)):
+        calls = [0]
+        got = apply_rule(rule, counting_array_calls(f, calls))
+        assert got.hex() == math.fsum((rule.weights * f(rule.nodes)).tolist()).hex() == "0x0.0p+0"
+        assert calls[0] == (1 if blocks == 1 else 2 * blocks)
 
 
 def test_apply_takes_the_per_node_path_when_a_second_call_is_refused():
