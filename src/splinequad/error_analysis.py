@@ -153,6 +153,21 @@ def _blocks(rule: QuadratureRule, samples: np.ndarray):
 
     This is the global form regrouped, with no assumption that the rule
     is exact, and it equals ``peano_kernel`` at each knot up to rounding.
+
+    Every block's temporaries that grow with its samples are rows of one
+    scratch array, made once per profile with the largest block's sample
+    count plus one as its width: row 0 holds t, then its offsets v in
+    their cells; row 1 120 K6; rows 2 and 3 the slot buffers of
+    ``_local_form``.  t's indices are made in row 0 itself: the first 1024
+    (or one cell's) by np.arange, an 8 KiB temporary, and the rest by
+    doubling.  What else a block allocates is sized by its cells and
+    nodes, but for the rows of the cells that a later slot takes (a sixth
+    of audit's cells).  As arrays of their own, freed at the top of the
+    heap after each block, those temporaries came to more than glibc's
+    dynamic trim threshold, twice the largest mmapped chunk freed
+    (mallopt(3)): over audit's rules (n in 1..200, 64 samples per cell)
+    the heap was trimmed after every profile and faulted in again on the
+    next, 35 minor faults per profile, against under one now.
     """
     grid = rule.grid
     n, h, a = grid.n, grid.h, grid.a
@@ -164,6 +179,8 @@ def _blocks(rule: QuadratureRule, samples: np.ndarray):
         cells, offsets, weights = cells[order], offsets[order], weights[order]
     step = (grid.b - a) / (len(samples) - 1)  # np.linspace's
     block = max(1, min(_BLOCK, _CHUNK // per_cell))
+    width = min(block, n) * per_cell
+    scratch = np.empty((4, width + 1))  # t or v, 120 K6 and _local_form's p and d
     samples[-1, 0] = grid.b
     for j0 in range(0, n, block):
         j1 = min(j0 + block, n)
@@ -176,7 +193,14 @@ def _blocks(rule: QuadratureRule, samples: np.ndarray):
         u = np.arange(j0, j1 + 1) * h  # the block's knots, from a
         i, size = j0 * per_cell, c * per_cell
         rows = samples[i : i + size + last]
-        t = np.arange(i, i + size, dtype=float)
+        # t: the sample indices i..i + size - 1 (see the docstring)
+        t = scratch[0, :size]
+        done = min(size, max(per_cell, 1024))
+        t[:done] = np.arange(i, i + done)
+        while done < size:
+            m = min(done, size - done)
+            np.add(t[:m], done, out=t[done : done + m])
+            done += m
         if step:
             t *= step
         else:  # np.linspace's order where the step underflows
@@ -187,8 +211,9 @@ def _blocks(rule: QuadratureRule, samples: np.ndarray):
         v = t.reshape(c, per_cell)
         v -= (u[:-1] + a)[:, None]
         slots = _slots(key, s, w, starts, v) if i1 > i0 else []
-        kernel = np.empty(len(rows))  # 120 K6
-        _local_form(v, alpha[:, None], beta[:, None], slots, kernel[:size])
+        kernel = scratch[1, : len(rows)]  # 120 K6
+        p, d = scratch[2:, :size].reshape(2, c, per_cell)
+        _local_form(v, alpha[:, None], beta[:, None], slots, kernel[:size], p, d)
         if last:  # b, in cell n - 1, by _local_form's operations on floats
             v = grid.b - (a + (n - 1) * h)
             k6 = (v / 6.0 + float(alpha[-1])) * v + float(beta[-1])
@@ -200,7 +225,7 @@ def _blocks(rule: QuadratureRule, samples: np.ndarray):
         np.divide(kernel, 120.0, out=rows[:, 1])
         # dividing by 120 keeps the order, so the least sample is the least
         # value divided (NaN, which min keeps, fails the gate)
-        lowest = kernel.min() / 120.0
+        lowest = np.minimum.reduce(kernel) / 120.0
 
         if j0:
             scan[:, 0] = carry
@@ -230,13 +255,13 @@ def _slots(key: np.ndarray, s: np.ndarray, w: np.ndarray, starts: np.ndarray, v:
     audit's inputs, and skipping them saves 4-6 % of a profile there."""
     first = starts[:-1]
     held = starts[1:] - first
-    m = held.max()
+    m = np.maximum.reduce(held)
     table = np.zeros((2, m, len(held), 1))
     rank = np.arange(starts[0], starts[-1]) - first[key]
     table[0, rank, key, 0] = s
     table[1, rank, key, 0] = w
     slots = [(slice(None), table[0, k], table[1, k]) for k in range(min(m, 2))]
-    tame = m > 2 and 0.0 < w.min() and w.max() < np.inf
+    tame = m > 2 and 0.0 < np.minimum.reduce(w) and np.maximum.reduce(w) < np.inf
     for k in range(2, m):
         live = held[:, None] > k
         if tame:
@@ -273,9 +298,13 @@ def _cell_sums(h: float, key: np.ndarray, s: np.ndarray, w: np.ndarray, cells: i
     return sums[0, 1:] - h / 2.0, 5.0 * h * h / 12.0 - 5.0 * sums[1, 1:], sums[2:]
 
 
-def _local_form(v: np.ndarray, alpha, beta, slots, out: np.ndarray) -> None:
+def _local_form(v: np.ndarray, alpha, beta, slots, out: np.ndarray, p: np.ndarray,
+                d: np.ndarray) -> None:
     """120 K6 in the local form at the offsets v (c, k) of c cells of width
     h, written to out (c * k).
+
+    p and d are buffers shaped like v (rows of ``_blocks``' scratch
+    array), overwritten here; out may not share memory with v, p or d.
 
     Outside a cell, (v - s)_+^5 as a function of s is a C1 spline whose
     piece on the cell is the cubic Hermite piece with value v^5 and slope
@@ -296,10 +325,9 @@ def _local_form(v: np.ndarray, alpha, beta, slots, out: np.ndarray) -> None:
     out += alpha
     out *= v
     out += beta
-    p = v * v
+    np.multiply(v, v, out=p)
     p *= p
     out *= p
-    d = np.empty_like(v)
     for rows, s, w in slots:
         # (v - s)_+ in d and its fifth power in p, on the slot's rows
         dd, pp = d[: len(s)], p[: len(s)]
@@ -349,11 +377,16 @@ def kernel_profile(rule: QuadratureRule, samples_per_cell: int = 1000) -> PeanoP
     profile 16 per sample.  Beyond those the profile holds 34 bytes per
     cell, the cells and offsets of the nodes (tracemalloc at n = 2^20 with
     2 samples per cell), and a block's temporaries, 4 to 5 doubles per
-    sample: about 2 MiB where a cell takes at most 2^16 samples.  A cell
-    of more is a block of its own, whose temporaries grow with it (160 MiB
-    for one cell of 2^22 - 1 samples).  So at the cap the ``kernel``
-    command peaks near 225 MB with 2 samples per cell (n = 2^21 - 1), near
-    255 MB with one cell and near 105 MB with 64 per cell (n = 65535).
+    sample: about 2 MiB where a cell takes at most 2^16 samples.  Four of
+    them are the rows of one scratch array, made once per profile and as
+    wide as the largest block, so that the heap is not trimmed and
+    faulted in again between profiles (see ``_blocks``); the fifth, at
+    most, holds the rows of the cells with a third node left of their
+    last sample, or one cell's np.arange.  A cell of more is a block of
+    its own, whose temporaries grow with it (160 MiB for one cell of
+    2^22 - 1 samples).  So at the cap the ``kernel`` command peaks near
+    225 MB with 2 samples per cell (n = 2^21 - 1), near 255 MB with one
+    cell and near 105 MB with 64 per cell (n = 65535).
 
     The profile is validated before it is returned: the kernel must be
     nonnegative up to rounding and must vanish at every knot.  The knot
@@ -397,7 +430,7 @@ def kernel_profile(rule: QuadratureRule, samples_per_cell: int = 1000) -> PeanoP
         if lowest == lowest:
             lowest = min(low, lowest)
         if knot_max == knot_max:
-            knot_max = max(np.abs(knots).max(), knot_max)
+            knot_max = max(np.maximum.reduce(np.abs(knots)), knot_max)
     if not lowest >= -(1e-15 * scale + placement):
         raise ConstructionError(f"kernel dips to {float(lowest)!r}")
     if not knot_max <= 1e-14 * scale + placement:

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -453,6 +454,46 @@ def test_profile_of_one_large_cell_holds_at_most_five_doubles_per_sample():
     finally:
         tracemalloc.stop()
     assert peak - samples.nbytes <= 5 * 8 * len(samples) + (1 << 20)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="counts minor page faults under glibc's heap trim")
+def test_audit_sized_profiles_do_not_fault_the_heap_in_again():
+    # a profile's block temporaries are the rows of one scratch array; as
+    # arrays of their own, freed at the top of the heap, they set off
+    # glibc's trim after a profile, and the next one faulted the heap in
+    # again.  Over these rules (n over 1..200 on moderate intervals, 64
+    # samples per cell, as audits take them) 64 to 202 of 400 profiles
+    # took 8 or more minor faults that way, and at most 4 take them with
+    # the scratch array.  The mean per profile is no gate: the
+    # interpreter's own allocator adds a fault now and then, and how often
+    # shifts with the heap's layout (0 to 1.25 per profile on the same
+    # code as PYTHONPATH's length varied).  A fresh child, so that no
+    # other test has shaped its heap, and none of glibc's tunables from
+    # the environment
+    code = ("import resource\n"
+            "import numpy as np\n"
+            "from splinequad import build_rule, kernel_profile, make_grid\n"
+            "rng = np.random.default_rng(27)\n"
+            "rules = []\n"
+            "for k in range(400):\n"
+            "    a = rng.uniform(-1e3, 1e3)\n"
+            "    b = a + 10.0 ** rng.uniform(-3.0, 3.0)\n"
+            "    rules.append(build_rule(make_grid(a, b, k % 200 + 1)))\n"
+            "for rule in rules[:200]:\n"
+            "    kernel_profile(rule, 64)\n"
+            "faults = []\n"
+            "for rule in rules:\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    kernel_profile(rule, 64)\n"
+            "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+            "print(sum(f >= 8 for f in faults), sum(faults) / len(faults))\n")
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    refaulted, mean = out.split()
+    assert int(refaulted) < 20, f"{refaulted} of 400 profiles took 8 or more faults ({mean} per profile)"
 
 
 def test_profile_shape_check():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splinequad import quadrature
@@ -1221,6 +1221,11 @@ def on_a_tie(values, offset, pieces=24):
     seed=st.integers(0, 2**32 - 1),
     tie=st.sampled_from((None, -1, 0, 1)),
 )
+# two specials whose sum leaves the double range, with a tie: on_a_tie's
+# total overflows and fsum raises.  Hypothesis takes some of its draws from
+# the literals of the local modules already imported, so a full run draws
+# other examples than this file alone; pinned, it runs in every order
+@example(specials=[8.99e307, 8.99e307], n=_EXTRACT_MIN - 1, lo=0, width=10, seed=0, tie=0)
 def test_sum_equals_fsum_property(specials, n, lo, width, seed, tie):
     # arbitrary floats (hypothesis favours the edges: +-0, subnormals, the
     # largest finite, inf, nan) scattered over random products; with tie,
