@@ -270,10 +270,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         except ConstructionError as exc:
             refused.append(f"peano.kernel_profile n={n} status=FAIL ({exc})")
         else:
-            worst_neg = _worst(worst_neg, 0.0, -float(prof.samples[:, 1].min()))
-        knots = rule.grid.knots()
-        kv = [abs(error_analysis.peano_kernel(rule, float(t))) for t in knots]
-        worst_knot = _worst(worst_knot, *kv)
+            worst_neg = _worst(worst_neg, 0.0, -prof.lowest)
+            worst_knot = _worst(worst_knot, prof.knot_max)
     report("peano.negativity", worst_neg, gate_for(1e-15))
     report("peano.knot_values", worst_knot, gate_for(1e-14))
     for line in refused:

@@ -85,10 +85,18 @@ _SHIFTS = [
 
 @dataclass(frozen=True)
 class PeanoProfile:
-    """Sampled kernel: ``samples[j] = (t_j, K6(t_j))`` in increasing t."""
+    """Sampled kernel: ``samples[j] = (t_j, K6(t_j))`` in increasing t.
+
+    ``lowest`` and ``knot_max`` are the values ``kernel_profile``'s two
+    gates decided on: the least sample, equal to ``samples[:, 1].min()``
+    (an exact zero may differ in sign), and the largest |K6| at a knot in
+    the global form (the knot check).
+    """
 
     rule: QuadratureRule
     samples: np.ndarray
+    lowest: float
+    knot_max: float
 
     def __post_init__(self) -> None:
         samples = np.ascontiguousarray(self.samples, dtype=float)
@@ -402,7 +410,9 @@ def kernel_profile(rule: QuadratureRule, samples_per_cell: int = 1000) -> PeanoP
     rounding (nodes stored far from the origin carry offsets only to
     ulp(|a|), which perturbs the kernel by up to ~(b-a)^5 * ulp(|a|) / 24).
     On unit intervals near the origin they reduce to the bare 1e-15 / 1e-14
-    floors.
+    floors.  The profile keeps the two values the gates decided on, the
+    least sample as ``lowest`` and the largest |knot value| as
+    ``knot_max``.
 
     Raises
     ------
@@ -431,11 +441,12 @@ def kernel_profile(rule: QuadratureRule, samples_per_cell: int = 1000) -> PeanoP
             lowest = min(low, lowest)
         if knot_max == knot_max:
             knot_max = max(np.maximum.reduce(np.abs(knots)), knot_max)
+    lowest, knot_max = float(lowest), float(knot_max)
     if not lowest >= -(1e-15 * scale + placement):
-        raise ConstructionError(f"kernel dips to {float(lowest)!r}")
+        raise ConstructionError(f"kernel dips to {lowest!r}")
     if not knot_max <= 1e-14 * scale + placement:
-        raise ConstructionError(f"kernel fails to vanish at a knot: {float(knot_max)!r}")
-    return PeanoProfile(rule=rule, samples=samples)
+        raise ConstructionError(f"kernel fails to vanish at a knot: {knot_max!r}")
+    return PeanoProfile(rule=rule, samples=samples, lowest=lowest, knot_max=knot_max)
 
 
 def error_constant(rule: QuadratureRule) -> float:

@@ -64,7 +64,6 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -122,10 +121,10 @@ ARRAY_MIN_NODES = 37
 _EXTRACT_MIN = 1 << 10
 
 # Rows a build writes and checks at a time; in apply_rule, products
-# extracted, nodes per array call of f, and per-node products checked for
-# complex values at a time: a block, its temporaries and f's (about 0.4 MB
-# for a Horner quintic) stay in cache, and at 2*10^6 + 1 products 2^14 ran
-# as fast as 2^15 and 30 % faster than 2^12, whose numpy calls cost more.
+# extracted and nodes per array call of f: a block, its temporaries and
+# f's (about 0.4 MB for a Horner quintic) stay in cache, and at 2*10^6 + 1
+# products 2^14 ran as fast as 2^15 and 30 % faster than 2^12, whose numpy
+# calls cost more.
 _SUM_BLOCK = 1 << 14
 
 # sigma = 2^(e + _SUM_SHIFT) for a block whose largest |r| is below 2^e:
@@ -727,9 +726,8 @@ def apply_rule(
     (read from the arrays one at a time) over the whole rule and the
     products are formed as ``w * f(t)``;
     a complex product, numpy's complex scalars included, raises
-    ``TypeError`` (checked per product below the cut, and per block of
-    ``_SUM_BLOCK`` products above it).  A scalar-only f therefore works
-    unchanged; an array-capable f should compute elementwise what it
+    ``TypeError`` before f sees the next node.  A scalar-only f therefore
+    works unchanged; an array-capable f should compute elementwise what it
     computes per node, whatever block a node comes in.
 
     Summation on the array path: under ``_EXTRACT_MIN`` (1024) products
@@ -765,9 +763,6 @@ def apply_rule(
             total = _sum_products(weights, nodes, partial(_array_values, f))
         if total is not None:
             return total
-        products = map(operator.mul, _items(weights), map(f, _items(nodes)))
-        blocks = iter(lambda: list(islice(products, _SUM_BLOCK)), [])
-        return math.fsum(chain.from_iterable(map(_real_block, blocks)))
     products = map(operator.mul, _items(weights), map(f, _items(nodes)))
     return math.fsum(map(_real, products))
 
@@ -951,19 +946,6 @@ def _real(product):
     if product.__class__ is not float and isinstance(product, np.complexfloating):
         raise TypeError(f"integrand value is complex: {product!r}")
     return product
-
-
-def _real_block(products: list) -> list:
-    """A block of per-node products, refused as ``_real`` refuses one.
-
-    One pass over the set of their types replaces a Python call per
-    product; only a block holding something other than floats is looked
-    at product by product.
-    """
-    if not {float}.issuperset(map(type, products)):
-        for product in products:
-            _real(product)
-    return products
 
 
 def _array_values(f: Callable, nodes: np.ndarray) -> Optional[np.ndarray]:

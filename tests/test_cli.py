@@ -344,6 +344,20 @@ def test_check_reports_a_rule_the_kernel_profile_refuses(monkeypatch, capsys):
     assert lines[-1] == "OVERALL: FAIL"
 
 
+def test_check_reads_the_peano_values_from_the_profile(monkeypatch, capsys):
+    # both Peano lines come from the values kernel_profile's gates decided
+    # on; the scalar global form is not evaluated again
+    def refused(rule, t):
+        raise AssertionError("peano_kernel called")
+
+    monkeypatch.setattr(cli.error_analysis, "peano_kernel", refused)
+    assert cli.main(["check", "--n-max", "20", "--seeds", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name in ("peano.negativity", "peano.knot_values"):
+        assert any(line.startswith(f"{name} value=") and line.endswith("status=PASS")
+                   for line in lines), (name, lines)
+
+
 def test_check_full_range():
     cp = run_cli("check", "--n-max", "50", "--seeds", "5")
     assert cp.returncode == 0, cp.stdout + cp.stderr

@@ -350,6 +350,18 @@ def test_knot_check_matches_global_kernel(a, b, n, off):
     assert np.max(diff) <= 1e-2 * gate
     if off:
         assert np.max(np.abs(ref)) > 1e-2 * gate
+    # the profile keeps the values its gates decided on
+    knot_max = float(np.max(np.abs(values)))
+    if knot_max > gate:
+        with pytest.raises(ConstructionError, match="vanish at a knot"):
+            kernel_profile(rule, samples_per_cell=2)
+        return
+    profile = kernel_profile(rule, samples_per_cell=2)
+    assert profile.knot_max == knot_max
+    # the same double, but numpy's minimum picks between 0.0 and -0.0 by
+    # the data's layout, so an exact zero may differ in sign
+    lowest = float(profile.samples[:, 1].min())
+    assert profile.lowest == lowest and (profile.lowest.hex() == lowest.hex() or not lowest)
 
 
 def test_knot_values_do_not_depend_on_the_block_size():
@@ -499,7 +511,7 @@ def test_audit_sized_profiles_do_not_fault_the_heap_in_again():
 def test_profile_shape_check():
     rule = build_rule(make_grid(0.0, 1.0, 2))
     with pytest.raises(ValueError):
-        PeanoProfile(rule=rule, samples=np.zeros((4, 3)))
+        PeanoProfile(rule=rule, samples=np.zeros((4, 3)), lowest=0.0, knot_max=0.0)
     with pytest.raises(ValueError):
         kernel_profile(rule, samples_per_cell=1)
 

@@ -950,20 +950,25 @@ def test_apply_refuses_numpy_complex_values(n):
         apply_rule(rule, np.emath.sqrt)
 
 
-def test_apply_refuses_a_numpy_complex_value_past_the_first_block():
-    # a scalar-only f on a large rule: the products are checked a block at
-    # a time, and the one complex value sits in the second block
-    rule = build_rule(make_grid(0.0, 1.0, 40000))
-    at = float(rule.nodes[_SUM_BLOCK + 7])
-    assert len(rule) > 2 * _SUM_BLOCK
+@pytest.mark.parametrize("n, k", [(100, 150), (10**4, _SUM_BLOCK + 7)])
+def test_apply_refuses_a_complex_product_before_f_sees_the_next_node(n, k):
+    # a scalar-only f (it raises on an array, as math.cos does) is called
+    # per node; the complex value at node k is refused before f is called
+    # at node k + 1, in the rule's one block at n = 100 and in the second
+    # block at n = 10^4
+    rule = build_rule(make_grid(0.0, 1.0, n))
+    assert (len(rule) > _SUM_BLOCK) == (n == 10**4) and k < len(rule) - 1
+    seen = []
 
     def f(t):
-        if not isinstance(t, float):
+        if isinstance(t, np.ndarray):
             raise TypeError("scalars only")
-        return np.complex128(complex(t, 1.0)) if t == at else math.cos(t)
+        seen.append(t)
+        return np.complex128(complex(t, 1.0)) if len(seen) == k + 1 else math.cos(t)
 
     with pytest.raises(TypeError, match="complex"):
         apply_rule(rule, f)
+    assert seen == rule.nodes[: k + 1].tolist()
 
 
 @pytest.mark.parametrize("n", (2, CUT_N + 1, 29))
