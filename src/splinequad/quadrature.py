@@ -64,6 +64,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -99,13 +100,13 @@ LIMIT_MIDPOINT_WEIGHT = 8.0 / 15.0
 # (see apply_rule).  The array call pays a fixed cost (numpy dispatch per
 # operation in f, and the errstate switch); the per-node loop pays per
 # node.  On a 2-vCPU x86-64 VM (Python 3.11, numpy 2.4) they break even
-# below 27 nodes for a rational 1/(1 + x^2) and at 31-35 for a Horner
-# quintic (per node against array: 10.0 against 9.6 us at 33 nodes, 10.5
-# against 9.9 at 35, 11.2 against 9.9 at 37; the array call is 0.3-0.5 us
-# cheaper since it skips _sum_products below _EXTRACT_MIN, and broke even
-# at 33-37 before); the cut stays at the later end, so no integrand of that
-# cost runs slower than per node.  A spline's ``value`` takes at most half
-# its per-node time from 27 nodes on.
+# below 31 nodes for a rational 1/(1 + x^2) and, for a Horner quintic, at
+# 33-35 when the VM runs fast (per node against array: 11.9 against 11.4
+# us at 35 nodes, 12.3 against 11.2 at 37) and beyond 39 when it runs
+# slow (17.7 against 19.3 us at 37); the array call goes through
+# _sum_products and costs 0.3-0.5 us more than when it did not.  The cut
+# stays at 37.  A spline's ``value`` takes at most half its per-node time
+# from 27 nodes on.
 ARRAY_MIN_NODES = 37
 
 # Arrays of at least this many products are summed by error-free
@@ -208,8 +209,8 @@ class QuadratureRule:
 
     Nodes are strictly increasing; weights are positive and sum to b - a;
     node i and node 2n+2-i mirror each other around the domain midpoint.
-    Nodes and weights are read-only float64 arrays: copies of the arrays
-    given, unless those and their memory are read-only already.
+    Nodes and weights are read-only float64 copies of the arrays given
+    (build_rule's rule holds its own read-only rows, not copied).
     """
 
     grid: UniformKnotGrid
@@ -229,13 +230,7 @@ class QuadratureRule:
 
 
 def _frozen(x) -> np.ndarray:
-    """x where it is a read-only contiguous float64 array on read-only memory
-    (``x.base``), as build_rule's rows are; else a read-only float64 copy."""
-    base = x.base if type(x) is np.ndarray else None
-    if type(base) is np.ndarray and x.dtype is _FLOAT64:
-        flags = x.flags
-        if not (flags.writeable or base.flags.writeable) and flags.c_contiguous:
-            return x
+    """A read-only float64 copy of x."""
     x = np.array(x, dtype=float)
     x.setflags(write=False)
     return x
@@ -718,7 +713,7 @@ def apply_rule(
     larger ones.  A block's result is used when it is an ndarray of the
     block's shape whose dtype float64 takes in (bool, integer, or float of
     at most 64 bits); its products are formed and reduced while in cache.
-    In every other case, on any block (f raises,
+    In every other case, on any call of f (f raises,
     a floating-point error included: division by zero, overflow or an
     invalid operation such as the root of a negative number; or f returns
     a scalar, a list, another shape, or a complex or long double array),
@@ -752,17 +747,17 @@ def apply_rule(
     own rules decide the sum (a product that is inf or nan or near the
     overflow threshold, or products that are all zero or below 2^-1037
     in magnitude and sum to zero), f is called a second time on every
-    block, and the products are summed by ``math.fsum`` themselves.
+    block, and the products are summed by ``math.fsum`` themselves.  A
+    refusal on such a second call sends f per node as on a first call;
+    only an ``OverflowError`` that ``math.fsum`` raises on the products
+    before the refused block is reached still surfaces first.
     """
     nodes, weights = rule.nodes, rule.weights
     if len(nodes) >= ARRAY_MIN_NODES:
-        if len(nodes) < _EXTRACT_MIN:  # one block: 0.3-0.5 us less than _sum_products
-            values = _array_values(f, nodes)
-            total = None if values is None else _fsum_products(weights, values)
-        else:
-            total = _sum_products(weights, nodes, partial(_array_values, f))
-        if total is not None:
-            return total
+        try:
+            return _sum_products(weights, nodes, partial(_array_values, f))
+        except _Refused:
+            pass
     products = map(operator.mul, _items(weights), map(f, _items(nodes)))
     return math.fsum(map(_real, products))
 
@@ -771,44 +766,42 @@ def _fsum_products(weights: np.ndarray, values: np.ndarray) -> float:
     """``math.fsum((weights * values).tolist())``, bit for bit and exceptions
     included, without a Python float per product on long arrays.  The
     weights are float64 and the values of a dtype float64 takes in (as
-    ``_array_values`` admits them), so the products are doubles.  Under
-    ``_EXTRACT_MIN`` products ``math.fsum`` sums them itself."""
-    if len(weights) < _EXTRACT_MIN:
-        return math.fsum(_items(weights * values))
+    ``_array_values`` admits them), so the products are doubles."""
     return _sum_products(weights, values, lambda v: v)
 
 
 def _sum_products(
-    weights: np.ndarray, x: np.ndarray, values: Callable[[np.ndarray], Optional[np.ndarray]]
-) -> Optional[float]:
+    weights: np.ndarray, x: np.ndarray, values: Callable[[np.ndarray], np.ndarray]
+) -> float:
     """``math.fsum`` of the products ``weights * values(x)``, bit for bit and
-    exceptions included, with values(x) taken a block at a time: None where
-    ``values`` gives None on any block (or on a later call on a block).
+    exceptions included, with values(x) taken a block at a time.  Where
+    ``values`` raises on any call (``_array_values``' ``_Refused``), the
+    exception passes through, unless ``math.fsum`` has already raised
+    ``OverflowError`` on the products of the blocks before.
 
-    Each block of ``_SUM_BLOCK`` products is formed and split by ``_split``
-    while in cache.  Where ``_certain`` shows that the rounded total of the
-    parts is the products' own, it is the result (see ``apply_rule``).
-    Otherwise one block goes on extracting the remainders it still holds,
-    and several blocks take their values again and are extracted whole
-    (``_extract``); an exact total of zero is then fsum's +0.0, since
-    some product was not zero.  ``math.fsum`` of the products themselves
-    decides where the two sums could differ: a product that is inf or nan
-    or at ``_top`` or above (fsum may overflow), and a zero total of
-    products that added no slack (fsum's sign of zero); the values are
-    then taken once more.  Callers sum fewer than ``_EXTRACT_MIN`` products
-    by ``math.fsum`` alone.
+    Fewer than ``_EXTRACT_MIN`` products ``math.fsum`` sums itself.  From
+    there on each block of ``_SUM_BLOCK`` products is formed and split by
+    ``_split`` while in cache.  Where ``_certain`` shows that the rounded
+    total of the parts is the products' own, it is the result (see
+    ``apply_rule``).  Otherwise one block goes on extracting the remainders
+    it still holds, and several blocks take their values again and are
+    extracted whole (``_extract``); an exact total of zero is then fsum's
+    +0.0, since some product was not zero.  ``math.fsum`` of the products
+    themselves decides where the two sums could differ: a product that is
+    inf or nan or at ``_top`` or above (fsum may overflow), and a zero total
+    of products that added no slack (fsum's sign of zero); the values are
+    then taken once more.
     """
     n = len(weights)
+    if n < _EXTRACT_MIN:
+        return math.fsum(_items(weights * values(x)))
 
-    def blocks():  # each block's products, or None where values gives None
+    def blocks():
         for i in range(0, n, _SUM_BLOCK):
-            v = values(x[i : i + _SUM_BLOCK])
-            yield None if v is None else weights[i : i + _SUM_BLOCK] * v
+            yield weights[i : i + _SUM_BLOCK] * values(x[i : i + _SUM_BLOCK])
 
     parts, slack = [], []
     for r in blocks():
-        if r is None:
-            return None
         if parts is not None and not _split(r, parts, slack, n):
             parts = None
     total = math.fsum(parts) if parts else 0.0
@@ -819,25 +812,13 @@ def _sum_products(
         else:
             parts = []
             for r in blocks():
-                if r is None:
-                    return None
                 if parts is not None and not _extract(r, parts, n):
                     parts = None  # only where values gave other values
         if parts is not None:  # exact: a zero sums nonzero products, fsum's +0.0
             return math.fsum(parts)
     if total != 0.0:
         return total
-    refused = []
-
-    def products():
-        for r in blocks():
-            if r is None:
-                refused.append(r)
-                return
-            yield from _items(r)
-
-    total = math.fsum(products())
-    return None if refused else total
+    return math.fsum(chain.from_iterable(map(_items, blocks())))
 
 
 def _top(count: int) -> float:
@@ -948,9 +929,17 @@ def _real(product):
     return product
 
 
-def _array_values(f: Callable, nodes: np.ndarray) -> Optional[np.ndarray]:
+class _Refused(Exception):
+    """f gave no usable array (see ``_array_values``)."""
+
+
+def _array_values(f: Callable, nodes: np.ndarray) -> np.ndarray:
     """f(nodes) when it is an ndarray shaped like nodes whose dtype float64
-    takes in (``np.result_type`` of it and float64 is float64), else None."""
+    takes in (``np.result_type`` of it and float64 is float64).  Else
+    ``_Refused``, on any call of f, a second call on a block included:
+    apply_rule then calls f per node over the whole rule, unless
+    ``math.fsum`` has already raised ``OverflowError`` on the products of
+    the blocks before (see ``_sum_products``)."""
     try:
         # numpy would turn 1/0, overflow and sqrt(-1) into inf/nan with a
         # warning where Python floats raise; raising here sends such an f to
@@ -958,14 +947,14 @@ def _array_values(f: Callable, nodes: np.ndarray) -> Optional[np.ndarray]:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             values = f(nodes.view())  # a view cannot be made writable again
     except Exception:  # scalar-only f; the per-node calls report real errors
-        return None
+        values = None
     if (
         isinstance(values, np.ndarray)
         and values.shape == nodes.shape
         and (values.dtype is _FLOAT64 or np.can_cast(values.dtype, np.float64))
     ):
         return values
-    return None
+    raise _Refused
 
 
 def _items(values: np.ndarray) -> Iterable:

@@ -613,10 +613,11 @@ def test_hand_built_rule_does_not_change_with_a_writable_base():
         base[0, 0] = 5.0
         assert q.nodes.tobytes() == rule.nodes.tobytes()
         base[0, 0] = rule.nodes[0]
-    # build_rule's rows are read-only views of a read-only block: kept as
-    # they are, not copied
+    # build_rule's rows re-wrapped: read-only copies of the same bytes
     q = QuadratureRule(grid, rule.nodes, rule.weights)
-    assert q.nodes is rule.nodes and q.weights is rule.weights
+    for given, kept in ((rule.nodes, q.nodes), (rule.weights, q.weights)):
+        assert not (kept.flags.writeable or np.shares_memory(given, kept))
+        assert kept.tobytes() == given.tobytes()
 
 
 def test_validate_rule_checks_what_scaling_can_break():
@@ -907,8 +908,11 @@ def test_apply_per_node_holds_no_list_of_the_nodes():
     assert peak < 1 << 20
 
 
-def test_apply_falls_back_per_node_on_unusable_array_results():
-    rule = build_rule(make_grid(-1.0, 2.0, CUT_N + 3))
+@pytest.mark.parametrize("n", (CUT_N + 3, _EXTRACT_MIN // 2 - 1, _EXTRACT_MIN // 2, _SUM_BLOCK // 2))
+def test_apply_falls_back_per_node_on_unusable_array_results(n):
+    # 43 nodes; 1023 and 1025, either side of the cut where math.fsum
+    # hands over to the extraction; 16385, two blocks
+    rule = build_rule(make_grid(-1.0, 2.0, n))
     q = horner_quintic(-1.0, 2.0, (0.5, -1.0, 0.25, 2.0, -0.75, 1.0))
     unusable = {
         "list": lambda t: q(t).tolist(),
@@ -918,11 +922,25 @@ def test_apply_falls_back_per_node_on_unusable_array_results():
     for name, on_array in unusable.items():
         def f(t, on_array=on_array):
             return on_array(t) if isinstance(t, np.ndarray) else q(t)
-        assert apply_rule(rule, f).hex() == per_node(rule, q).hex(), name
+        calls = [0]
+        assert apply_rule(rule, counting_array_calls(f, calls)).hex() == per_node(rule, q).hex(), name
+        assert calls[0] == 1, name
     # a complex array is not cut to its real part: the per-node products
     # are complex and the sum refuses them
+    calls = [0]
     with pytest.raises(TypeError):
-        apply_rule(rule, lambda t: q(t) + 1j)
+        apply_rule(rule, counting_array_calls(lambda t: q(t) + 1j, calls))
+    assert calls[0] == 1
+    if len(rule) > _SUM_BLOCK:  # a list from block 2 on only
+        start = float(rule.nodes[_SUM_BLOCK])
+
+        def listed_from_block_2(t):
+            v = q(t)
+            return v.tolist() if isinstance(t, np.ndarray) and t[0] >= start else v
+
+        calls = [0]
+        got = apply_rule(rule, counting_array_calls(listed_from_block_2, calls))
+        assert got.hex() == per_node(rule, q).hex() and calls[0] == 2
 
 
 @pytest.mark.parametrize("n", (100, 1500))
@@ -1438,6 +1456,32 @@ def test_apply_takes_the_per_node_path_when_a_second_call_is_refused():
 
     assert apply_rule(rule, once) == math.inf
     assert len(seen) == 3
+
+
+def test_apply_sums_per_node_when_a_second_call_is_refused_after_opposite_infinities():
+    # three blocks; the array values hold +inf at node 5 and -inf at node 9,
+    # so math.fsum decides and f is called again per block, and block 2
+    # refuses its second call: the whole rule is summed per node, where
+    # math.cos has no infinities, rather than math.fsum's ValueError on
+    # the products taken before the refusal
+    rule = build_rule(make_grid(-1.0, 2.0, _SUM_BLOCK))
+    assert -(-len(rule) // _SUM_BLOCK) == 3
+    on_array = on_nodes(rule, (5, 9), (math.inf, -math.inf), np.cos)
+    start = float(rule.nodes[_SUM_BLOCK])
+    block_2, scalars = [], []
+
+    def f(t):
+        if not isinstance(t, np.ndarray):
+            scalars.append(t)
+            return math.cos(t)
+        if t[0] == start:
+            block_2.append(t)
+            if len(block_2) == 2:
+                raise TypeError("one array call for block 2")
+        return on_array(t)
+
+    assert apply_rule(rule, f).hex() == per_node(rule, math.cos).hex()
+    assert scalars == rule.nodes.tolist()
 
 
 def test_apply_block_that_needs_a_third_pass_is_fsums():
