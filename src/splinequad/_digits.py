@@ -40,10 +40,10 @@ the gap above).
 
 Digits come four at a time from a table of ASCII quads. Each value becomes
 one row of a uint8 matrix padded with NUL bytes, laid out with column
-slices per decimal exponent; ``lines`` joins such matrices into text rows
-and drops the NUL bytes with one ``bytes.translate``. A column that
-repeats with period two, as a rule's weights do, is laid out once per
-distinct value.
+slices per decimal exponent; ``lines`` lays such matrices side by side in
+one zeroed ``bytearray``, through a numpy view of it, and drops the NUL
+bytes with one ``bytearray.translate``. A column that repeats with period
+two, as a rule's weights do, is laid out once per distinct value.
 """
 
 from __future__ import annotations
@@ -175,6 +175,7 @@ def _analyse(x: np.ndarray, mode: str):
     whole = np.floor(lo)
     f = lo - whole
     H, L = _split(hi, whole)
+    del hi, lo, whole  # here and below: each temporary goes after its last use
     exact = (X >= -6) & (X <= 16)  # 10^(16 - X) is a double
     unsure = (H < 1e8) | (H >= 1e9)
 
@@ -192,17 +193,20 @@ def _analyse(x: np.ndarray, mode: str):
         ulp = ((bits & 0x7FF0000000000000) - (52 << 52)).view(np.float64)
         g = 0.5 * ulp * p_hi + 0.5 * ulp * p_lo
         below, above = f - g, f + g
+        del ulp, g, p_hi, p_lo
         A, B = np.floor(below), np.floor(above)  # offsets from S
         unsure |= (
             (np.abs(below - A - 0.5) >= 0.5 - _ERR)
             | (np.abs(above - B - 0.5) >= 0.5 - _ERR)
             | ((bits & ((1 << 52) - 1)) == 0)
         )
+        del below, above
         # B - A < 23: a multiple of 100 (of 10 if B - A < 10) in (A, B] is
         # the only one; where there is none, the nearest multiple of 10 (1)
         step = 10.0 + 90.0 * (B - A >= 10.0)
         top = B - _floor_mod(L + B, step)
         none = top <= A
+        del A, B
         # nearest: the one below (S - r) against the one above by 2f
         # against step - 2r, both sides exact; a tie goes to the even
         # last digit, as in repr
@@ -214,6 +218,7 @@ def _analyse(x: np.ndarray, mode: str):
         tie = np.flatnonzero(twice == gap)
         near[tie] += step[tie] * _floor_mod((L[tie] - r[tie]) / step[tie], 2.0)
         L = L + (top + none * (near - top))
+        del step, top, none, r, twice, gap, near
     H, L = _carry(H, L)
     carry = H == 1e9  # 10^17: one digit
     H[carry] = 1e8
@@ -299,15 +304,21 @@ def row_numbers(start: int, stop: int) -> np.ndarray:
     return text
 
 
-def lines(parts: list[Union[bytes, np.ndarray, tuple]]) -> bytes:
+def lines(parts: list[Union[bytes, np.ndarray, tuple]]) -> bytearray:
     """Rows of the parts side by side, NUL bytes dropped. A part is bytes
     that repeat on every row, a matrix such as ``row_numbers`` makes, or
-    (values, mode): the text of each float64 value in that mode."""
+    (values, mode): the text of each float64 value in that mode.
+
+    The padded rows are written once, into the bytearray they are
+    compacted from, and the parts' layouts are dropped before the text is
+    made: one padded copy of the rows at a time, and the text."""
     rows = next(len(p[0] if isinstance(p, tuple) else p) for p in parts
                 if not isinstance(p, bytes))
     laid = [(len(p), np.frombuffer(p, dtype=np.uint8)) if isinstance(p, bytes)
             else _layout(*p) if isinstance(p, tuple) else (p.shape[1], p) for p in parts]
-    out = np.zeros((rows, sum(width for width, _ in laid)), dtype=np.uint8)
+    total = sum(width for width, _ in laid)
+    padded = bytearray(rows * total)
+    out = np.frombuffer(padded, dtype=np.uint8).reshape(rows, total)
     col = 0
     for width, part in laid:
         if callable(part):
@@ -315,7 +326,8 @@ def lines(parts: list[Union[bytes, np.ndarray, tuple]]) -> bytes:
         else:
             out[:, col : col + width] = part
         col += width
-    return out.tobytes().translate(None, b"\0")
+    del laid, part  # the layouts' arrays, before the compacted copy
+    return padded.translate(None, b"\0")
 
 
 def _width(X, ndig: int) -> int:

@@ -6,11 +6,13 @@ arguments whose result does not fit in memory (one ``out of memory`` line
 on stderr, no traceback), 141 (128 + SIGPIPE, no traceback) when the
 reader closes stdout early, as ``head`` does.
 
-``rule`` and ``kernel`` write bytes, _CHUNK rows at a time. ``rule``
-never holds the rule: it makes it in spans of ``quadrature._SPAN`` rows,
-once to check it and again to write it, so its memory does not grow with
-n and a grid that build_rule refuses writes nothing; the json error
-constant is taken from the unit-cell table. The numbers come from
+``rule`` and ``kernel`` write bytes, _CHUNK rows at a time, each chunk
+held once as padded rows and once as text. ``rule`` never holds the
+rule: it makes it in spans of ``quadrature._SPAN`` rows, once to check it
+and again to write it, so its memory does not grow with n (on a 2-vCPU
+x86-64 VM, about 36 MB of RSS at n = 10^6 and 10^7 in every format, 32 MB
+at n = 10^3) and a grid that build_rule refuses writes nothing; the json
+error constant is taken from the unit-cell table. The numbers come from
 ``_digits``, which makes them from the float64 arrays in numpy and gives
 the same text as Python formatting each value: ``"%.17g"`` for csv and
 ``kernel``, the exact value truncated to 16 significant digits for table,

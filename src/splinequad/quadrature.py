@@ -457,11 +457,13 @@ _K, _OFF, _W = _ROWS  # read-only views, each sliced in one operation
 
 # Rows per span of a streamed rule (see _spans).  A multiple of _SUM_BLOCK,
 # so that every span's weight sums fall on the whole rule's blocks, and the
-# fewest rows whose (2, rows) block is 2 MiB.  At n = 10^6 (2-vCPU x86-64
-# VM, glibc) ``rule`` peaked at 39-40 MB of RSS, against 67 MB holding the
-# whole rule and 36-37 MB with spans of 2^14 to 2^16 rows, which left the
-# formatting page-faulting and took 0.05-0.3 s longer.
-_SPAN = 1 << 17
+# smallest one at which no format of ``rule`` ran slower in fresh processes.
+# At n = 10^6 (2-vCPU x86-64 VM, glibc) ``rule`` peaked at 35.6-36.7 MB of
+# RSS with spans of 2^16 rows, against 38.4-39.8 MB with 2^17 before each
+# formatted chunk was held once, and 67 MB holding the whole rule.  Spans
+# of 2^14, 2^15 and 3 * 2^14 rows left the formatting page-faulting, and
+# the slowest format of each took 8-24 % longer.
+_SPAN = 1 << 16
 
 
 def build_rule(grid: UniformKnotGrid) -> QuadratureRule:
@@ -617,12 +619,13 @@ def _spans(grid: UniformKnotGrid, stop: Optional[int] = None) -> Iterator[
     default), ``_SPAN`` at a time: the rule, one span in memory at once.
 
     The nodes and weights of a span are the two rows of one block.  At
-    n = 10^6 ``rule`` took 9000-14000 minor page faults with these spans
-    (about 9000 writing the whole rule) against 38000-73000 with two
-    arrays of 1 MiB per span: freeing a block of 2 MiB lifts glibc's mmap
-    and trim thresholds above the 1 MB temporaries of every formatted
-    chunk, which were otherwise mapped and unmapped, or trimmed from the
-    heap, chunk after chunk.
+    n = 10^6 ``rule`` took 7200-7600, 7900-8600 and 10200-14900 minor page
+    faults (table, csv, json) with these spans, against 22000-63000 with
+    spans of 2^14, 3 * 2^14 or 2^15 rows: freeing a block of 1 MiB lifts
+    glibc's mmap threshold to 1 MiB and its trim threshold to 2 MiB, above
+    the padded text of a formatted chunk (under 1 MB) and its temporaries,
+    which were otherwise mapped and unmapped, or trimmed from the heap,
+    chunk after chunk.
     """
     stop = 2 * grid.n + 1 if stop is None else stop
     for i in range(0, stop, _SPAN):
@@ -747,8 +750,10 @@ def apply_rule(
     own rules decide the sum (a product that is inf or nan or near the
     overflow threshold, or products that are all zero or below 2^-1037
     in magnitude and sum to zero), f is called a second time on every
-    block, and the products are summed by ``math.fsum`` themselves.  A
-    refusal on such a second call sends f per node as on a first call;
+    block, and the products are summed by ``math.fsum`` themselves; where
+    such a product appears only when the exact pass calls f a second time,
+    f is called a third time per block and those products are summed.  A
+    refusal on such a later call sends f per node as on a first call;
     only an ``OverflowError`` that ``math.fsum`` raises on the products
     before the refused block is reached still surfaces first.
     """
@@ -788,9 +793,11 @@ def _sum_products(
     extracted whole (``_extract``); an exact total of zero is then fsum's
     +0.0, since some product was not zero.  ``math.fsum`` of the products
     themselves decides where the two sums could differ: a product that is
-    inf or nan or at ``_top`` or above (fsum may overflow), and a zero total
-    of products that added no slack (fsum's sign of zero); the values are
-    then taken once more.
+    inf or nan or at ``_top`` or above (fsum may overflow), in the first
+    call's values or in the second call's of several blocks, and a zero
+    total of products that added no slack (fsum's sign of zero).  The
+    values are then taken once more, and the products summed are those of
+    that last call.
     """
     n = len(weights)
     if n < _EXTRACT_MIN:
@@ -816,7 +823,7 @@ def _sum_products(
                     parts = None  # only where values gave other values
         if parts is not None:  # exact: a zero sums nonzero products, fsum's +0.0
             return math.fsum(parts)
-    if total != 0.0:
+    elif total != 0.0:
         return total
     return math.fsum(chain.from_iterable(map(_items, blocks())))
 

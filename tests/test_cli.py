@@ -184,10 +184,11 @@ def test_rule_emitters_match_reference_bytes(tmp_path, fmt, reference):
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv"])
-@pytest.mark.parametrize("n", [_SPAN, _SPAN + 1])
+@pytest.mark.parametrize("n", [2 * _SPAN, 2 * _SPAN + 1])
 def test_streamed_rule_equals_the_whole_rule_across_spans(tmp_path, fmt, n):
-    # the table's n + 1 rows and the csv's 2n + 1 cross a span boundary;
-    # the csv's later spans hold mirrored nodes made beside the span
+    # the table's n + 1 rows and the csv's 2n + 1 cross span boundaries and
+    # end one or two rows into a span; the csv's later spans hold mirrored
+    # nodes made beside the span
     out = tmp_path / f"rule.{fmt}"
     argv = ["rule", "--n", str(n), "--a", "-0.75", "--b", "2.5", "--format", fmt,
             "--out", str(out)]
@@ -422,9 +423,9 @@ def test_rule_refuses_the_grids_build_rule_refuses(tmp_path, capsys, fmt):
 
 
 def test_rule_refuses_colliding_nodes_over_many_spans(tmp_path, capsys):
-    # h = 1 < ulp(1e16) = 2 at n = 2^17: 2^18 + 1 rows in 3 spans, checked
-    # before the first byte, as build_rule checks its 17 blocks
-    n = 1 << 17
+    # h = 1 < ulp(1e16) = 2 at n = _SPAN: 2n + 1 rows in 3 spans, checked
+    # before the first byte, as build_rule checks its blocks
+    n = _SPAN
     assert -(-(2 * n + 1) // _SPAN) == 3
     out = tmp_path / "rule.csv"
     argv = ["rule", "--n", str(n), "--a", "1e16", "--b", repr(1e16 + n),

@@ -7,6 +7,7 @@ and ``repr(v)``.
 
 import hashlib
 import json
+import tracemalloc
 from decimal import ROUND_DOWN, Context
 from pathlib import Path
 
@@ -218,6 +219,29 @@ def test_row_numbers_and_lines():
         halves = np.arange(start, stop) * 0.5
         rows = _digits.lines([_digits.row_numbers(start, stop), b",", (halves, "repr"), b"\n"])
         assert rows == "".join(f"{i},{i * 0.5!r}\n" for i in range(start, stop)).encode()
+
+
+def test_lines_holds_one_padded_copy_of_a_chunk():
+    # the first 16384-row csv chunk of the n = 10^6 rule, as ``rule``
+    # formats it: the traced peak is the padded rows, their compacted text
+    # and the layouts' temporaries.  Those came to 25-41 bytes per row over
+    # four chunks of this rule (41 on this one), so 48 are allowed; a
+    # second padded copy adds 53-56 bytes per row
+    rows = 1 << 14
+    rule = build_rule(make_grid(0.0, 1.0, 10**6))
+    parts = [_digits.row_numbers(1, rows + 1), b",", (rule.nodes[:rows], "%.17g"), b",",
+             (rule.weights[:rows], "%.17g"), b"\n"]
+    _digits.lines(parts)  # the digit tables, made once
+    widths = [len(p) if isinstance(p, bytes) else
+              _digits._layout(*p)[0] if isinstance(p, tuple) else p.shape[1] for p in parts]
+    tracemalloc.start()
+    try:
+        text = _digits.lines(parts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    padded = rows * sum(widths)
+    assert peak <= padded + len(text) + 48 * rows, (peak, padded, len(text))
 
 
 if __name__ == "__main__":

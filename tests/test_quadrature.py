@@ -1484,6 +1484,29 @@ def test_apply_sums_per_node_when_a_second_call_is_refused_after_opposite_infini
     assert scalars == rule.nodes.tolist()
 
 
+def test_apply_inf_only_in_the_exact_pass_is_fsum_of_the_last_call():
+    # sin over [0, 2 pi] sums to near its rounding floor, so the one-pass
+    # sum of the two blocks is not certified and f is called again per
+    # block; the second call of block 2 puts +inf at its node 5, so the
+    # exact pass cannot decide and f is called a third time per block:
+    # math.fsum of those products, not the first pass's rounded total
+    rule = build_rule(make_grid(0.0, 2.0 * math.pi, 10**4))
+    assert -(-len(rule) // _SUM_BLOCK) == 2
+    calls = [0]
+
+    def f(t):
+        v = np.sin(t)
+        calls[0] += 1
+        if calls[0] == 4:
+            v[5] = math.inf
+        return v
+
+    got = apply_rule(rule, f)
+    assert calls[0] == 6
+    want = math.fsum((rule.weights * np.sin(rule.nodes)).tolist())
+    assert got.hex() == want.hex() == "-0x1.a17d9437434b0p-60"
+
+
 def test_apply_block_that_needs_a_third_pass_is_fsums():
     # values 2^-40 .. 2^40 times a quintic: the products of every block span
     # more than 2^60, far more than the 53 bits of one double, so no block
