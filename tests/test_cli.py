@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
+import errno
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 from decimal import ROUND_DOWN, Context, Decimal
 from pathlib import Path
 
@@ -608,3 +610,160 @@ def test_rule_json_where_the_error_constant_is_a_double():
     h = 1e45 / 3
     plateau = h**6 / 604800.0 * 1e45  # (b-a)^7 / (604800 n^6)
     assert 0.5 * plateau < c < plateau
+
+
+# ------------------------------------------------- two formatting processes
+
+def _forks(monkeypatch, child=None):
+    """Count the calls of os.fork, on a machine taken to have two CPUs;
+    child, if given, runs in each forked worker before it formats."""
+    assert threading.active_count() == 1, "a second thread turns the worker off"
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    calls = []
+    fork = os.fork
+
+    def counting_fork():
+        calls.append(1)
+        pid = fork()
+        if pid == 0 and child is not None:
+            child()
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+def _cli_bytes(tmp_path, argv):
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def _in_process_bytes(tmp_path, argv, chunks=None):
+    """The output with no os.fork, made in chunks calls of _digits.lines
+    if chunks is given."""
+    lines = cli._digits.lines
+    calls = []
+
+    def counting_lines(parts):
+        calls.append(1)
+        return lines(parts)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delattr(os, "fork")
+        mp.setattr(cli._digits, "lines", counting_lines)
+        out = _cli_bytes(tmp_path, argv)
+    assert chunks is None or len(calls) == chunks
+    return out
+
+
+@pytest.mark.parametrize("argv,chunks", [
+    # n = 70000 and 70001: the table's n + 1 rows make 5 chunks over two
+    # spans, the csv's 2n + 1 rows 9, and each json array 9
+    (["rule", "--n", "70000", "--a", "-0.75", "--b", "2.5", "--format", "table"], 5),
+    (["rule", "--n", "70001", "--a", "-0.75", "--b", "2.5", "--format", "table"], 5),
+    (["rule", "--n", "70000", "--a", "-0.75", "--b", "2.5", "--format", "csv"], 9),
+    (["rule", "--n", "70001", "--a", "-0.75", "--b", "2.5", "--format", "csv"], 9),
+    (["rule", "--n", "70000", "--a", "-0.75", "--b", "2.5", "--format", "json"], 18),
+    (["rule", "--n", "70001", "--a", "-0.75", "--b", "2.5", "--format", "json"], 18),
+    (["kernel", "--n", "20000", "--samples-per-cell", "2"], 3),
+])
+def test_forked_and_in_process_formatting_write_the_same_bytes(tmp_path, monkeypatch,
+                                                               argv, chunks):
+    expected = _in_process_bytes(tmp_path, argv, chunks)
+    forks = _forks(monkeypatch)
+    assert _cli_bytes(tmp_path, argv) == expected
+    assert len(forks) == (2 if argv[-1] == "json" else 1)
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("argv", [
+    ["rule", "--n", "100", "--format", "table"],
+    ["rule", "--n", "100", "--format", "csv"],
+    ["rule", "--n", "100", "--format", "json"],
+    ["rule", "--n", str(cli._CHUNK - 1), "--format", "table"],
+    ["kernel", "--n", "100", "--samples-per-cell", "2"],
+])
+def test_one_chunk_output_never_forks(tmp_path, monkeypatch, argv):
+    # a worker would only cost its fork
+    forks = _forks(monkeypatch)
+    _cli_bytes(tmp_path, argv)
+    assert forks == []
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_a_fork_that_fails_formats_in_process(tmp_path, monkeypatch, fmt):
+    argv = ["rule", "--n", "40001", "--a", "-1", "--b", "3", "--format", fmt]
+    expected = _in_process_bytes(tmp_path, argv)
+    _forks(monkeypatch)
+
+    def failing_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    assert _cli_bytes(tmp_path, argv) == expected
+
+
+@pytest.mark.parametrize("sent", [0, 1])
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_a_worker_that_dies_leaves_its_chunks_to_the_main_process(tmp_path, monkeypatch,
+                                                                  fmt, sent):
+    # the worker exits after sending `sent` chunks: the main process
+    # formats the rest, and reaps it
+    argv = ["rule", "--n", "40001", "--a", "-1", "--b", "3", "--format", fmt]
+    expected = _in_process_bytes(tmp_path, argv)
+    lines = cli._digits.lines
+
+    def dying_worker():
+        calls = []
+
+        def lines_then_exit(parts):
+            if len(calls) == sent:
+                os._exit(0)
+            calls.append(1)
+            return lines(parts)
+
+        cli._digits.lines = lines_then_exit  # in the worker's memory only
+
+    forks = _forks(monkeypatch, child=dying_worker)
+    assert _cli_bytes(tmp_path, argv) == expected
+    assert forks and cli._digits.lines is lines
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_consumer_that_raises_leaves_no_worker(tmp_path, monkeypatch, capsys):
+    # the writer fails after two chunks, as a full disk would: the worker
+    # is killed and reaped before main returns
+    _forks(monkeypatch)
+    taken = []
+
+    def failing_emit(chunks, out):
+        for chunk in chunks:
+            taken.append(chunk)
+            if len(taken) == 3:  # the csv header and two chunks
+                raise ValueError(f"cannot write {out}: No space left on device")
+
+    monkeypatch.setattr(cli, "_emit", failing_emit)
+    argv = ["rule", "--n", "100000", "--format", "csv", "--out", str(tmp_path / "x")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.endswith("No space left on device\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_reader_that_stops_early_leaves_no_process_in_the_session():
+    # exit 141 and nothing on stderr, as with one process; the session the
+    # command leads holds no process once it has exited
+    cmd = [sys.executable, "-m", "splinequad", "rule", "--n", "1000000", "--format", "csv"]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          start_new_session=True) as child:
+        head = child.stdout.read(1000)
+        child.stdout.close()
+        stderr = child.stderr.read()
+        assert child.wait(timeout=120) == 141
+    assert head.startswith(b"i,tau,omega\n1,") and len(head) == 1000
+    assert stderr == b""
+    with pytest.raises(ProcessLookupError):
+        os.killpg(child.pid, 0)
