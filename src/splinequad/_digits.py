@@ -52,7 +52,6 @@ import functools
 import json
 import math
 from decimal import ROUND_DOWN, Context
-from fractions import Fraction
 from typing import Callable, Union
 
 import numpy as np
@@ -93,11 +92,14 @@ def _quads() -> np.ndarray:
 
 @functools.cache
 def _powers() -> tuple[np.ndarray, ...]:
-    """hi, lo, and hi's Veltkamp halves, of 10^p for p = 16 - X over the
-    window, X = _XMAX first; hi + lo from exact rational arithmetic."""
-    exact = [Fraction(10) ** p for p in range(16 - _XMAX, 16 - _XMIN + 1)]
-    hi = np.array([float(e) for e in exact])
-    lo = np.array([float(e - Fraction(h)) for e, h in zip(exact, hi.tolist())])
+    """hi, lo, and hi's Veltkamp halves, of 10^p = num / den for p = 16 - X
+    over the window, X = _XMAX first; hi and lo, the rest num / den - hi,
+    are quotients of exact integers, which Python's int / int rounds
+    correctly."""
+    exact = [(10**p, 1) if p >= 0 else (1, 10**-p) for p in range(16 - _XMAX, 16 - _XMIN + 1)]
+    hi = np.array([num / den for num, den in exact])
+    rest = zip(exact, map(float.as_integer_ratio, hi.tolist()))
+    lo = np.array([(num * q - p * den) / (den * q) for (num, den), (p, q) in rest])
     c = hi * _SPLIT
     hi_hi = c - (c - hi)
     return hi, lo, hi_hi, hi - hi_hi

@@ -42,16 +42,16 @@ for every rule: the prefix cells, then the two-third fill.  So their first
 ``_TABLE_ROWS`` (4097) are a second read-only array, ``_ROWS``, made from
 ``TABLE`` at import, and a rule of n <= 4097 cells reads every such row
 from it; only rows 4097 and beyond, on larger grids, make k from q and
-(off, w) by parity.  build_rule writes a rule of one ``_SUM_BLOCK``
-(n <= 8191) in one pass, and ``_flags`` and ``_verdict`` make its four
-checks.  Two generators make the other rules' rows a span at a time:
-``_fill`` writes rows 0..n and their mirror images into the two rows of
-build_rule's one block, ``_SUM_BLOCK`` rows at a time, and ``_spans``
-makes ``_SPAN`` rows at a time with ``_span`` (any run of rows, the same
-doubles), so that ``splinequad rule`` never holds the rule whole, whatever
-its n.  Both feed one check, ``_check``, which takes each span while it is
-in cache and carries across spans what ``_verdict`` decides from, so that
-every rule is decided the same however it is split.
+(off, w) by parity.  build_rule writes a rule of one ``_BLOCK``
+(n <= 32767) in one pass, and ``_flags`` and ``_verdict`` make its four
+checks.  Two generators make the other rules' rows ``_BLOCK`` rows at a
+time, cut at the same rows: ``_fill`` writes rows 0..n and their mirror
+images into the two rows of build_rule's one block, and ``_spans`` makes
+each span with ``_span`` (any run of rows, the same doubles), so that
+``splinequad rule`` never holds the rule whole, whatever its n.  Both feed
+one check, ``_check``, which takes each span while it is in cache and
+carries across spans what ``_verdict`` decides from, so that every rule is
+decided the same however it is split.
 
 Rules are immutable once built; ``apply_rule`` is pure.  ``TABLE`` and
 ``_ROWS`` are computed once and never written afterwards, so builds share
@@ -121,32 +121,34 @@ ARRAY_MIN_NODES = 37
 # the many-small and audit sizes, keep math.fsum.
 _EXTRACT_MIN = 1 << 10
 
-# Rows a build writes and checks at a time; in apply_rule, products
-# extracted and nodes per array call of f: a block, its temporaries and
-# f's (about 0.4 MB for a Horner quintic) stay in cache, and at 2*10^6 + 1
-# products 2^14 ran as fast as 2^15 and 30 % faster than 2^12, whose numpy
-# calls cost more.
-_SUM_BLOCK = 1 << 14
+# Rows a build writes and checks at a time, rows per span of a streamed
+# rule (see _spans), and in apply_rule the nodes per array call of f and
+# the products extracted at a time.  On a 2-vCPU x86-64 VM (Python 3.11,
+# numpy 2.4), against blocks of 2^14 rows: a rule of 10^6 cells is 31
+# blocks, not 123, its apply_rule took 0.83 (Horner quintic) to 0.99 (a
+# rational) of the time and its build 0.91, a build at n = 2 * 10^4, now
+# one pass, 0.80, and the bulk benchmark ran 1.10x as fast.
+_BLOCK = 1 << 16
 
 # sigma = 2^(e + _SUM_SHIFT) for a block whose largest |r| is below 2^e:
 # 2^_SUM_SHIFT exceeds the block length + 2, so the q of one pass sum to a
 # double exactly, and each remainder r - q is at most ulp(sigma)/2 (Rump,
 # Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008, parts I and II).
-_SUM_SHIFT = (_SUM_BLOCK + 2).bit_length()
+_SUM_SHIFT = (_BLOCK + 2).bit_length()
 
 # A block shorter than this (only the last can be) is summed as it is, and
 # in the exact extraction a block's remainders are, once fewer than this
 # many are nonzero: a pass costs what math.fsum takes for about 300.
 _SUM_REST = 128
 
-# gamma_(m-1) * m for m = _SUM_BLOCK, rounded up, gamma_k = k u / (1 - k u)
+# gamma_(m-1) * m for m = _BLOCK, rounded up, gamma_k = k u / (1 - k u)
 # with u = 2^-53: m remainders of at most 2^p each, added in any order,
 # err by at most this times 2^p (Higham, Accuracy and Stability of
-# Numerical Algorithms, 2nd ed., SIAM 2002, section 4.2).  About 2^-25, so
-# a sum of products of one size whose total is below about 2^-21 of their
+# Numerical Algorithms, 2nd ed., SIAM 2002, section 4.2).  About 2^-21, so
+# a sum of products of one size whose total is below about 2^-19 of their
 # absolute sum is seldom certified (see apply_rule).
 _SUM_SLACK = math.nextafter(
-    (_SUM_BLOCK - 1) * _SUM_BLOCK * 2.0**-53 / (1.0 - (_SUM_BLOCK - 1) * 2.0**-53), math.inf
+    (_BLOCK - 1) * _BLOCK * 2.0**-53 / (1.0 - (_BLOCK - 1) * 2.0**-53), math.inf
 )
 
 # Slack for the residue inequality 2(4A - B) + 1/12 >= 1/6, which holds
@@ -455,26 +457,15 @@ _ROWS = _unit_rows()
 _K, _OFF, _W = _ROWS  # read-only views, each sliced in one operation
 
 
-# Rows per span of a streamed rule (see _spans).  A multiple of _SUM_BLOCK,
-# so that every span's weight sums fall on the whole rule's blocks, and the
-# smallest one at which no format of ``rule`` ran slower in fresh processes.
-# At n = 10^6 (2-vCPU x86-64 VM, glibc) ``rule`` peaked at 35.6-36.7 MB of
-# RSS with spans of 2^16 rows, against 38.4-39.8 MB with 2^17 before each
-# formatted chunk was held once, and 67 MB holding the whole rule.  Spans
-# of 2^14, 2^15 and 3 * 2^14 rows left the formatting page-faulting, and
-# the slowest format of each took 8-24 % longer.
-_SPAN = 1 << 16
-
-
 def build_rule(grid: UniformKnotGrid) -> QuadratureRule:
     """Construct the full 2n+1-node rule for a grid from ``TABLE``.
 
     The rule is the two rows of one read-only (2, 2n+1) block.  A rule of
-    at most ``_SUM_BLOCK`` (16384) rows, n <= 8191, is written and checked
-    in one pass: ``_rows`` and ``_middle`` write rows 0..n, ``_mirror`` the
+    at most ``_BLOCK`` (65536) rows, n <= 32767, is written and checked in
+    one pass: ``_rows`` and ``_middle`` write rows 0..n, ``_mirror`` the
     rest, and ``_flags`` and ``_verdict`` make the checks.  A larger one is
-    written by ``_fill`` and checked by ``_check`` ``_SUM_BLOCK`` rows at a
-    time, while they are in cache: the build holds no full-length
+    written by ``_fill`` and checked by ``_check`` ``_BLOCK`` rows at a
+    time, the rows of ``_spans``' spans: the build holds no full-length
     temporary, and the one allocation spares the page faults of two.
 
     Raises
@@ -488,7 +479,7 @@ def build_rule(grid: UniformKnotGrid) -> QuadratureRule:
     n = grid.n
     block = np.empty((2, 2 * n + 1))
     nodes, weights = block[0], block[1]  # 0.4 us faster than unpacking
-    if 2 * n < _SUM_BLOCK:
+    if 2 * n < _BLOCK:
         half, _, middle = _layout(n)
         _rows(grid, 0, 2 * half, nodes, weights)
         _middle(grid, half, middle, 0, nodes, weights)
@@ -508,11 +499,11 @@ def build_rule(grid: UniformKnotGrid) -> QuadratureRule:
 
 def _fill(grid: UniformKnotGrid, nodes: np.ndarray, weights: np.ndarray) -> Iterator:
     """Write the rule over grid into nodes and weights, and yield the rows of
-    each block of ``_SUM_BLOCK`` once written: ``_left``'s rows up to n, then
+    each block of ``_BLOCK`` once written: ``_left``'s rows up to n, then
     the mirror images of rows n-1..0 (``_mirror``), written already."""
     n, m = grid.n, len(nodes)
-    for lo in range(0, m, _SUM_BLOCK):
-        hi = lo + _SUM_BLOCK if lo + _SUM_BLOCK < m else m
+    for lo in range(0, m, _BLOCK):
+        hi = lo + _BLOCK if lo + _BLOCK < m else m
         # rows lo .. r - 1 are left-half rows
         r = n + 1 if lo <= n < hi else (lo if lo > n else hi)
         _left(grid, lo, nodes[lo:r], weights[lo:r])
@@ -616,7 +607,8 @@ def _spans(grid: UniformKnotGrid, stop: Optional[int] = None) -> Iterator[
     tuple[np.ndarray, np.ndarray]
 ]:
     """Nodes and weights 0 .. stop - 1 of the rule over grid (all 2n + 1 by
-    default), ``_SPAN`` at a time: the rule, one span in memory at once.
+    default), ``_BLOCK`` at a time, the rows of ``_fill``'s blocks: the
+    rule, one span in memory at once.
 
     The nodes and weights of a span are the two rows of one block.  At
     n = 10^6 ``rule`` took 7200-7600, 7900-8600 and 10200-14900 minor page
@@ -628,8 +620,8 @@ def _spans(grid: UniformKnotGrid, stop: Optional[int] = None) -> Iterator[
     chunk after chunk.
     """
     stop = 2 * grid.n + 1 if stop is None else stop
-    for i in range(0, stop, _SPAN):
-        nodes, weights = np.empty((2, min(_SPAN, stop - i)))
+    for i in range(0, stop, _BLOCK):
+        nodes, weights = np.empty((2, min(_BLOCK, stop - i)))
         _span(grid, i, nodes, weights)
         yield nodes, weights
 
@@ -639,10 +631,10 @@ def _check(grid: UniformKnotGrid, spans: Iterable[tuple[np.ndarray, np.ndarray]]
     the spans (``_fill``'s or ``_spans``') in order, fails: its nodes strictly
     increasing, its weights positive, their sum b - a, and its first and
     last node strictly inside (a, b).  Carried from span to span: the order
-    across the span edges, the first node, and the sums of the weights in
-    blocks of ``_SUM_BLOCK``, rounded once by ``math.fsum``.  The spans
-    start at multiples of ``_SUM_BLOCK``, so every decision is the same
-    however the rule is split.
+    across the span edges, the first node, and the sum of each span's
+    weights, rounded once by ``math.fsum``.  Both generators cut the rule
+    into the same spans of ``_BLOCK`` rows, so every decision is the same
+    however the rule is made.
     """
     increasing = positive = True
     first = last = None
@@ -652,11 +644,7 @@ def _check(grid: UniformKnotGrid, spans: Iterable[tuple[np.ndarray, np.ndarray]]
             first = nodes[0]
         else:
             increasing = increasing and last < nodes[0]
-        if len(weights) <= _SUM_BLOCK:  # a build_rule block: unsliced, 0.5 us faster
-            sums.append(np.add.reduce(weights))
-        else:
-            for s in range(0, len(weights), _SUM_BLOCK):
-                sums.append(np.add.reduce(weights[s : s + _SUM_BLOCK]))
+        sums.append(np.add.reduce(weights))
         ordered, signed = _flags(nodes, weights)
         increasing, positive = increasing and ordered, positive and signed
         last = nodes[-1]
@@ -711,11 +699,12 @@ def apply_rule(
 
     Calling convention: on a rule with at least ``ARRAY_MIN_NODES`` nodes,
     f is first called with the nodes a block at a time: each block a
-    read-only view of at most ``_SUM_BLOCK`` (16384) consecutive nodes, so
-    once on rules of up to 16384 nodes and ceil((2n+1) / 16384) times on
-    larger ones.  A block's result is used when it is an ndarray of the
-    block's shape whose dtype float64 takes in (bool, integer, or float of
-    at most 64 bits); its products are formed and reduced while in cache.
+    read-only view of at most ``_BLOCK`` (65536) consecutive nodes, so
+    once on rules of up to 65536 nodes and ceil((2n+1) / 65536) times on
+    larger ones (31 at n = 10^6).  A block's result is used when it is an
+    ndarray of the block's shape whose dtype float64 takes in (bool,
+    integer, or float of at most 64 bits); its products are formed and
+    reduced while in cache.
     In every other case, on any call of f (f raises,
     a floating-point error included: division by zero, overflow or an
     invalid operation such as the root of a negative number; or f returns
@@ -730,7 +719,7 @@ def apply_rule(
 
     Summation on the array path: under ``_EXTRACT_MIN`` (1024) products
     ``math.fsum`` sums them.  From there on each block's products r are
-    split once: with sigma = 2^(e + 15) above every |r|, the heads
+    split once: with sigma = 2^(e + 17) above every |r|, the heads
     q = (sigma + r) - sigma sum exactly, and the remainders r - q, each
     at most ulp(sigma)/2, are summed in floating point with an error
     of at most gamma_(m-1) * m * ulp(sigma)/2 for m of them (Rump, Ogita &
@@ -741,21 +730,22 @@ def apply_rule(
     result, after one call of f per block.  Otherwise the sum is decided
     exactly: a rule of one block goes on extracting the remainders it
     holds, and on a larger rule f is called a second time on every block.
-    S is at most 2^-62 of the sum of the blocks' largest |w f|, so this
-    happens where |total| is small against sum |w f|: for random products
-    of one size nearly always below 2^-21 of it, and about one sum in 200
-    at 2^-14; in practice, a total at the rounding floor (sin over
-    [0, 2 pi] at n = 10^6 sums to about 7e-20), and an exact-zero total
-    (an odd f over an interval symmetric about 0).  Where ``math.fsum``'s
-    own rules decide the sum (a product that is inf or nan or near the
-    overflow threshold, or products that are all zero or below 2^-1037
-    in magnitude and sum to zero), f is called a second time on every
-    block, and the products are summed by ``math.fsum`` themselves; where
-    such a product appears only when the exact pass calls f a second time,
-    f is called a third time per block and those products are summed.  A
-    refusal on such a later call sends f per node as on a first call;
-    only an ``OverflowError`` that ``math.fsum`` raises on the products
-    before the refused block is reached still surfaces first.
+    S is at most 2^-56 of the sum of the blocks' largest |w f|, so this
+    happens where |total| is small against sum |w f|: for 2*10^6 random
+    products of one size, in every sum at 2^-20 of it, in half at 2^-18,
+    and in about one sum in 125 at 2^-12; in practice, a total at the
+    rounding floor (sin over [0, 2 pi] at n = 10^6 sums to about 7e-20),
+    and an exact-zero total (an odd f over an interval symmetric about
+    0).  Where ``math.fsum``'s own rules decide the sum (a product that is
+    inf or nan or near the overflow threshold, or products that are all
+    zero or below 2^-1037 in magnitude and sum to zero), f is called a
+    second time on every block, and the products are summed by
+    ``math.fsum`` themselves; where such a product appears only when the
+    exact pass calls f a second time, f is called a third time per block
+    and those products are summed.  A refusal on such a later call sends f
+    per node as on a first call; only an ``OverflowError`` that
+    ``math.fsum`` raises on the products before the refused block is
+    reached still surfaces first.
     """
     nodes, weights = rule.nodes, rule.weights
     if len(nodes) >= ARRAY_MIN_NODES:
@@ -785,7 +775,7 @@ def _sum_products(
     ``OverflowError`` on the products of the blocks before.
 
     Fewer than ``_EXTRACT_MIN`` products ``math.fsum`` sums itself.  From
-    there on each block of ``_SUM_BLOCK`` products is formed and split by
+    there on each block of ``_BLOCK`` products is formed and split by
     ``_split`` while in cache.  Where ``_certain`` shows that the rounded
     total of the parts is the products' own, it is the result (see
     ``apply_rule``).  Otherwise one block goes on extracting the remainders
@@ -804,8 +794,8 @@ def _sum_products(
         return math.fsum(_items(weights * values(x)))
 
     def blocks():
-        for i in range(0, n, _SUM_BLOCK):
-            yield weights[i : i + _SUM_BLOCK] * values(x[i : i + _SUM_BLOCK])
+        for i in range(0, n, _BLOCK):
+            yield weights[i : i + _BLOCK] * values(x[i : i + _BLOCK])
 
     parts, slack = [], []
     for r in blocks():
@@ -813,7 +803,7 @@ def _sum_products(
             parts = None
     total = math.fsum(parts) if parts else 0.0
     if slack and parts is not None and not (total and _certain(parts, total, slack)):
-        if n <= _SUM_BLOCK:  # the one block's remainders are still in r
+        if n <= _BLOCK:  # the one block's remainders are still in r
             del parts[1:]  # its tail
             _extract(r, parts, n)
         else:
@@ -882,12 +872,12 @@ def _extract(r: np.ndarray, partials: list, count: int) -> bool:
 
     ``_pass`` repeated, as ``_split`` makes it once.  Passes go in
     pairs: the first takes e from the largest |r|, the second from the
-    first's bound on its remainders, 2^(52 - _SUM_SHIFT) = 2^37 times
+    first's bound on its remainders, 2^(52 - _SUM_SHIFT) = 2^35 times
     smaller, as AccSum does, and zeros are dropped after each pair.  Once
     fewer than ``_SUM_REST`` remainders are left, they are appended as they
     are.  So ``math.fsum(partials)`` is the correctly rounded sum of every
     block given, however the doubles are split into blocks of at most
-    ``_SUM_BLOCK``.
+    ``_BLOCK``.
 
     Returns False where r holds inf or nan or a value at ``_top(count)``
     or above, and appends nothing.
@@ -912,7 +902,7 @@ def _largest(r: np.ndarray, count: int) -> Optional[float]:
 
 def _pass(r: np.ndarray, e: int) -> float:
     """One pass of ExtractVector (Rump, Ogita & Oishi) over r, a block of
-    at most ``_SUM_BLOCK`` doubles each below 2^(e - _SUM_SHIFT) in
+    at most ``_BLOCK`` doubles each below 2^(e - _SUM_SHIFT) in
     magnitude: with sigma = 2^e, or 2^-1022 where e is smaller,
     q = (sigma + r) - sigma holds r's leading bits and its sum is exact,
     and r is left holding the remainders r - q, each exact and at most

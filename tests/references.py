@@ -4,7 +4,8 @@ Each is an independent way to get a value the library computes another
 way: composite Gauss-Legendre integrals with hard-coded nodes, the global
 Peano kernel as one dense sum over the nodes, the two-nodes-per-cell
 certificate of the basis, the cubic factor that the root-free check
-examines, and a rule document read back from its json.
+examines, a rule document read back from its json, and the exact sum of
+an array of doubles as an integer.
 """
 
 import json
@@ -128,3 +129,27 @@ def cubic_coefficients(state) -> tuple[float, float, float, float]:
 def rule_document_from_json(text: str) -> RuleDocument:
     """The ``RuleDocument`` whose ``to_json`` text is text."""
     return RuleDocument(**json.loads(text))
+
+
+def exact_sum(values: np.ndarray) -> int:
+    """The exact sum of the finite doubles values, as an integer count of
+    2^-1074 (every double is one).
+
+    Each value is m 2^(e - 53) with an integer m below 2^53 in magnitude
+    (``np.frexp``); m's high and low parts, below 2^27, are summed per
+    exponent by ``np.bincount`` in doubles, exactly while fewer than 2^26
+    values share one, and the sums of the at most 2098 exponents are added
+    as Python integers, counting 2^-1126.
+    """
+    assert len(values) < 1 << 26 and np.isfinite(values).all()
+    m, e = np.frexp(values)
+    m *= 2.0**53
+    hi = np.floor(m * 2.0**-26)
+    m -= hi * 2.0**26  # the low part, in [0, 2^26)
+    e += 1073  # the exponent of 2^-1126, 0 for the smallest subnormal
+    total = 0
+    sums = zip(np.bincount(e, weights=hi).tolist(), np.bincount(e, weights=m).tolist())
+    for k, (h, l) in enumerate(sums):
+        if h or l:
+            total += ((int(h) << 26) + int(l)) << k
+    return total >> 52

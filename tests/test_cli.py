@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from splinequad import build_rule, cli, error_constant, kernel_profile, make_grid
-from splinequad.quadrature import _SPAN, ConstructionError, QuadratureRule
+from splinequad.quadrature import _BLOCK, ConstructionError, QuadratureRule
 
 from references import rule_document_from_json
 
@@ -186,7 +186,7 @@ def test_rule_emitters_match_reference_bytes(tmp_path, fmt, reference):
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv"])
-@pytest.mark.parametrize("n", [2 * _SPAN, 2 * _SPAN + 1])
+@pytest.mark.parametrize("n", [2 * _BLOCK, 2 * _BLOCK + 1])
 def test_streamed_rule_equals_the_whole_rule_across_spans(tmp_path, fmt, n):
     # the table's n + 1 rows and the csv's 2n + 1 cross span boundaries and
     # end one or two rows into a span; the csv's later spans hold mirrored
@@ -425,10 +425,10 @@ def test_rule_refuses_the_grids_build_rule_refuses(tmp_path, capsys, fmt):
 
 
 def test_rule_refuses_colliding_nodes_over_many_spans(tmp_path, capsys):
-    # h = 1 < ulp(1e16) = 2 at n = _SPAN: 2n + 1 rows in 3 spans, checked
+    # h = 1 < ulp(1e16) = 2 at n = _BLOCK: 2n + 1 rows in 3 spans, checked
     # before the first byte, as build_rule checks its blocks
-    n = _SPAN
-    assert -(-(2 * n + 1) // _SPAN) == 3
+    n = _BLOCK
+    assert -(-(2 * n + 1) // _BLOCK) == 3
     out = tmp_path / "rule.csv"
     argv = ["rule", "--n", str(n), "--a", "1e16", "--b", repr(1e16 + n),
             "--format", "csv", "--out", str(out)]

@@ -358,7 +358,7 @@ def _snapped_counts(rule):
     snap = (idx + 1 <= n - 1) & (knots[nxt] - rule.nodes <= 4e-16 * scale)
     idx = np.where(snap, idx + 1, idx)
     idx = np.clip(idx, 0, n - 1)
-    return tuple(int(v) for v in np.bincount(idx, minlength=n))
+    return tuple(np.bincount(idx, minlength=n).tolist())
 
 
 def _layout_ok(counts, n):

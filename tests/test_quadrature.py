@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import operator
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from references import exact_sum
 
 from splinequad import quadrature
 from splinequad.grid_basis import SplineCoefficients, basis_eval, basis_integral, make_grid
@@ -24,10 +26,9 @@ from splinequad.quadrature import (
     apply_rule,
     build_rule,
     _EXTRACT_MIN,
-    _SUM_BLOCK,
+    _BLOCK,
     _SUM_SHIFT,
     _ROWS,
-    _SPAN,
     _TABLE_ROWS,
     _check,
     _fsum_products,
@@ -489,9 +490,9 @@ PINNED_INTERVALS = (
 )
 # n = 4096..4098 straddle the edge of the unit-row table (_TABLE_ROWS)
 PINNED_NS = (*range(1, 301), 4096, 4097, 4098)
-# 2n + 1 on both sides of one, two and three _SUM_BLOCKs, where build_rule
-# turns to writing one block of both rows a _SUM_BLOCK at a time, and a
-# rule of 200003 nodes whose middle and last blocks are partial
+# 2n + 1 on both sides of 2^14, 2^15 and 3 * 2^14 rows, inside build_rule's
+# one pass, and a rule of 200003 nodes, four blocks of _BLOCK rows whose
+# middle and last blocks are partial
 EDGE_NS = (8191, 8192, 8193, 16383, 16384, 16385, 24576, 100001)
 
 
@@ -526,7 +527,7 @@ def test_rules_at_the_block_edges_match_their_pinned_digest():
 
 
 def test_large_builds_hold_only_block_sized_temporaries():
-    # written and checked a _SUM_BLOCK at a time: no full-length index,
+    # written and checked _BLOCK rows at a time: no full-length index,
     # mask or second copy beside the rule (7.6 MiB of them at n = 10^6
     # when the rule was written and checked whole)
     grid = make_grid(0.0, 1.0, 1_000_000)
@@ -559,9 +560,9 @@ def test_unit_spaced_rules_equal_the_cell_by_cell_recursion(a):
 
 def test_build_refuses_cells_narrower_than_the_coordinates_resolve():
     # ulp(1e16) = 2 > h = 1: scaled nodes collide after rounding, in one
-    # block of _SUM_BLOCK rows at n = 64 and over 17 at n = 2^17
-    assert -(-(2 * (1 << 17) + 1) // _SUM_BLOCK) == 17
-    for n in (64, 1 << 17):
+    # block of _BLOCK rows at n = 64 and over 17 at n = 8 _BLOCK
+    assert -(-(2 * 8 * _BLOCK + 1) // _BLOCK) == 17
+    for n in (64, 8 * _BLOCK):
         with pytest.raises(ConstructionError, match="nodes are not strictly increasing"):
             build_rule(make_grid(1e16, 1e16 + n, n))
 
@@ -689,11 +690,12 @@ def test_spans_are_slices_of_the_whole_rule(a, b):
     # n = _TABLE_ROWS - 1 .. + 1: rules on both sides of the unit-row
     # table's edge, the last read whole from it and the first past it
     edge = [_TABLE_ROWS - 1, _TABLE_ROWS, _TABLE_ROWS + 1]
-    # n = _SUM_BLOCK // 2 and on: rules built one _SUM_BLOCK at a time, the
-    # first with a last block of one row, the last with a second block that
-    # ends at the middle row
-    blocked = [_SUM_BLOCK // 2, _SUM_BLOCK, _SUM_BLOCK + 1]
-    for n in [*range(1, 24), 101, 1000, 1001, *edge, *blocked, _SPAN // 2, _SPAN // 2 + 1]:
+    # n = _BLOCK // 2 - 1, the largest rule built in one pass, and on:
+    # rules built _BLOCK rows at a time, the first with a last block of one
+    # row, then of three, and with the middle row first in the second block
+    # and one row after it
+    blocked = [_BLOCK // 2 - 1, _BLOCK // 2, _BLOCK // 2 + 1, _BLOCK, _BLOCK + 1]
+    for n in [*range(1, 24), 101, 1000, 1001, *edge, *blocked]:
         grid = make_grid(a, b, n)
         rule = build_rule(grid)
         m = 2 * n + 1
@@ -708,7 +710,7 @@ def test_spans_are_slices_of_the_whole_rule(a, b):
             assert weights.tobytes() == rule.weights[i:j].tobytes(), (n, i, j)
         spans = list(_spans(grid))
         _check(grid, spans)
-        assert len(spans) == -(-m // _SPAN)
+        assert len(spans) == -(-m // _BLOCK)
         assert np.concatenate([t for t, _ in spans]).tobytes() == rule.nodes.tobytes()
         assert np.concatenate([w for _, w in spans]).tobytes() == rule.weights.tobytes()
         table = np.concatenate([t for t, _ in _spans(grid, n + 1)])
@@ -745,11 +747,41 @@ def test_build_and_streamed_spans_agree_on_every_pinned_grid():
     assert refused == 936
 
 
+@pytest.mark.parametrize("n", [_BLOCK // 2 - 1, _BLOCK // 2, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+def test_build_and_streamed_spans_agree_at_the_one_pass_limit_and_the_block_edges(n):
+    # n = _BLOCK // 2 - 1 is the largest rule build_rule writes in one pass
+    # and checks as one span, n = _BLOCK // 2 the smallest it writes in two
+    # blocks; 2n + 1 = 2 _BLOCK - 1, 2 _BLOCK + 1 and 2 _BLOCK + 3 rows end
+    # one row short of two blocks and one and three rows into a third.  On
+    # moderate grids, where a + b overflows and where the nodes collide,
+    # both give the same bytes or the same refusal
+    for a, b in ((0.0, 1.0), (0.0, float(n)), (-3.0, 17.0), (1e308, 1.7e308), (1e16, 1e16 + n)):
+        grid = make_grid(a, b, n)
+        try:
+            rule = build_rule(grid)
+        except ConstructionError as exc:
+            built = f"refused: {exc}"
+        else:
+            built = rule.nodes.tobytes() + rule.weights.tobytes()
+        spans = list(_spans(grid))
+        assert [len(t) for t, _ in spans] == [
+            min(_BLOCK, 2 * n + 1 - i) for i in range(0, 2 * n + 1, _BLOCK)]
+        try:
+            _check(grid, spans)
+        except ConstructionError as exc:
+            streamed = f"refused: {exc}"
+        else:
+            nodes, weights = zip(*spans)
+            streamed = np.concatenate(nodes).tobytes() + np.concatenate(weights).tobytes()
+        assert built == streamed, (a, b)
+        assert (built == "refused: nodes are not strictly increasing") == (a == 1e16), (a, b)
+
+
 def test_checks_over_spans_refuse_as_the_whole_rule():
     # carried across a span boundary: the order of the nodes, the sign of
     # the weights and their sum.  Over two spans, each broken rule is
     # refused with the message of the same rule checked as one span
-    n = _SPAN
+    n = _BLOCK
     grid = make_grid(0.0, 1.0, n)
     rule = build_rule(grid)
     nodes, weights = rule.nodes.copy(), rule.weights.copy()
@@ -770,11 +802,11 @@ def test_checks_over_spans_refuse_as_the_whole_rule():
 
 
 def test_build_refuses_a_disorder_only_across_a_block_edge(monkeypatch):
-    # n = _SUM_BLOCK: row n, the middle knot, starts the second block and is
+    # n = _BLOCK: row n, the middle knot, starts the second block and is
     # mirrored nowhere.  Written just below row n - 1, it leaves each block
     # in order and the weights as they were: only the order across the
     # block edge is broken
-    n = _SUM_BLOCK
+    n = _BLOCK
     left = quadrature._left
 
     def middle_below_its_neighbour(grid, lo, nodes, weights):
@@ -825,7 +857,7 @@ def test_apply_quintic_monomial():
 
 def per_node(rule, f):
     """apply_rule as a plain loop: the compensated sum of w * f(t)."""
-    return math.fsum(w * f(t) for t, w in zip(rule.nodes.tolist(), rule.weights.tolist()))
+    return math.fsum(map(operator.mul, rule.weights.tolist(), map(f, rule.nodes.tolist())))
 
 
 def horner_quintic(a, b, c):
@@ -854,11 +886,12 @@ def counting_array_calls(f, calls):
     return g
 
 
-# n just below, at and just above the array cut, with 2n + 1 just below
-# and just above one block of nodes and just above two, and far above them
+# n just below, at and just above the array cut, 2n + 1 on both sides of
+# 2^14 and above 2^15 inside one block, just below and just above one block
+# of nodes and just above two, and far above them
 CUT_N = ARRAY_MIN_NODES // 2
-ARRAY_SIZES = (CUT_N - 1, CUT_N, CUT_N + 1,
-               _SUM_BLOCK // 2 - 1, _SUM_BLOCK // 2, _SUM_BLOCK, 10**5)
+ARRAY_SIZES = (CUT_N - 1, CUT_N, CUT_N + 1, _BLOCK // 8 - 1, _BLOCK // 8, _BLOCK // 4,
+               _BLOCK // 2 - 1, _BLOCK // 2, _BLOCK, 10**5)
 
 
 @pytest.mark.parametrize("n", ARRAY_SIZES)
@@ -874,8 +907,8 @@ def test_apply_array_path_bit_identical_to_per_node(n):
             calls = [0]
             q = apply_rule(rule, counting_array_calls(f, calls))
             assert q.hex() == per_node(rule, f).hex(), (a, b)
-            # one array call per block of _SUM_BLOCK nodes from the cut on
-            blocks = -(-len(rule) // _SUM_BLOCK)
+            # one array call per block of _BLOCK nodes from the cut on
+            blocks = -(-len(rule) // _BLOCK)
             assert calls[0] == (blocks if len(rule) >= ARRAY_MIN_NODES else 0)
 
 
@@ -908,10 +941,11 @@ def test_apply_per_node_holds_no_list_of_the_nodes():
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("n", (CUT_N + 3, _EXTRACT_MIN // 2 - 1, _EXTRACT_MIN // 2, _SUM_BLOCK // 2))
+@pytest.mark.parametrize(
+    "n", (CUT_N + 3, _EXTRACT_MIN // 2 - 1, _EXTRACT_MIN // 2, _BLOCK // 8, _BLOCK // 2))
 def test_apply_falls_back_per_node_on_unusable_array_results(n):
     # 43 nodes; 1023 and 1025, either side of the cut where math.fsum
-    # hands over to the extraction; 16385, two blocks
+    # hands over to the extraction; 16385, one block; _BLOCK + 1, two
     rule = build_rule(make_grid(-1.0, 2.0, n))
     q = horner_quintic(-1.0, 2.0, (0.5, -1.0, 0.25, 2.0, -0.75, 1.0))
     unusable = {
@@ -919,11 +953,12 @@ def test_apply_falls_back_per_node_on_unusable_array_results(n):
         "wrong shape": lambda t: np.stack([q(t), q(t)]),
         "0-d": lambda t: np.asarray(q(t)[0]),
     }
+    expected = per_node(rule, q).hex()
     for name, on_array in unusable.items():
         def f(t, on_array=on_array):
             return on_array(t) if isinstance(t, np.ndarray) else q(t)
         calls = [0]
-        assert apply_rule(rule, counting_array_calls(f, calls)).hex() == per_node(rule, q).hex(), name
+        assert apply_rule(rule, counting_array_calls(f, calls)).hex() == expected, name
         assert calls[0] == 1, name
     # a complex array is not cut to its real part: the per-node products
     # are complex and the sum refuses them
@@ -931,8 +966,8 @@ def test_apply_falls_back_per_node_on_unusable_array_results(n):
     with pytest.raises(TypeError):
         apply_rule(rule, counting_array_calls(lambda t: q(t) + 1j, calls))
     assert calls[0] == 1
-    if len(rule) > _SUM_BLOCK:  # a list from block 2 on only
-        start = float(rule.nodes[_SUM_BLOCK])
+    if len(rule) > _BLOCK:  # a list from block 2 on only
+        start = float(rule.nodes[_BLOCK])
 
         def listed_from_block_2(t):
             v = q(t)
@@ -940,7 +975,7 @@ def test_apply_falls_back_per_node_on_unusable_array_results(n):
 
         calls = [0]
         got = apply_rule(rule, counting_array_calls(listed_from_block_2, calls))
-        assert got.hex() == per_node(rule, q).hex() and calls[0] == 2
+        assert got.hex() == expected and calls[0] == 2
 
 
 @pytest.mark.parametrize("n", (100, 1500))
@@ -968,14 +1003,14 @@ def test_apply_refuses_numpy_complex_values(n):
         apply_rule(rule, np.emath.sqrt)
 
 
-@pytest.mark.parametrize("n, k", [(100, 150), (10**4, _SUM_BLOCK + 7)])
+@pytest.mark.parametrize("n, k", [(100, 150), (10**4, 16391), (5 * _BLOCK // 8, _BLOCK + 7)])
 def test_apply_refuses_a_complex_product_before_f_sees_the_next_node(n, k):
     # a scalar-only f (it raises on an array, as math.cos does) is called
     # per node; the complex value at node k is refused before f is called
-    # at node k + 1, in the rule's one block at n = 100 and in the second
-    # block at n = 10^4
+    # at node k + 1, in the rule's one block at n = 100 and n = 10^4 and in
+    # the second block at n = 5 _BLOCK / 8
     rule = build_rule(make_grid(0.0, 1.0, n))
-    assert (len(rule) > _SUM_BLOCK) == (n == 10**4) and k < len(rule) - 1
+    assert (len(rule) > _BLOCK) == (k > _BLOCK) and k < len(rule) - 1
     seen = []
 
     def f(t):
@@ -1005,8 +1040,8 @@ def test_apply_does_not_swallow_errors(n):
 
 
 def test_apply_integrand_cannot_write_the_nodes():
-    # n = _SUM_BLOCK // 2: the nodes are a row of one block, itself read-only
-    for n in (CUT_N + 1, _SUM_BLOCK // 2):
+    # n = _BLOCK // 2: the nodes are a row of one block, itself read-only
+    for n in (CUT_N + 1, _BLOCK // 2):
         rule = build_rule(make_grid(0.0, 1.0, n))
         before = rule.nodes.copy()
         refused = []
@@ -1021,7 +1056,7 @@ def test_apply_integrand_cannot_write_the_nodes():
             return t * t
 
         assert apply_rule(rule, vandal) == per_node(rule, lambda t: t * t)
-        assert len(refused) == 2 * -(-len(rule) // _SUM_BLOCK), n
+        assert len(refused) == 2 * -(-len(rule) // _BLOCK), n
         assert np.array_equal(rule.nodes, before) and not rule.nodes.flags.writeable
 
 
@@ -1055,6 +1090,21 @@ def test_rule_invariants_property(a, width, n):
 
 # ------------------------------------------ the sum of the products w * f
 
+def fsum_of(products):
+    """math.fsum(products.tolist()), or the exception it raises.  Where the
+    products are finite and their absolute sum is below 2^1022, no partial
+    sum of fsum can overflow, and its result is the exact sum correctly
+    rounded: on 2^12 products or more it is then taken from the exact
+    integer sum, rounded by Python's correctly rounded int / int, 1.5-6
+    times as fast on 2^17 products."""
+    if len(products) >= 1 << 12 and np.isfinite(products).all():
+        with np.errstate(over="ignore"):
+            small = np.add.reduce(np.abs(products)) < 2.0**1022
+        if small:
+            return exact_sum(products) / (1 << 1074)
+    return math.fsum(products.tolist())
+
+
 def assert_sums_as_fsum(weights, values):
     """_fsum_products gives math.fsum of the products bit for bit, or raises
     the exception fsum raises."""
@@ -1062,7 +1112,7 @@ def assert_sums_as_fsum(weights, values):
     assert weights.shape == values.shape
     with np.errstate(over="ignore"):  # products beyond the double range are inf
         try:
-            expected = math.fsum((weights * values).tolist())
+            expected = fsum_of(weights * values)
         except (OverflowError, ValueError) as exc:
             with pytest.raises(type(exc)):
                 _fsum_products(weights, values)
@@ -1077,14 +1127,24 @@ def spread_values(rng, size, lo, hi):
 
 
 # at the cut, at twice the cut and at the block ends, +-1, and a second
-# block of 127 and 128 products
+# block of 127 and 128 products; inside one block, 2^14 and 2^15 products
+# +-1, and 2^14 + 127 and + 128
 SUM_LENGTHS = (
     _EXTRACT_MIN - 1, _EXTRACT_MIN, _EXTRACT_MIN + 1,
     2 * _EXTRACT_MIN - 1, 2 * _EXTRACT_MIN, 2 * _EXTRACT_MIN + 1,
-    _SUM_BLOCK - 1, _SUM_BLOCK, _SUM_BLOCK + 1,
-    _SUM_BLOCK + 127, _SUM_BLOCK + 128,
-    2 * _SUM_BLOCK - 1, 2 * _SUM_BLOCK, 2 * _SUM_BLOCK + 1,
+    _BLOCK // 4 - 1, _BLOCK // 4, _BLOCK // 4 + 1,
+    _BLOCK // 4 + 127, _BLOCK // 4 + 128,
+    _BLOCK // 2 - 1, _BLOCK // 2, _BLOCK // 2 + 1,
+    _BLOCK - 1, _BLOCK, _BLOCK + 1,
+    _BLOCK + 127, _BLOCK + 128,
+    2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1,
 )
+
+
+# at the cut and twice it, inside one block, and one and two blocks and a
+# product
+SPLIT_LENGTHS = (_EXTRACT_MIN, 2 * _EXTRACT_MIN, _BLOCK // 4 + 1, _BLOCK // 2 + 1,
+                 _BLOCK + 1, 2 * _BLOCK + 1)
 
 
 @pytest.mark.parametrize("n", SUM_LENGTHS)
@@ -1113,7 +1173,7 @@ def test_sum_equals_fsum_on_seeded_arrays(n):
             assert_sums_as_fsum(np.ones(n), values)
 
 
-@pytest.mark.parametrize("n", (_EXTRACT_MIN, 2 * _EXTRACT_MIN, _SUM_BLOCK + 1, 2 * _SUM_BLOCK + 1))
+@pytest.mark.parametrize("n", SPLIT_LENGTHS)
 def test_sum_of_exact_cancellation_is_fsums_zero(n):
     rng = np.random.default_rng([n, 12])
     half = spread_values(rng, n // 2, -200, 200)
@@ -1137,13 +1197,13 @@ def test_sum_gives_a_zero_total_the_sign_fsum_gives(monkeypatch):
         return fsum(items) or math.copysign(0.0, sum(items, -0.0))
 
     monkeypatch.setattr(math, "fsum", signed_fsum)
-    n = _SUM_BLOCK + 1
+    n = _BLOCK + 1
     for values in (np.full(n, -0.0), np.zeros(n), np.r_[-1.0, np.full(n - 2, -0.0), 1.0]):
         assert _fsum_products(np.ones(n), values).hex() == signed_fsum(values.tolist()).hex()
     assert _fsum_products(np.ones(n), np.full(n, -0.0)).hex() == "-0x0.0p+0"
 
 
-@pytest.mark.parametrize("n", (_EXTRACT_MIN, 2 * _EXTRACT_MIN, _SUM_BLOCK + 1, 2 * _SUM_BLOCK + 1))
+@pytest.mark.parametrize("n", SPLIT_LENGTHS)
 def test_sum_of_nonfinite_products_is_fsums(n):
     rng = np.random.default_rng([n, 13])
     base = spread_values(rng, n, -20, 20)
@@ -1163,7 +1223,7 @@ def test_sum_of_nonfinite_products_is_fsums(n):
     assert math.isnan(_fsum_products(np.ones(n), values))
 
 
-@pytest.mark.parametrize("n", (_EXTRACT_MIN, 2 * _EXTRACT_MIN, _SUM_BLOCK + 1, 2 * _SUM_BLOCK + 1))
+@pytest.mark.parametrize("n", SPLIT_LENGTHS)
 def test_sum_overflows_as_fsum_does(n):
     rng = np.random.default_rng([n, 14])
     shift = max(_SUM_SHIFT, (n + 2).bit_length())
@@ -1198,16 +1258,40 @@ def test_sum_second_pass_takes_remainders_at_their_bound():
     # that rounding error, in which an inexact sum would show
     for seed in range(8):
         rng = np.random.default_rng([seed, 19])
-        values = np.ldexp(rng.uniform(1.0 - 2.0**-20, 1.0, _SUM_BLOCK + 1), _SUM_SHIFT - 53)
+        values = np.ldexp(rng.uniform(1.0 - 2.0**-20, 1.0, _BLOCK + 1), _SUM_SHIFT - 53)
         values[:2] = 0.75, -0.75
         values[-1] = -math.fsum(values[:-1].tolist())
-        assert_sums_as_fsum(np.ones(_SUM_BLOCK + 1), values)
+        assert_sums_as_fsum(np.ones(_BLOCK + 1), values)
 
 
 def units(x: float) -> int:
     """x exactly, in units of 2^-1100."""
     num, den = x.as_integer_ratio()
     return num * (2**1100 // den)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    specials=st.lists(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+                      max_size=40),
+    n=st.integers(1, 400),
+    lo=st.integers(-1074, 1000),
+    width=st.integers(0, 2100),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_exact_reference_is_fsum(specials, n, lo, width, seed):
+    # exact_sum, which places on_a_tie's ties, against units, and rounded
+    # as fsum_of rounds it, against math.fsum where no partial sum of fsum
+    # can overflow
+    rng = np.random.default_rng(seed)
+    values = spread_values(rng, n, lo, min(lo + width, 1000))
+    values[rng.integers(0, n, len(specials))] = specials
+    total = exact_sum(values)
+    assert total << 26 == sum(map(units, values.tolist()))
+    with np.errstate(over="ignore"):
+        small = np.add.reduce(np.abs(values)) < 2.0**1022
+    if small:
+        assert (total / (1 << 1074)).hex() == math.fsum(values.tolist()).hex()
 
 
 def on_a_tie(values, offset, pieces=24):
@@ -1217,7 +1301,7 @@ def on_a_tie(values, offset, pieces=24):
     are not finite or their total is beyond the double range."""
     if not np.isfinite(values).all():
         return None
-    rest = sum(map(units, values[:-pieces].tolist()))
+    rest = exact_sum(values[:-pieces]) << 26
     try:
         low = float(Fraction(rest, 2**1100))
         high = math.nextafter(low, math.inf)
@@ -1265,13 +1349,14 @@ def test_sum_equals_fsum_property(specials, n, lo, width, seed, tie):
         assert_sums_as_fsum(weights, v)
 
 
-# one block (8193 nodes) and two (24577)
-@pytest.mark.parametrize("n", (4096, 3 * 4096))
+# one block (8193 and 24577 nodes) and two (3 _BLOCK / 2 + 1)
+@pytest.mark.parametrize("n", (4096, 3 * 4096, 3 * _BLOCK // 4))
 def test_apply_sums_landing_on_or_beside_a_rounding_tie_are_fsums(n):
-    # on [0, 15 n] most weights are 7 or 8, and integers k below 2^44 times
-    # 2^-40 at those nodes (0 elsewhere) make products w k 2^-40 that are
-    # exact, so their total is known exactly.  One k moved by d changes it
-    # by 7 d: enough to put it on the midpoint of two doubles.  Beside the
+    # on [0, 15 n] most weights are 7 or 8, and integers k below 2^44 (on
+    # long rules, below 2^61 / (8 (2n + 1)), so that the total stays below
+    # 2^62) times 2^-40 at those nodes (0 elsewhere) make products w k 2^-40
+    # that are exact, so their total is known exactly.  One k moved by d
+    # changes it by 7 d: enough to put it on the midpoint of two doubles.  Beside the
     # midpoint, the first node (weight 4.53) holds 2^-60 or -2^-60, far
     # closer to the midpoint than the bound a rounded sum is certified
     # with, and it decides the rounding.  Such a sum
@@ -1279,13 +1364,14 @@ def test_apply_sums_landing_on_or_beside_a_rounding_tie_are_fsums(n):
     # a double), two when it is not, and one for a rule of one block,
     # whose remainders are still at hand
     rule = build_rule(make_grid(0.0, 15.0 * n, n))
-    blocks = -(-len(rule) // _SUM_BLOCK)
+    blocks = -(-len(rule) // _BLOCK)
     sevens = np.flatnonzero(rule.weights == 7.0)
     eights = np.flatnonzero(rule.weights == 8.0)
     rng = np.random.default_rng([n, 23])
+    top = min(2**44, 2**61 // (8 * len(rule)))
     k = np.zeros(len(rule), dtype=np.int64)
-    k[sevens] = rng.integers(0, 2**44, len(sevens))
-    k[eights] = rng.integers(0, 2**44, len(eights))
+    k[sevens] = rng.integers(0, top, len(sevens))
+    k[eights] = rng.integers(0, top, len(eights))
     total = int(np.dot(rule.weights.astype(np.int64), k))
     assert 2**54 < total < 2**62
     gap = 1 << (total.bit_length() - 53)  # the doubles' spacing there
@@ -1312,13 +1398,13 @@ def test_apply_sums_landing_on_or_beside_a_rounding_tie_are_fsums(n):
         assert got.hex() == expected.hex(), name
         assert calls[0] == (1 if blocks == 1 else expected_calls), name
         sums[name] = got
-    assert blocks == (1 if n == 4096 else 2)
+    assert blocks == (1 if 2 * n < _BLOCK else 2)
     up, down = sums["beside the midpoint, +1.0"], sums["beside the midpoint, -1.0"]
     assert up == math.nextafter(down, math.inf) and sums["the midpoint"] in (up, down)
 
 
 def test_apply_array_path_holds_one_array_of_values():
-    # f is called a block of _SUM_BLOCK nodes at a time and each block's
+    # f is called a block of _BLOCK nodes at a time and each block's
     # products are reduced before the next, so neither f's values, nor its
     # temporaries, nor the products are ever full-length (30.5 MiB when f
     # took all 2 * 10^6 + 1 nodes at once)
@@ -1335,7 +1421,11 @@ def test_apply_array_path_holds_one_array_of_values():
 
 def on_nodes(rule, at, special, f):
     """f, but special[k] at the node at[k] (an array-capable integrand)."""
+    by_node = dict(zip(rule.nodes[list(at)].tolist(), special))
+
     def g(t):
+        if not isinstance(t, np.ndarray):  # a Python float, on the per-node path
+            return by_node[t] if t in by_node else f(t)
         v = f(t)
         for i, s in zip(at, special):
             v = np.where(t == rule.nodes[i], s, v)
@@ -1362,9 +1452,9 @@ def apply_outcome(rule, f):
 
 
 def test_apply_refusal_in_a_later_block_takes_the_per_node_path():
-    rule = build_rule(make_grid(-1.0, 2.0, 2 * _SUM_BLOCK))  # 4 blocks and a node
+    rule = build_rule(make_grid(-1.0, 2.0, _BLOCK + 8))  # 3 blocks, the last of 17 nodes
     q = horner_quintic(-1.0, 2.0, (0.5, -1.0, 0.25, 2.0, -0.75, 1.0))
-    at = float(rule.nodes[2 * _SUM_BLOCK + 5])  # in block 3
+    at = float(rule.nodes[2 * _BLOCK + 5])  # in block 3
     calls = [0]
     with pytest.raises(ZeroDivisionError):
         apply_rule(rule, counting_array_calls(lambda t: 1.0 / (t - at), calls))
@@ -1373,7 +1463,7 @@ def test_apply_refusal_in_a_later_block_takes_the_per_node_path():
         per_node(rule, lambda t: 1.0 / (t - at))
 
     # a list instead of an array from block 3 on: the per-node sum
-    start = float(rule.nodes[2 * _SUM_BLOCK])
+    start = float(rule.nodes[2 * _BLOCK])
 
     def listed_from_block_3(t):
         v = q(t)
@@ -1389,17 +1479,20 @@ LATE_SPECIALS = ((math.inf,), (-math.inf,), (math.nan,), (BIG,), (math.inf, -mat
                  (BIG, BIG, BIG), (BIG, -BIG, BIG))
 
 
-@pytest.mark.parametrize("n", (_SUM_BLOCK, _SUM_BLOCK + 100))
+@pytest.mark.parametrize("n", (_BLOCK // 4, _BLOCK // 4 + 100, _BLOCK, _BLOCK + 100))
 def test_apply_special_products_in_the_last_block_are_fsums(n):
-    # the last block holds one node (n = _SUM_BLOCK) or 201, three of them
-    # two-third nodes; the grid is [0, 2n], so their weights are about 1
+    # the last block holds one node (n = _BLOCK) or 201, and at
+    # n = _BLOCK // 4 and _BLOCK // 4 + 100 it is the rule's one block.  The
+    # special products sit at three of its nodes, or at its one node; the
+    # grid is [0, 2n], so their weights are about 1
     rule = build_rule(make_grid(0.0, 2.0 * n, n))
     q = horner_quintic(0.0, 2.0 * n, (0.5, -1.0, 0.25, 2.0, -0.75, 1.0))
-    blocks = -(-len(rule) // _SUM_BLOCK)
-    last = (blocks - 1) * _SUM_BLOCK  # the last block's first node
-    at = (last + 3, last + 50, last + 101) if n > _SUM_BLOCK else (last,)
+    blocks = -(-len(rule) // _BLOCK)
+    last = (blocks - 1) * _BLOCK  # the last block's first node
+    single = last == len(rule) - 1  # a last block of one node
+    at = (last,) if single else (last + 3, last + 50, last + 101)
     outcomes = set()
-    for special in LATE_SPECIALS[: None if n > _SUM_BLOCK else 4]:
+    for special in LATE_SPECIALS[: 4 if single else None]:
         f = on_nodes(rule, at, special, q)
         calls = [0]
         got = apply_outcome(rule, counting_array_calls(f, calls))
@@ -1407,22 +1500,22 @@ def test_apply_special_products_in_the_last_block_are_fsums(n):
         # math.fsum of the products decides, after a second call per block;
         # a last block of one product is summed as it is, which decides
         # with no second call
-        assert calls[0] == (2 * blocks if n > _SUM_BLOCK else blocks)
+        assert calls[0] == (blocks if single else 2 * blocks)
         outcomes.add(got)
     assert {"inf", "-inf", "nan"} <= outcomes
-    if n > _SUM_BLOCK:
+    if not single:
         assert {ValueError, OverflowError} <= outcomes
 
 
 def test_apply_zero_total_is_fsums():
     # an exact-zero total is math.fsum's too: f is called again per block
-    rule = build_rule(make_grid(-1.0, 2.0, _SUM_BLOCK))
+    rule = build_rule(make_grid(-1.0, 2.0, _BLOCK))
     calls = [0]
     got = apply_rule(rule, counting_array_calls(np.zeros_like, calls))
     assert got.hex() == "0x0.0p+0" and calls[0] == 2 * 3
 
 
-@pytest.mark.parametrize("n", (4096, _SUM_BLOCK))
+@pytest.mark.parametrize("n", (4096, _BLOCK // 4, _BLOCK))
 def test_apply_odd_f_over_a_symmetric_interval_is_fsums_zero(n):
     # the nodes on [-3, 3] are mirrored exactly, so the products of an odd
     # f cancel in pairs and their exact total is zero; the one-pass sum
@@ -1430,7 +1523,7 @@ def test_apply_odd_f_over_a_symmetric_interval_is_fsums_zero(n):
     # zero: one call of f for a rule of one block, two per block otherwise
     rule = build_rule(make_grid(-3.0, 3.0, n))
     assert (rule.nodes == -rule.nodes[::-1]).all() and (rule.weights == rule.weights[::-1]).all()
-    blocks = -(-len(rule) // _SUM_BLOCK)
+    blocks = -(-len(rule) // _BLOCK)
     for f in (np.sin, np.arctan, lambda t: t * (t * t - 2.0)):
         calls = [0]
         got = apply_rule(rule, counting_array_calls(f, calls))
@@ -1442,7 +1535,7 @@ def test_apply_takes_the_per_node_path_when_a_second_call_is_refused():
     # an f that is array-capable only once per block: where math.fsum
     # decides, its second calls are refused, and the whole rule is summed
     # per node as when a first call is refused
-    rule = build_rule(make_grid(-1.0, 2.0, _SUM_BLOCK + 100))
+    rule = build_rule(make_grid(-1.0, 2.0, _BLOCK + 100))
     q = horner_quintic(-1.0, 2.0, (0.5, -1.0, 0.25, 2.0, -0.75, 1.0))
     f = on_nodes(rule, (5,), (math.inf,), q)
     seen = set()
@@ -1464,10 +1557,10 @@ def test_apply_sums_per_node_when_a_second_call_is_refused_after_opposite_infini
     # refuses its second call: the whole rule is summed per node, where
     # math.cos has no infinities, rather than math.fsum's ValueError on
     # the products taken before the refusal
-    rule = build_rule(make_grid(-1.0, 2.0, _SUM_BLOCK))
-    assert -(-len(rule) // _SUM_BLOCK) == 3
+    rule = build_rule(make_grid(-1.0, 2.0, _BLOCK))
+    assert -(-len(rule) // _BLOCK) == 3
     on_array = on_nodes(rule, (5, 9), (math.inf, -math.inf), np.cos)
-    start = float(rule.nodes[_SUM_BLOCK])
+    start = float(rule.nodes[_BLOCK])
     block_2, scalars = [], []
 
     def f(t):
@@ -1490,8 +1583,8 @@ def test_apply_inf_only_in_the_exact_pass_is_fsum_of_the_last_call():
     # block; the second call of block 2 puts +inf at its node 5, so the
     # exact pass cannot decide and f is called a third time per block:
     # math.fsum of those products, not the first pass's rounded total
-    rule = build_rule(make_grid(0.0, 2.0 * math.pi, 10**4))
-    assert -(-len(rule) // _SUM_BLOCK) == 2
+    rule = build_rule(make_grid(0.0, 2.0 * math.pi, 5 * _BLOCK // 8))
+    assert -(-len(rule) // _BLOCK) == 2
     calls = [0]
 
     def f(t):
@@ -1504,22 +1597,23 @@ def test_apply_inf_only_in_the_exact_pass_is_fsum_of_the_last_call():
     got = apply_rule(rule, f)
     assert calls[0] == 6
     want = math.fsum((rule.weights * np.sin(rule.nodes)).tolist())
-    assert got.hex() == want.hex() == "-0x1.a17d9437434b0p-60"
+    assert got.hex() == want.hex() == "0x1.9c9becc20848cp-62"
 
 
 def test_apply_block_that_needs_a_third_pass_is_fsums():
     # values 2^-40 .. 2^40 times a quintic: the products of every block span
     # more than 2^60, far more than the 53 bits of one double, so no block
-    # is summed exactly from its largest products' leading bits alone
-    rule = build_rule(make_grid(-1.0, 2.0, _SUM_BLOCK + 100))
+    # is summed exactly from its largest products' leading bits alone; the
+    # last block holds 2049 nodes, over which the exponent takes every value
+    rule = build_rule(make_grid(-1.0, 2.0, _BLOCK + _BLOCK // 64))
     q = horner_quintic(-1.0, 2.0, (0.5, -1.0, 0.25, 2.0, -0.75, 1.0))
 
     def f(t):
         return np.ldexp(q(t), (np.floor(t * 7919.0) % 81.0 - 40.0).astype(np.int64))
 
     products = rule.weights * f(rule.nodes)
-    for i in range(0, len(rule), _SUM_BLOCK):
-        block = np.abs(products[i : i + _SUM_BLOCK])
+    for i in range(0, len(rule), _BLOCK):
+        block = np.abs(products[i : i + _BLOCK])
         assert block.max() > 2.0**60 * block.min() > 0.0
     assert apply_rule(rule, f).hex() == math.fsum(products.tolist()).hex()
     assert_sums_as_fsum(np.ones(len(rule)), products)
