@@ -295,9 +295,96 @@ def test_check_single_cell_reports_gauss_legendre():
 
 
 def test_check_unreachable_tolerance_fails():
+    # the tolerance replaces every valued gate, and no value reaches it; the
+    # pass/fail suites keep their own gate
     cp = run_cli("check", "--n-max", "3", "--seeds", "2", "--tolerance", "1e-30")
     assert cp.returncode == 1
-    assert "FAIL" in cp.stdout
+    lines = cp.stdout.splitlines()
+    valued = [line for line in lines if " value=" in line]
+    assert len(valued) == 4, lines
+    assert all(line.endswith(" gate=1.0e-30 status=FAIL") for line in valued), lines
+    assert "layout.counts status=PASS" in lines
+    assert "residues.invariants_and_cubic status=PASS" in lines
+    assert lines[-1] == "OVERALL: FAIL"
+
+
+CHECK_LINES = [
+    "exactness.max_basis_residual", "layout.counts", "exactness.random_spline_relative",
+    "residues.invariants_and_cubic", "peano.negativity", "peano.knot_values",
+    "limit.deviation_beyond_cell_9", "n=1", "max", "OVERALL:",
+]
+
+
+@pytest.mark.parametrize("argv, names", [
+    ([], CHECK_LINES),
+    (["--n-max", "19", "--seeds", "2"], [n for n in CHECK_LINES if not n.startswith("limit.")]),
+])
+def test_check_prints_its_lines_in_order(capsys, argv, names):
+    # the limit suite needs n = 20
+    assert cli.main(["check", *argv]) == 0
+    assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == names
+
+
+@pytest.mark.parametrize("tolerance", [None, "1e-17", "1e-30"])
+def test_check_prints_the_worst_of_each_gates_values(capsys, tolerance):
+    # one line per name the suites yield, in the order the names first come,
+    # with the worst of its values against its gate or the tolerance; the
+    # exit code is 1 exactly where a line fails
+    values = {}
+    for name, value, gate in cli._gate_values(21, 2):
+        values.setdefault(name, []).append((value, gate))
+    argv = ["check", "--n-max", "21", "--seeds", "2"]
+    code = cli.main(argv + ([] if tolerance is None else ["--tolerance", tolerance]))
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(values) + 2, lines
+    pass_fail = ("layout.counts", "residues.invariants_and_cubic")
+    for line, (name, pairs) in zip(lines, values.items()):
+        assert len({gate for _, gate in pairs}) == 1, name
+        worst = cli._worst(*(value for value, _ in pairs))
+        gate = pairs[0][1] if tolerance is None or name in pass_fail else float(tolerance)
+        status = "PASS" if worst <= gate else "FAIL"
+        if name in pass_fail:
+            assert gate == 0.0 and {value for value, _ in pairs} <= {0.0, 1.0}, name
+            assert line == f"{name} status={status}"
+        elif name == "n=1 equals 3-point Gauss-Legendre":
+            assert line == f"{name}: {status} (deviation {worst:.3e})"
+        else:
+            assert line == f"{name} value={worst:.3e} gate={gate:.1e} status={status}"
+    exact = [value for name in ("exactness.max_basis_residual", "exactness.random_spline_relative")
+             for value, _ in values[name]]
+    assert lines[-2] == f"max residual <= {cli._worst(*exact):.3e}"
+    failed = any("FAIL" in line for line in lines[:-2])
+    assert lines[-1] == f"OVERALL: {'FAIL' if failed else 'PASS'}"
+    assert code == (1 if failed else 0)
+    assert failed == (tolerance is not None)
+
+
+def test_check_zero_tolerance_keeps_each_lines_shape(capsys):
+    # a gate of 0 from --tolerance still prints value= and gate= on the
+    # valued lines; the pass/fail suites keep their gate and shape
+    assert cli.main(["check", "--n-max", "20", "--seeds", "2", "--tolerance", "0"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    for i in (0, 2, 4, 5, 6):
+        name, value, gate, status = lines[i].split()
+        assert name == CHECK_LINES[i] and value.startswith("value=") and gate == "gate=0.0e+00"
+        assert status == ("status=PASS" if value == "value=0.000e+00" else "status=FAIL")
+    assert lines[1] == "layout.counts status=PASS"
+    assert lines[3] == "residues.invariants_and_cubic status=PASS"
+    assert lines[7] == "n=1 equals 3-point Gauss-Legendre: PASS (deviation 0.000e+00)"
+    assert lines[-1] == "OVERALL: FAIL"
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf", "-inf", "1e400", "one"])
+def test_check_refuses_a_tolerance_that_is_not_a_finite_number_at_least_0(capsys, tolerance):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "--n-max", "1", "--seeds", "1", f"--tolerance={tolerance}"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith("splinequad check: error: argument --tolerance: ")
+    if tolerance != "one":
+        assert errors[0].endswith(f"expected a finite number >= 0, got {tolerance}")
 
 
 def test_check_fails_a_nan_residual(monkeypatch, capsys):
@@ -345,6 +432,30 @@ def test_check_reports_a_rule_the_kernel_profile_refuses(monkeypatch, capsys):
     assert any(line.startswith("peano.knot_values") for line in lines)
     assert any(line.startswith("limit.deviation_beyond_cell_9") for line in lines)
     assert lines[-1] == "OVERALL: FAIL"
+
+
+def test_check_prints_both_peano_lines_where_every_profile_is_refused(monkeypatch, capsys):
+    # a refused profile enters neither Peano value, so both stay at 0, and
+    # the refusals follow them
+    def refuse(rule, samples_per_cell):
+        raise ConstructionError(f"refused at n = {rule.grid.n}")
+
+    monkeypatch.setattr(cli.error_analysis, "kernel_profile", refuse)
+    assert cli.main(["check", "--n-max", "5", "--seeds", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[4:11] == [
+        "peano.negativity value=0.000e+00 gate=1.0e-15 status=PASS",
+        "peano.knot_values value=0.000e+00 gate=1.0e-14 status=PASS",
+        *(f"peano.kernel_profile n={n} status=FAIL (refused at n = {n})" for n in range(1, 6)),
+    ]
+    assert lines[11].startswith("n=1 equals 3-point Gauss-Legendre: PASS")
+    assert lines[-1] == "OVERALL: FAIL"
+    # a refusal fails against its own gate, which --tolerance does not replace
+    assert cli.main(["check", "--n-max", "5", "--seeds", "2", "--tolerance", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[6:11] == [
+        f"peano.kernel_profile n={n} status=FAIL (refused at n = {n})" for n in range(1, 6)
+    ]
 
 
 def test_check_reads_the_peano_values_from_the_profile(monkeypatch, capsys):
