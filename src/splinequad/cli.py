@@ -413,7 +413,7 @@ def _tolerance(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value >= 0.0):
         raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text}")
-    return value
+    return abs(value)  # -0 as +0, so that a gate of 0 prints gate=0.0e+00
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -698,13 +698,11 @@ def apply_rule(
     accumulation error.
 
     Calling convention: on a rule with at least ``ARRAY_MIN_NODES`` nodes,
-    f is first called with the nodes a block at a time: each block a
-    read-only view of at most ``_BLOCK`` (65536) consecutive nodes, so
-    once on rules of up to 65536 nodes and ceil((2n+1) / 65536) times on
-    larger ones (31 at n = 10^6).  A block's result is used when it is an
-    ndarray of the block's shape whose dtype float64 takes in (bool,
-    integer, or float of at most 64 bits); its products are formed and
-    reduced while in cache.
+    f is called with the nodes a block at a time: each block a read-only
+    view of at most ``_BLOCK`` (65536) consecutive nodes.  A block's result
+    is used when it is an ndarray of the block's shape whose dtype float64
+    takes in (bool, integer, or float of at most 64 bits); its products are
+    formed and reduced while in cache.
     In every other case, on any call of f (f raises,
     a floating-point error included: division by zero, overflow or an
     invalid operation such as the root of a negative number; or f returns
@@ -717,6 +715,12 @@ def apply_rule(
     works unchanged; an array-capable f should compute elementwise what it
     computes per node, whatever block a node comes in.
 
+    On the array path f is called once per block on rules of at most 65536
+    nodes.  On larger rules it is called once more per block where the
+    first call cannot decide the sum (below).  A refusal on that call sends
+    f per node as on a first call, unless ``math.fsum`` has already raised
+    ``OverflowError`` on the products before the refused block.
+
     Summation on the array path: under ``_EXTRACT_MIN`` (1024) products
     ``math.fsum`` sums them.  From there on each block's products r are
     split once: with sigma = 2^(e + 17) above every |r|, the heads
@@ -727,25 +731,19 @@ def apply_rule(
     and Stability of Numerical Algorithms, 2nd ed., SIAM 2002, section
     4.2).  Where the rounded total and the totals moved by the sum S of
     those bounds, up and down, are the same double, that double is the
-    result, after one call of f per block.  Otherwise the sum is decided
-    exactly: a rule of one block goes on extracting the remainders it
-    holds, and on a larger rule f is called a second time on every block.
-    S is at most 2^-56 of the sum of the blocks' largest |w f|, so this
-    happens where |total| is small against sum |w f|: for 2*10^6 random
-    products of one size, in every sum at 2^-20 of it, in half at 2^-18,
-    and in about one sum in 125 at 2^-12; in practice, a total at the
-    rounding floor (sin over [0, 2 pi] at n = 10^6 sums to about 7e-20),
-    and an exact-zero total (an odd f over an interval symmetric about
-    0).  Where ``math.fsum``'s own rules decide the sum (a product that is
+    result.  Otherwise the sum is decided exactly, by extracting the
+    remainders the one block still holds, or the products of the second
+    call.  S is at most 2^-56 of the sum of the blocks' largest |w f|, so
+    this happens where |total| is small against sum |w f|: for 2*10^6
+    random products of one size, in every sum at 2^-20 of it, in half at
+    2^-18, and in about one sum in 125 at 2^-12; in practice, a total at
+    the rounding floor (sin over [0, 2 pi] at n = 10^6 sums to about
+    7e-20), and an exact-zero total (an odd f over an interval symmetric
+    about 0).  Where ``math.fsum``'s own rules decide (a product that is
     inf or nan or near the overflow threshold, or products that are all
-    zero or below 2^-1037 in magnitude and sum to zero), f is called a
-    second time on every block, and the products are summed by
-    ``math.fsum`` themselves; where such a product appears only when the
-    exact pass calls f a second time, f is called a third time per block
-    and those products are summed.  A refusal on such a later call sends f
-    per node as on a first call; only an ``OverflowError`` that
-    ``math.fsum`` raises on the products before the refused block is
-    reached still surfaces first.
+    zero or below 2^-1037 in magnitude and sum to zero), ``math.fsum``
+    sums the products themselves: the one block's, still held, or the
+    second call's.
     """
     nodes, weights = rule.nodes, rule.weights
     if len(nodes) >= ARRAY_MIN_NODES:
@@ -776,18 +774,17 @@ def _sum_products(
 
     Fewer than ``_EXTRACT_MIN`` products ``math.fsum`` sums itself.  From
     there on each block of ``_BLOCK`` products is formed and split by
-    ``_split`` while in cache.  Where ``_certain`` shows that the rounded
-    total of the parts is the products' own, it is the result (see
-    ``apply_rule``).  Otherwise one block goes on extracting the remainders
-    it still holds, and several blocks take their values again and are
-    extracted whole (``_extract``); an exact total of zero is then fsum's
-    +0.0, since some product was not zero.  ``math.fsum`` of the products
-    themselves decides where the two sums could differ: a product that is
-    inf or nan or at ``_top`` or above (fsum may overflow), in the first
-    call's values or in the second call's of several blocks, and a zero
-    total of products that added no slack (fsum's sign of zero).  The
-    values are then taken once more, and the products summed are those of
-    that last call.
+    ``_split`` while in cache; three exits follow (see ``apply_rule``).
+    Where ``_certain`` shows that the rounded total of the parts is the
+    products' own, it is the result.  Otherwise ``_extract`` decides it
+    exactly, over the remainders one block still holds or the values of
+    several blocks taken again (a block of those that cannot be extracted,
+    only where values gave other values, is appended as it is).
+    ``math.fsum`` of the products decides where the two sums could differ:
+    a product that is inf or nan or at ``_top`` or above, and a zero total
+    of products that added no slack (fsum's sign of zero).  It reads one
+    block from r, which ``_split`` left unwritten or holding zeros of the
+    same sum, and several from their values taken again.
     """
     n = len(weights)
     if n < _EXTRACT_MIN:
@@ -801,21 +798,20 @@ def _sum_products(
     for r in blocks():
         if parts is not None and not _split(r, parts, slack, n):
             parts = None
-    total = math.fsum(parts) if parts else 0.0
-    if slack and parts is not None and not (total and _certain(parts, total, slack)):
-        if n <= _BLOCK:  # the one block's remainders are still in r
-            del parts[1:]  # its tail
-            _extract(r, parts, n)
-        else:
-            parts = []
-            for r in blocks():
-                if parts is not None and not _extract(r, parts, n):
-                    parts = None  # only where values gave other values
-        if parts is not None:  # exact: a zero sums nonzero products, fsum's +0.0
+    if parts is not None:
+        total = math.fsum(parts)
+        if total and (not slack or _certain(parts, total, slack)):
+            return total
+        if slack:  # exact: a zero sums nonzero products, fsum's +0.0
+            if n <= _BLOCK:  # the one block's remainders are still in r
+                del parts[1:]  # its tail
+                _extract(r, parts, n)
+            else:
+                parts = []
+                for r in blocks():
+                    _extract(r, parts, n)
             return math.fsum(parts)
-    elif total != 0.0:
-        return total
-    return math.fsum(chain.from_iterable(map(_items, blocks())))
+    return math.fsum(chain.from_iterable(map(_items, [r] if n <= _BLOCK else blocks())))
 
 
 def _top(count: int) -> float:
@@ -834,8 +830,8 @@ def _split(r: np.ndarray, parts: list, slack: list, count: int) -> bool:
     One ``_pass`` with e from the largest |r|: sigma = 2^-1022 takes every
     r whole, so its remainders are zero, as are those of a block with no
     nonzero r, and neither adds slack.  A block shorter than
-    ``_SUM_REST`` is appended as it is.  Returns False, as ``_extract``
-    does, where r holds inf or nan or a value at ``_top(count)`` or above.
+    ``_SUM_REST`` is appended as it is.  Returns False, and leaves r as it
+    is, where r holds inf or nan or a value at ``_top(count)`` or above.
     """
     if len(r) < _SUM_REST:
         parts += r.tolist()
@@ -866,7 +862,7 @@ def _certain(parts: list, total: float, slack: list) -> bool:
     return math.fsum(parts + [bound]) == total == math.fsum(parts + [-bound])
 
 
-def _extract(r: np.ndarray, partials: list, count: int) -> bool:
+def _extract(r: np.ndarray, partials: list, count: int) -> None:
     """Append to partials doubles whose exact sum is that of r, one of the
     blocks of a sum of count doubles; r is overwritten.
 
@@ -877,20 +873,17 @@ def _extract(r: np.ndarray, partials: list, count: int) -> bool:
     fewer than ``_SUM_REST`` remainders are left, they are appended as they
     are.  So ``math.fsum(partials)`` is the correctly rounded sum of every
     block given, however the doubles are split into blocks of at most
-    ``_BLOCK``.
-
-    Returns False where r holds inf or nan or a value at ``_top(count)``
-    or above, and appends nothing.
+    ``_BLOCK``.  Where r holds inf or nan or a value at ``_top(count)`` or
+    above, r itself is appended, and fsum's own rules decide.
     """
     while len(r) >= _SUM_REST:
         big = _largest(r, count)
         if big is None:  # only on the first pass
-            return False
+            break
         e = math.frexp(big)[1] + _SUM_SHIFT
         partials += _pass(r, e), _pass(r, e + _SUM_SHIFT - 52)
         r = r[r != 0.0]
     partials += r.tolist()
-    return True
 
 
 def _largest(r: np.ndarray, count: int) -> Optional[float]:

@@ -374,6 +374,16 @@ def test_check_zero_tolerance_keeps_each_lines_shape(capsys):
     assert lines[-1] == "OVERALL: FAIL"
 
 
+def test_check_negative_zero_tolerance_is_zero(capsys):
+    # -0 passes the >= 0 test, and prints as the gate 0 does, not gate=-0.0e+00
+    runs = []
+    for argv in (["--tolerance=-0"], ["--tolerance", "0"]):
+        code = cli.main(["check", "--n-max", "1", "--seeds", "1", *argv])
+        runs.append((code, capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert "gate=0.0e+00" in runs[0][1] and "-0.0" not in runs[0][1]
+
+
 @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf", "-inf", "1e400", "one"])
 def test_check_refuses_a_tolerance_that_is_not_a_finite_number_at_least_0(capsys, tolerance):
     with pytest.raises(SystemExit) as exc:

@@ -88,6 +88,18 @@ def test_profile_samples_and_validation():
     assert profile.samples[:, 1].min() >= -1e-15
 
 
+def test_profile_samples_where_the_step_underflows_are_linspaces():
+    # on [0, 1e-318] a step of h / 2^19 rounds to 0.0: the sample t are
+    # then formed in np.linspace's order, i / (m - 1) times (b - a) plus a
+    grid = make_grid(0.0, 1e-318, 1)
+    rule = QuadratureRule(grid=grid, nodes=np.array([0.25, 0.5, 0.75]) * grid.h,
+                          weights=np.full(3, grid.h / 3.0))
+    per_cell = 2**19
+    assert grid.h / per_cell == 0.0
+    ts = kernel_profile(rule, samples_per_cell=per_cell).samples[:, 0]
+    assert ts.tobytes() == np.linspace(grid.a, grid.b, per_cell + 1).tobytes()
+
+
 def test_profile_rejects_broken_rule():
     grid = make_grid(0.0, 1.0, 2)
     good = build_rule(grid)

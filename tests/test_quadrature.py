@@ -540,6 +540,13 @@ def test_large_builds_hold_only_block_sized_temporaries():
     assert peak <= rule.nodes.nbytes + rule.weights.nbytes + (1 << 20)
 
 
+def test_rule_of_the_wrong_length_is_refused():
+    # 2n + 1 nodes and weights over n cells: 2n nodes, or 2n + 2 weights, is no rule
+    grid = make_grid(0.0, 1.0, 3)
+    with pytest.raises(ValueError, match="n=3 cells needs 7 entries"):
+        QuadratureRule(grid=grid, nodes=np.linspace(0.1, 0.9, 6), weights=np.full(8, 0.125))
+
+
 def test_unit_rows_are_read_only_and_small():
     # built once at import and shared by every build: no build can write it
     assert not _ROWS.flags.writeable and _ROWS.nbytes <= 128 * 1024
@@ -1497,10 +1504,11 @@ def test_apply_special_products_in_the_last_block_are_fsums(n):
         calls = [0]
         got = apply_outcome(rule, counting_array_calls(f, calls))
         assert got == fsum_outcome(rule, f), special
-        # math.fsum of the products decides, after a second call per block;
-        # a last block of one product is summed as it is, which decides
-        # with no second call
-        assert calls[0] == (blocks if single else 2 * blocks)
+        # math.fsum of the products decides: over the products the one
+        # block still holds, after one call, and after a second call per
+        # block on a larger rule; a last block of one product is summed as
+        # it is, which decides with no second call
+        assert calls[0] == (blocks if single or blocks == 1 else 2 * blocks)
         outcomes.add(got)
     assert {"inf", "-inf", "nan"} <= outcomes
     if not single:
@@ -1508,11 +1516,13 @@ def test_apply_special_products_in_the_last_block_are_fsums(n):
 
 
 def test_apply_zero_total_is_fsums():
-    # an exact-zero total is math.fsum's too: f is called again per block
-    rule = build_rule(make_grid(-1.0, 2.0, _BLOCK))
-    calls = [0]
-    got = apply_rule(rule, counting_array_calls(np.zeros_like, calls))
-    assert got.hex() == "0x0.0p+0" and calls[0] == 2 * 3
+    # an exact-zero total is math.fsum's too: of the products the one block
+    # still holds, and on a rule of three blocks after a second call per block
+    for n, calls_of_f in ((_BLOCK // 4, 1), (_BLOCK, 2 * 3)):
+        rule = build_rule(make_grid(-1.0, 2.0, n))
+        calls = [0]
+        got = apply_rule(rule, counting_array_calls(np.zeros_like, calls))
+        assert got.hex() == "0x0.0p+0" and calls[0] == calls_of_f, n
 
 
 @pytest.mark.parametrize("n", (4096, _BLOCK // 4, _BLOCK))
@@ -1580,24 +1590,26 @@ def test_apply_sums_per_node_when_a_second_call_is_refused_after_opposite_infini
 def test_apply_inf_only_in_the_exact_pass_is_fsum_of_the_last_call():
     # sin over [0, 2 pi] sums to near its rounding floor, so the one-pass
     # sum of the two blocks is not certified and f is called again per
-    # block; the second call of block 2 puts +inf at its node 5, so the
-    # exact pass cannot decide and f is called a third time per block:
-    # math.fsum of those products, not the first pass's rounded total
+    # block; the second call of block 2 puts +inf at its node 5, so that
+    # block cannot be extracted and its products are summed as they are:
+    # math.fsum of the second call's products, with no third call
     rule = build_rule(make_grid(0.0, 2.0 * math.pi, 5 * _BLOCK // 8))
     assert -(-len(rule) // _BLOCK) == 2
-    calls = [0]
+    calls, second = [0], []
 
     def f(t):
         v = np.sin(t)
         calls[0] += 1
         if calls[0] == 4:
             v[5] = math.inf
+        if calls[0] > 2:
+            second.append(v)
         return v
 
     got = apply_rule(rule, f)
-    assert calls[0] == 6
-    want = math.fsum((rule.weights * np.sin(rule.nodes)).tolist())
-    assert got.hex() == want.hex() == "0x1.9c9becc20848cp-62"
+    assert calls[0] == 4
+    want = math.fsum((rule.weights * np.concatenate(second)).tolist())
+    assert got.hex() == want.hex() == "inf"
 
 
 def test_apply_block_that_needs_a_third_pass_is_fsums():
