@@ -430,8 +430,13 @@ def kernel_profile(rule: QuadratureRule, samples_per_cell: int = 1000) -> PeanoP
     grid = rule.grid
     _validate_samples(grid.n, samples_per_cell)
     span = grid.b - grid.a
-    # span**6 raises OverflowError where the kernel's terms would overflow
-    scale = max(1.0, span**6)
+    try:  # span**6 raises OverflowError where the kernel's terms would overflow
+        scale = max(1.0, span**6)
+    except OverflowError:
+        raise OverflowError(
+            f"(b - a)^6, the scale of the kernel gates, is beyond the double range "
+            f"on [{grid.a!r}, {grid.b!r}]"
+        ) from None
     placement = span**5 * max(abs(grid.a), abs(grid.b), 1.0) * 2e-17
     samples = np.empty((samples_per_cell * grid.n + 1, 2))
     lowest, knot_max = math.inf, 0.0
@@ -484,7 +489,12 @@ def _error_constant(grid: UniformKnotGrid) -> float:
         q = u * (u - 1.0)
         terms.append(-2.0 * w * (q * (q * q)))
     m, e = math.frexp(grid.h)  # h = m 2^e with 1/2 <= m < 1
-    return math.ldexp(m**7 * math.fsum(terms) / 720.0, 7 * e)
+    try:
+        return math.ldexp(m**7 * math.fsum(terms) / 720.0, 7 * e)
+    except OverflowError:
+        raise OverflowError(
+            f"the error constant is beyond the double range on [{grid.a!r}, {grid.b!r}]"
+        ) from None
 
 
 def remainder_bound(rule: QuadratureRule, m6: float) -> float:

@@ -717,33 +717,12 @@ def apply_rule(
 
     On the array path f is called once per block on rules of at most 65536
     nodes.  On larger rules it is called once more per block where the
-    first call cannot decide the sum (below).  A refusal on that call sends
-    f per node as on a first call, unless ``math.fsum`` has already raised
-    ``OverflowError`` on the products before the refused block.
-
-    Summation on the array path: under ``_EXTRACT_MIN`` (1024) products
-    ``math.fsum`` sums them.  From there on each block's products r are
-    split once: with sigma = 2^(e + 17) above every |r|, the heads
-    q = (sigma + r) - sigma sum exactly, and the remainders r - q, each
-    at most ulp(sigma)/2, are summed in floating point with an error
-    of at most gamma_(m-1) * m * ulp(sigma)/2 for m of them (Rump, Ogita &
-    Oishi, SIAM J. Sci. Comput. 31, 2008, parts I and II; Higham, Accuracy
-    and Stability of Numerical Algorithms, 2nd ed., SIAM 2002, section
-    4.2).  Where the rounded total and the totals moved by the sum S of
-    those bounds, up and down, are the same double, that double is the
-    result.  Otherwise the sum is decided exactly, by extracting the
-    remainders the one block still holds, or the products of the second
-    call.  S is at most 2^-56 of the sum of the blocks' largest |w f|, so
-    this happens where |total| is small against sum |w f|: for 2*10^6
-    random products of one size, in every sum at 2^-20 of it, in half at
-    2^-18, and in about one sum in 125 at 2^-12; in practice, a total at
-    the rounding floor (sin over [0, 2 pi] at n = 10^6 sums to about
-    7e-20), and an exact-zero total (an odd f over an interval symmetric
-    about 0).  Where ``math.fsum``'s own rules decide (a product that is
-    inf or nan or near the overflow threshold, or products that are all
-    zero or below 2^-1037 in magnitude and sum to zero), ``math.fsum``
-    sums the products themselves: the one block's, still held, or the
-    second call's.
+    first call cannot decide the sum: in practice a total near its
+    rounding floor or exactly zero, or a product that is inf, nan or near
+    overflow.  A refusal on that call sends f per node as on a first call,
+    unless ``math.fsum`` has already raised ``OverflowError`` on the
+    products before the refused block.  ``_sum_products`` states how the
+    sum is made and when it takes a second call.
     """
     nodes, weights = rule.nodes, rule.weights
     if len(nodes) >= ARRAY_MIN_NODES:
@@ -773,18 +752,44 @@ def _sum_products(
     ``OverflowError`` on the products of the blocks before.
 
     Fewer than ``_EXTRACT_MIN`` products ``math.fsum`` sums itself.  From
-    there on each block of ``_BLOCK`` products is formed and split by
-    ``_split`` while in cache; three exits follow (see ``apply_rule``).
-    Where ``_certain`` shows that the rounded total of the parts is the
-    products' own, it is the result.  Otherwise ``_extract`` decides it
-    exactly, over the remainders one block still holds or the values of
-    several blocks taken again (a block of those that cannot be extracted,
-    only where values gave other values, is appended as it is).
-    ``math.fsum`` of the products decides where the two sums could differ:
-    a product that is inf or nan or at ``_top`` or above, and a zero total
-    of products that added no slack (fsum's sign of zero).  It reads one
-    block from r, which ``_split`` left unwritten or holding zeros of the
-    same sum, and several from their values taken again.
+    there on each block of ``_BLOCK`` products r is formed and, while in
+    cache, split once by error-free extraction (Rump, Ogita & Oishi, SIAM
+    J. Sci. Comput. 31, 2008, parts I and II): with 2^k the least power of
+    two above every |r| and e = k + ``_SUM_SHIFT``, one ``_pass`` gives the
+    heads q = (2^e + r) - 2^e, whose sum is exact, and leaves r holding the
+    remainders r - q, each at most 2^(e - 53).  Summed in floating point
+    they err by at most ``_SUM_SLACK`` * 2^(e - 53) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., SIAM 2002, section 4.2).
+    A block adds no such slack where no r is nonzero, or where every |r|
+    is below 2^-1039, so that e <= -1022 and 2^-1022 takes every r whole.
+    A block shorter than ``_SUM_REST`` (only the last can be) is appended
+    as it is.  Three exits follow, from the total, ``math.fsum`` of the
+    heads and remainder sums:
+
+    - Certified: the total, and the total moved up and down by S, the
+      summed bounds rounded up twice, round to the same double; since
+      rounding is monotone, so does the exact sum.  S is at most 2^-56 of
+      the sum of the blocks' largest |r|, so this fails only where the
+      total is small against sum |r|: for 2*10^6 random products of one
+      size, in every sum at 2^-20 of it, in half at 2^-18 and in about one
+      sum in 125 at 2^-12; in practice at the rounding floor (sin over
+      [0, 2 pi] at n = 10^6 sums to about 7e-20), and at an exact-zero
+      total (an odd f over an interval symmetric about 0).  inf or nan
+      from a block appended as it is is fsum's own and is returned.
+    - Exact: otherwise, where some block added slack, ``_extract`` decides
+      the sum: over the head and the remainders of the one block, which r
+      still holds, or over the values of every block taken again (a block
+      of those that cannot be extracted, only where values gives other
+      values, is appended as it is).  A total at 2^1023 or above, only
+      from a block appended as it is, comes here too, as total + S might
+      not be finite.  ``math.fsum`` of the parts gives nonzero products
+      that cancel +0.0, as it does.
+    - fsum: ``math.fsum`` of the products decides where the two sums could
+      differ: a product that is inf or nan or at ``_top`` or above (the
+      guard refuses before r is written), and a zero total of products
+      that added no slack (fsum's sign of zero).  It reads one block from
+      r, unwritten or holding zeros of the same sum, and several from
+      their values taken again.
     """
     n = len(weights)
     if n < _EXTRACT_MIN:
@@ -796,21 +801,42 @@ def _sum_products(
 
     parts, slack = [], []
     for r in blocks():
-        if parts is not None and not _split(r, parts, slack, n):
+        if parts is None:  # values still sees every block, as it may refuse one
+            continue
+        if len(r) < _SUM_REST:
+            parts += r.tolist()
+            continue
+        big = _largest(r, n)
+        if big is None:
             parts = None
+        elif big:
+            e = math.frexp(big)[1] + _SUM_SHIFT
+            head = _pass(r, e)
+            parts += head, r.sum()
+            if e > -1022:
+                slack.append(math.ldexp(1.0, e - 53))
     if parts is not None:
         total = math.fsum(parts)
-        if total and (not slack or _certain(parts, total, slack)):
-            return total
-        if slack:  # exact: a zero sums nonzero products, fsum's +0.0
-            if n <= _BLOCK:  # the one block's remainders are still in r
-                del parts[1:]  # its tail
+        if slack and math.isfinite(total):
+            # rounded up twice, S stays above gamma_(m-1) m 2^p summed; as
+            # S > 0, a zero total is never certified
+            bound = math.nextafter(
+                _SUM_SLACK * math.nextafter(math.fsum(slack), math.inf), math.inf
+            )
+            if abs(total) < 2.0**1023 and (
+                math.fsum(parts + [bound]) == total == math.fsum(parts + [-bound])
+            ):
+                return total
+            if n <= _BLOCK:
+                parts = [head]
                 _extract(r, parts, n)
             else:
                 parts = []
                 for r in blocks():
                     _extract(r, parts, n)
             return math.fsum(parts)
+        if total:
+            return total
     return math.fsum(chain.from_iterable(map(_items, [r] if n <= _BLOCK else blocks())))
 
 
@@ -821,52 +847,11 @@ def _top(count: int) -> float:
     return math.ldexp(1.0, 1023 - max(_SUM_SHIFT, (count + 2).bit_length()))
 
 
-def _split(r: np.ndarray, parts: list, slack: list, count: int) -> bool:
-    """Append to parts the exact head and the rounded tail of the sum of r,
-    one of the blocks of a sum of count doubles, and to slack 2^p, at
-    least every remainder, so that ``_SUM_SLACK`` * 2^p bounds the tail's
-    error; r is left holding the remainders.
-
-    One ``_pass`` with e from the largest |r|: sigma = 2^-1022 takes every
-    r whole, so its remainders are zero, as are those of a block with no
-    nonzero r, and neither adds slack.  A block shorter than
-    ``_SUM_REST`` is appended as it is.  Returns False, and leaves r as it
-    is, where r holds inf or nan or a value at ``_top(count)`` or above.
-    """
-    if len(r) < _SUM_REST:
-        parts += r.tolist()
-        return True
-    big = _largest(r, count)
-    if big is None:
-        return False
-    if big:
-        e = math.frexp(big)[1] + _SUM_SHIFT
-        parts += _pass(r, e), r.sum()
-        if e > -1022:
-            slack.append(math.ldexp(1.0, e - 53))
-    return True
-
-
-def _certain(parts: list, total: float, slack: list) -> bool:
-    """Whether total, ``math.fsum(parts)``, is also the correctly rounded
-    sum of the products, which lies within ``_SUM_SLACK`` times the sum of
-    slack of the exact sum of parts: both moved by that bound, up and
-    down, round to total.  inf and nan, from a block appended as it is,
-    are fsum's own."""
-    if not math.isfinite(total):
-        return True
-    if not abs(total) < 2.0**1023:  # total + bound might not be finite
-        return False
-    # rounded up twice, the bound stays above gamma_(m-1) m 2^p summed
-    bound = math.nextafter(_SUM_SLACK * math.nextafter(math.fsum(slack), math.inf), math.inf)
-    return math.fsum(parts + [bound]) == total == math.fsum(parts + [-bound])
-
-
 def _extract(r: np.ndarray, partials: list, count: int) -> None:
     """Append to partials doubles whose exact sum is that of r, one of the
     blocks of a sum of count doubles; r is overwritten.
 
-    ``_pass`` repeated, as ``_split`` makes it once.  Passes go in
+    ``_pass`` repeated, as ``_sum_products`` makes it once.  Passes go in
     pairs: the first takes e from the largest |r|, the second from the
     first's bound on its remainders, 2^(52 - _SUM_SHIFT) = 2^35 times
     smaller, as AccSum does, and zeros are dropped after each pair.  Once

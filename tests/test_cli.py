@@ -610,8 +610,12 @@ def test_overflow_at_extreme_scale_is_a_construction_failure(args):
     cp = run_cli(*args)
     assert cp.returncode == 3
     assert "Traceback" not in cp.stderr
-    assert cp.stderr.startswith("construction failed: ")
-    assert cp.stderr.count("\n") == 1 and cp.stderr.endswith("\n")
+    # the line names what overflowed: the JSON error constant, or the
+    # power of b - a that scales the kernel gates
+    quantity = {"rule": "the error constant", "kernel": "(b - a)^6"}[args[0]]
+    assert cp.stderr.startswith(f"construction failed: {quantity}")
+    assert cp.stderr.endswith(" is beyond the double range on [0.0, 1e+60]\n")
+    assert cp.stderr.count("\n") == 1
     assert cp.stdout == ""
 
 

@@ -632,8 +632,13 @@ def test_error_constant_where_c_leaves_the_double_range():
     unit = error_constant(build_rule(make_grid(0.0, 1.0, 3)))
     c = error_constant(build_rule(make_grid(0.0, 1e45, 3)))
     assert c / 1e45**6 / 1e45 == pytest.approx(unit, rel=1e-12)
-    with pytest.raises(OverflowError):
-        error_constant(build_rule(make_grid(0.0, 1e60, 3)))
+    wide = build_rule(make_grid(0.0, 1e60, 3))
+    named = r"^the error constant is beyond the double range on \[0\.0, 1e\+60\]$"
+    for beyond in (lambda: error_constant(wide), lambda: remainder_bound(wide, 1.0)):
+        with pytest.raises(OverflowError, match=named):
+            beyond()
+    with pytest.raises(OverflowError, match=r"^\(b - a\)\^6, the scale of the kernel gates, "):
+        kernel_profile(wide, 2)
     tiny = error_constant(build_rule(make_grid(0.0, 1e-44, 3)))
     assert 0.0 < tiny < np.finfo(float).tiny
     assert tiny == pytest.approx(unit * 1e-308, rel=1e-6)

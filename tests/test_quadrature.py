@@ -646,6 +646,17 @@ def test_validate_rule_checks_what_scaling_can_break():
             _check(grid, [(t, w)])
 
 
+def test_check_names_a_weight_sum_beyond_the_double_range():
+    # two spans of one node each, weights 1.5e308: math.fsum of their sums
+    # raises OverflowError, and the check reports the sum as inf
+    grid = make_grid(0.0, 1e308, 1)
+    spans = [(np.array([0.25e308]), np.array([1.5e308])),
+             (np.array([0.5e308]), np.array([1.5e308]))]
+    with pytest.raises(ConstructionError) as refused:
+        _check(grid, spans)
+    assert str(refused.value) == "weights sum to inf, expected 1e+308"
+
+
 def test_extreme_spans_build_or_fail_cleanly():
     # spans log-uniform over 1e-300..1e300, left ends from near 0 to 1e16
     # spans away; every build integrates a quintic to within rounding and
@@ -1513,6 +1524,23 @@ def test_apply_special_products_in_the_last_block_are_fsums(n):
     assert {"inf", "-inf", "nan"} <= outcomes
     if not single:
         assert {ValueError, OverflowError} <= outcomes
+
+
+def test_apply_total_at_2_1023_from_a_short_last_block_is_decided_exactly():
+    # 65601 nodes: the last block of 65 is appended as it is.  f is 1e-300
+    # but at the six largest nodes, whose products sum to 1.2e308, at least
+    # 2^1023, where the total moved by the certificate's bound might not be
+    # finite.  So the sum is decided exactly, with a second call of f per block
+    rule = build_rule(make_grid(0.0, 1e300, 32800))
+    assert len(rule) == _BLOCK + 65
+    values = np.full(len(rule), 1e-300)
+    values[-6:] = 1.2e308 / 6.0 / rule.weights[-6:]
+    expected = math.fsum((rule.weights * values).tolist())
+    assert 2.0**1023 <= expected < math.inf
+    calls = [0]
+    got = apply_rule(rule, counting_array_calls(
+        lambda t: values[np.searchsorted(rule.nodes, t)], calls))
+    assert got.hex() == expected.hex() and calls[0] == 2 * 2
 
 
 def test_apply_zero_total_is_fsums():
