@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fsum import _BLOCK, fsum_blocks
+
 __all__ = [
     "UniformKnotGrid",
     "SplineCoefficients",
@@ -325,6 +327,5 @@ class SplineCoefficients:
         """Integral by linearity: sum of c_i times the known basis integrals,
         summed as ``apply_rule`` sums its products (the correctly rounded
         sum of the double products, equal to their ``math.fsum``)."""
-        from .quadrature import _fsum_products  # quadrature imports this module
-
-        return _fsum_products(self.c, _basis_integrals(self.grid))
+        c, integrals = self.c, _basis_integrals(self.grid)
+        return fsum_blocks(lambda lo: c[lo : lo + _BLOCK] * integrals[lo : lo + _BLOCK], len(c))

@@ -373,10 +373,12 @@ def test_spline_exact_integral_equals_per_index_products(n):
     )
 
 
-@pytest.mark.parametrize("n", list(range(1, 51)) + [10**5])
+@pytest.mark.parametrize("n", list(range(1, 51)) + [16400, 10**5])
 def test_spline_exact_integral_bit_identical_to_fsum_of_the_products(n):
-    # 4n + 2 products: the shorter ones take math.fsum, 10^5 cells the
-    # array sum that apply_rule uses
+    # 4n + 2 products: the shorter ones take math.fsum, 16400 and 10^5
+    # cells the array sum that apply_rule uses; 16400 cells are 65602
+    # coefficients, a full block and a last block of 66, which the sum
+    # takes as it is
     rng = np.random.default_rng([n, 3])
     grid = make_grid(-2.0, 5.0, n)
     for c in (rng.uniform(-1e3, 1e3, grid.dimension),

@@ -1,6 +1,8 @@
 """Tests for the node/weight recursion and rule construction."""
 
+import builtins
 import hashlib
+import importlib.util
 import math
 import operator
 import tracemalloc
@@ -14,7 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from references import exact_sum
 
-from splinequad import quadrature
+from splinequad import _fsum, quadrature
+from splinequad._fsum import _EXTRACT_MIN, _SUM_SHIFT, fsum_blocks
 from splinequad.grid_basis import SplineCoefficients, basis_eval, basis_integral, make_grid
 from splinequad.quadrature import (
     ARRAY_MIN_NODES,
@@ -25,13 +28,10 @@ from splinequad.quadrature import (
     ResidueState,
     apply_rule,
     build_rule,
-    _EXTRACT_MIN,
     _BLOCK,
-    _SUM_SHIFT,
     _ROWS,
     _TABLE_ROWS,
     _check,
-    _fsum_products,
     _middle_even,
     _middle_odd,
     _solve_cell,
@@ -1123,6 +1123,11 @@ def fsum_of(products):
     return math.fsum(products.tolist())
 
 
+def _fsum_products(weights, values):
+    """math.fsum((weights * values).tolist()) by fsum_blocks."""
+    return fsum_blocks(lambda lo: weights[lo : lo + _BLOCK] * values[lo : lo + _BLOCK], len(weights))
+
+
 def assert_sums_as_fsum(weights, values):
     """_fsum_products gives math.fsum of the products bit for bit, or raises
     the exception fsum raises."""
@@ -1280,6 +1285,32 @@ def test_sum_second_pass_takes_remainders_at_their_bound():
         values[:2] = 0.75, -0.75
         values[-1] = -math.fsum(values[:-1].tolist())
         assert_sums_as_fsum(np.ones(_BLOCK + 1), values)
+
+
+def test_the_sum_is_a_leaf_module(monkeypatch):
+    # loaded by path, outside the package, the module imports no splinequad
+    # module, so grid_basis and quadrature can both import it at module level
+    imported = []
+    real_import = builtins.__import__
+
+    def recording(name, globals=None, locals=None, fromlist=(), level=0):
+        imported.append((name, level))
+        return real_import(name, globals, locals, fromlist, level)
+
+    spec = importlib.util.spec_from_file_location("fsum_alone", _fsum.__file__)
+    alone = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(builtins, "__import__", recording)
+    spec.loader.exec_module(alone)
+    monkeypatch.undo()
+    assert imported and all(
+        level == 0 and name.partition(".")[0] != "splinequad" for name, level in imported
+    ), imported
+    # three blocks, the last short; the sines cancel to their rounding floor
+    rng = np.random.default_rng(36)
+    n = 2 * _BLOCK + 1000
+    for values in (spread_values(rng, n, -60, 60), np.sin(np.linspace(0.0, 2.0 * math.pi, n))):
+        got = alone.fsum_blocks(lambda lo: values[lo : lo + alone._BLOCK].copy(), n)
+        assert got.hex() == math.fsum(values.tolist()).hex()
 
 
 def units(x: float) -> int:
