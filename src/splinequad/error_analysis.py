@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid_basis import UniformKnotGrid, _locate
+from .grid_basis import UniformKnotGrid, _frozen, _locate, _record
 from .quadrature import TABLE, ConstructionError, QuadratureRule, _layout
 
 __all__ = [
@@ -90,7 +90,9 @@ class PeanoProfile:
     ``lowest`` and ``knot_max`` are the values ``kernel_profile``'s two
     gates decided on: the least sample, equal to ``samples[:, 1].min()``
     (an exact zero may differ in sign), and the largest |K6| at a knot in
-    the global form (the knot check).
+    the global form (the knot check).  ``samples`` is a read-only float64
+    copy of the array given (``kernel_profile``'s profile holds its own
+    read-only array, not copied).
     """
 
     rule: QuadratureRule
@@ -99,10 +101,9 @@ class PeanoProfile:
     knot_max: float
 
     def __post_init__(self) -> None:
-        samples = np.ascontiguousarray(self.samples, dtype=float)
+        samples = _frozen(self.samples)
         if samples.ndim != 2 or samples.shape[1] != 2:
             raise ValueError("samples must be an (m, 2) array of (t, K6) pairs")
-        samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
 
@@ -446,12 +447,14 @@ def kernel_profile(rule: QuadratureRule, samples_per_cell: int = 1000) -> PeanoP
             lowest = min(low, lowest)
         if knot_max == knot_max:
             knot_max = max(np.maximum.reduce(np.abs(knots)), knot_max)
+    samples[0, 1] = 0.0  # K6(a) is 0: no node lies left of a
     lowest, knot_max = float(lowest), float(knot_max)
     if not lowest >= -(1e-15 * scale + placement):
         raise ConstructionError(f"kernel dips to {lowest!r}")
     if not knot_max <= 1e-14 * scale + placement:
         raise ConstructionError(f"kernel fails to vanish at a knot: {knot_max!r}")
-    return PeanoProfile(rule=rule, samples=samples, lowest=lowest, knot_max=knot_max)
+    samples.setflags(write=False)
+    return _record(PeanoProfile, rule=rule, samples=samples, lowest=lowest, knot_max=knot_max)
 
 
 def error_constant(rule: QuadratureRule) -> float:

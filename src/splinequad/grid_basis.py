@@ -36,9 +36,9 @@ __all__ = [
 class UniformKnotGrid:
     """Uniform partition of [a, b] into n cells of width h = (b - a)/n.
 
-    Two extra knots at a - h and b + h extend the sequence; they exist only
-    so that the boundary basis functions can be written with the same
-    closed forms as the interior ones, and are not part of the domain.
+    ``knot`` also gives the two extra knots a - h and b + h, the outer ends
+    of the supports of D_1, D_2 and D_{4n+1}, D_{4n+2} (see ``basis_eval``).
+    They are not part of the domain, and nothing in the package uses them.
     """
 
     a: float
@@ -276,21 +276,42 @@ def _basis_integrals(grid: UniformKnotGrid) -> np.ndarray:
     return out
 
 
+def _frozen(x) -> np.ndarray:
+    """A read-only, C-contiguous float64 copy of x: what a record built by
+    its caller keeps of each array passed, so that no later write to that
+    array, or to its base, reaches the record."""
+    x = np.array(x, dtype=float, order="C")
+    x.setflags(write=False)
+    return x
+
+
+def _record(cls, **fields):
+    """A record of the dataclass cls holding fields as given, without its
+    ``__post_init__``: how build_rule, random_spline and kernel_profile
+    hand over the read-only arrays they made, uncopied."""
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
+
+
 @dataclass(frozen=True)
 class SplineCoefficients:
-    """A spline written as sum_i c_i * D_i over a grid's basis."""
+    """A spline written as sum_i c_i * D_i over a grid's basis.
+
+    c is a read-only float64 copy of the coefficients given
+    (``random_spline``'s spline holds its own read-only array, not copied).
+    """
 
     grid: UniformKnotGrid
     c: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.ascontiguousarray(self.c, dtype=float)
+        c = _frozen(self.c)
         if c.shape != (self.grid.dimension,):
             raise ValueError(
                 f"coefficient vector must have length {self.grid.dimension}, "
                 f"got shape {c.shape}"
             )
-        c.setflags(write=False)
         object.__setattr__(self, "c", c)
 
     def value(self, t):

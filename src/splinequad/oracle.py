@@ -25,6 +25,7 @@ from .grid_basis import (
     UniformKnotGrid,
     _cell_shapes,
     _locate,
+    _record,
     make_grid,
 )
 from .quadrature import QuadratureRule, ResidueState
@@ -82,7 +83,8 @@ def random_spline(grid: UniformKnotGrid, seed: int) -> SplineCoefficients:
     c = (x >> 11).astype(float)
     c *= 2.0**-52
     c -= 1.0
-    return SplineCoefficients(grid=grid, c=c)
+    c.setflags(write=False)
+    return _record(SplineCoefficients, grid=grid, c=c)
 
 
 def _counted_cells(grid: UniformKnotGrid, cells: np.ndarray, offsets: np.ndarray) -> np.ndarray:

@@ -69,7 +69,7 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from ._fsum import _BLOCK, fsum_blocks
-from .grid_basis import UniformKnotGrid
+from .grid_basis import UniformKnotGrid, _frozen, _record
 
 __all__ = [
     "ConstructionError",
@@ -185,13 +185,6 @@ class QuadratureRule:
 
     def __len__(self) -> int:
         return self.nodes.shape[0]
-
-
-def _frozen(x) -> np.ndarray:
-    """A read-only float64 copy of x."""
-    x = np.array(x, dtype=float)
-    x.setflags(write=False)
-    return x
 
 
 def _solve_cell(state: ResidueState) -> tuple[float, float, float, float]:
@@ -446,11 +439,7 @@ def build_rule(grid: UniformKnotGrid) -> QuadratureRule:
     else:
         _check(grid, _fill(grid, nodes, weights))
     block.setflags(write=False)
-    # the rows are read-only float64 views of a read-only block already, so
-    # the rule takes them without the constructor's copy-and-freeze pass
-    rule = object.__new__(QuadratureRule)
-    rule.__dict__.update(grid=grid, nodes=block[0], weights=block[1])
-    return rule
+    return _record(QuadratureRule, grid=grid, nodes=block[0], weights=block[1])
 
 
 def _fill(grid: UniformKnotGrid, nodes: np.ndarray, weights: np.ndarray) -> Iterator:
@@ -686,7 +675,9 @@ def apply_rule(
             return fsum_blocks(partial(_products, f, nodes, weights), len(nodes))
         except _Refused:
             pass
-    products = map(operator.mul, _items(weights), map(f, _items(nodes)))
+    # memoryviews give the elements as tolist() does, one at a time: no list
+    # of Python objects is ever held
+    products = map(operator.mul, memoryview(weights), map(f, memoryview(nodes)))
     return math.fsum(map(_real, products))
 
 
@@ -734,10 +725,3 @@ def _array_values(f: Callable, nodes: np.ndarray) -> np.ndarray:
     ):
         return values
     raise _Refused
-
-
-def _items(values: np.ndarray) -> Iterable:
-    """The elements of a 1-d array as ``values.tolist()`` gives them, made
-    one at a time by iterating a memoryview: no list of Python objects is
-    ever held, and a short array costs no more than its ``tolist``."""
-    return memoryview(values)

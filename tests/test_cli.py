@@ -254,6 +254,14 @@ def test_kernel_csv_zeros_and_sign(tmp_path):
     assert min(v for _, v in rows) >= -1e-15
 
 
+def test_kernel_writes_k6_at_a_as_positive_zero():
+    # K6(a) is 0, as no node lies left of a; on [0, 1] with 25 cells the
+    # first cell's beta is negative, and the local form gave -0.0 there
+    cp = run_cli("kernel", "--n", "25")
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.splitlines()[:2] == ["t,K6", "0,0"]
+
+
 def test_kernel_csv_matches_reference_bytes(tmp_path):
     # 20 cells x 3300 samples: the rows cross a chunk boundary
     out = tmp_path / "kernel.csv"

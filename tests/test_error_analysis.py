@@ -263,7 +263,8 @@ def _pinned_profile_digests():
 
 def test_profiles_of_built_rules_match_their_pinned_digest():
     # captured from the profile that grouped the nodes by cell into a
-    # padded table and sampled every cell in one chunk: bit for bit
+    # padded table and sampled every cell in one chunk: bit for bit, but
+    # for K6(a), now +0.0 where the local form gave -0.0 (180 profiles)
     rules = ((f"{a!r} {b!r} {n}", build_rule(make_grid(a, b, n)))
              for n in PROFILE_NS for a, b in PROFILE_INTERVALS)
     assert _profiles_digest(rules) == _pinned_profile_digests()[0]
@@ -271,7 +272,8 @@ def test_profiles_of_built_rules_match_their_pinned_digest():
 
 def test_profiles_of_hand_built_layouts_match_their_pinned_digest():
     # the same profile's samples and gate decisions on layouts no build
-    # makes: empty cells, cells of four nodes, and nodes out of order
+    # makes: empty cells, cells of four nodes, and nodes out of order (K6(a)
+    # +0.0, as in the built profiles)
     assert _profiles_digest(_hand_built_rules()) == _pinned_profile_digests()[1]
 
 

@@ -1,6 +1,7 @@
 """Tests for the node/weight recursion and rule construction."""
 
 import builtins
+import dataclasses
 import hashlib
 import importlib.util
 import math
@@ -16,9 +17,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from references import exact_sum
 
-from splinequad import _fsum, quadrature
+from splinequad import _fsum, error_analysis, grid_basis, quadrature
 from splinequad._fsum import _EXTRACT_MIN, _SUM_SHIFT, fsum_blocks
+from splinequad.error_analysis import kernel_profile
 from splinequad.grid_basis import SplineCoefficients, basis_eval, basis_integral, make_grid
+from splinequad.oracle import random_spline
 from splinequad.quadrature import (
     ARRAY_MIN_NODES,
     CONVERGENCE_TOL,
@@ -574,15 +577,33 @@ def test_build_refuses_cells_narrower_than_the_coordinates_resolve():
             build_rule(make_grid(1e16, 1e16 + n, n))
 
 
-def test_hand_built_rule_leaves_the_callers_arrays_alone():
-    grid = make_grid(0.0, 1.0, 3)
-    rule = build_rule(grid)
-    nodes, weights = rule.nodes.copy(), rule.weights.copy()
-    q = QuadratureRule(grid, nodes, weights)
-    assert nodes.flags.writeable and weights.flags.writeable
-    nodes[0] = 5.0
-    assert q.nodes[0] == rule.nodes[0]
-    assert not (q.nodes.flags.writeable or q.weights.flags.writeable)
+# The three records, each as the package makes it: a record built from
+# arrays keeps read-only copies of them, whatever the caller passes
+RECORDS = {
+    "QuadratureRule": lambda: build_rule(make_grid(0.0, 1.0, 3)),
+    "SplineCoefficients": lambda: random_spline(make_grid(0.0, 1.0, 3), 5),
+    "PeanoProfile": lambda: kernel_profile(build_rule(make_grid(0.0, 1.0, 3)), 4),
+}
+made_record = pytest.mark.parametrize("made", RECORDS.values(), ids=RECORDS.keys())
+
+
+def _arrays(record):
+    """The array fields of a record, by name."""
+    values = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+    return {name: x for name, x in values.items() if isinstance(x, np.ndarray)}
+
+
+@made_record
+def test_hand_built_rule_leaves_the_callers_arrays_alone(made):
+    record = made()
+    given = {name: x.copy() for name, x in _arrays(record).items()}
+    q = dataclasses.replace(record, **given)
+    for name, x in given.items():
+        assert x.flags.writeable
+        x.flat[0] = 5.0
+        kept = getattr(q, name)
+        assert kept.flat[0] == getattr(record, name).flat[0]
+        assert not kept.flags.writeable
 
 
 def test_built_rule_holds_the_rows_of_its_one_block():
@@ -596,34 +617,61 @@ def test_built_rule_holds_the_rows_of_its_one_block():
         assert np.shares_memory(rule.nodes, block) and np.shares_memory(rule.weights, block)
 
 
-def test_hand_built_rule_from_writable_lists_or_arrays_is_a_frozen_copy():
-    grid = make_grid(0.0, 1.0, 3)
+def test_producers_hand_over_their_own_read_only_arrays(monkeypatch):
+    # build_rule, random_spline and kernel_profile make their records
+    # without the copy a hand-built record takes
+    copies = []
+
+    def counted(x):
+        copies.append(x)
+        return frozen(x)
+
+    frozen = grid_basis._frozen
+    for module in (grid_basis, quadrature, error_analysis):
+        monkeypatch.setattr(module, "_frozen", counted)
+    grid = make_grid(-3.0, 17.0, 5)
     rule = build_rule(grid)
-    lists = rule.nodes.tolist(), rule.weights.tolist()
-    arrays = rule.nodes.copy(), rule.weights.copy()
-    for nodes, weights in (lists, arrays):
-        q = QuadratureRule(grid, nodes, weights)
-        for given, kept in ((nodes, q.nodes), (weights, q.weights)):
+    for record in (rule, random_spline(grid, 5), kernel_profile(rule, 4)):
+        for x in _arrays(record).values():
+            assert not x.flags.writeable and x.dtype == np.float64
+    assert copies == []
+    SplineCoefficients(grid, np.zeros(grid.dimension))
+    assert len(copies) == 1
+
+
+@made_record
+def test_hand_built_rule_from_writable_lists_or_arrays_is_a_frozen_copy(made):
+    record = made()
+    arrays = _arrays(record)
+    lists = {name: x.tolist() for name, x in arrays.items()}
+    copies = {name: x.copy() for name, x in arrays.items()}
+    for given in (lists, copies):
+        q = dataclasses.replace(record, **given)
+        for name, x in given.items():
+            kept = getattr(q, name)
             assert type(kept) is np.ndarray and kept.dtype == np.float64
-            assert not kept.flags.writeable
-            assert kept.tobytes() == np.asarray(given).tobytes()
-            assert not (isinstance(given, np.ndarray) and np.shares_memory(given, kept))
+            assert not kept.flags.writeable and kept.flags.c_contiguous
+            assert kept.tobytes() == np.asarray(x).tobytes()
+            assert not (isinstance(x, np.ndarray) and np.shares_memory(x, kept))
 
 
-def test_hand_built_rule_does_not_change_with_a_writable_base():
+@made_record
+def test_hand_built_rule_does_not_change_with_a_writable_base(made):
     # read-only views of a writable array: the base can still be written
-    grid = make_grid(0.0, 1.0, 3)
-    rule = build_rule(grid)
-    base = np.vstack([rule.nodes, rule.weights])
-    nodes, weights = base
-    nodes.setflags(write=False)
-    for q in (QuadratureRule(grid, base[0], base[1]), QuadratureRule(grid, nodes, weights)):
-        base[0, 0] = 5.0
-        assert q.nodes.tobytes() == rule.nodes.tobytes()
-        base[0, 0] = rule.nodes[0]
-    # build_rule's rows re-wrapped: read-only copies of the same bytes
-    q = QuadratureRule(grid, rule.nodes, rule.weights)
-    for given, kept in ((rule.nodes, q.nodes), (rule.weights, q.weights)):
+    record = made()
+    for name, x in _arrays(record).items():
+        base = np.stack([x, x])
+        view = base[1]
+        view.setflags(write=False)
+        for given in (base[0], view):
+            q = dataclasses.replace(record, **{name: given})
+            base[:] = 5.0
+            assert getattr(q, name).tobytes() == x.tobytes()
+            base[:] = x
+    # the package's arrays re-wrapped: read-only copies of the same bytes
+    q = dataclasses.replace(record, **_arrays(record))
+    for name, given in _arrays(record).items():
+        kept = getattr(q, name)
         assert not (kept.flags.writeable or np.shares_memory(given, kept))
         assert kept.tobytes() == given.tobytes()
 
