@@ -24,7 +24,8 @@ written by ``json.dumps``.
 
 ``rule`` and ``kernel`` format in two processes where the output has two
 chunks or more, ``os.fork`` exists, the process may run on two CPUs or
-more and no other Python thread runs: a worker forked from this process
+more and no other Python thread runs (from Python 3.12, no other thread
+at all, where ``os.fork`` warns): a worker forked from this process
 formats every other chunk and sends its bytes back through a pipe, and
 this process formats the rest and writes every chunk in order. The check
 pass, the output, every byte written and every exit code are those of one
@@ -147,19 +148,25 @@ def _rows(spans: Iterable[Sequence[np.ndarray]], mode: str, sep: bytes,
             os.waitpid(pid, 0)
 
 
+_FORK_WARNS = sys.version_info >= (3, 12)  # os.fork warns beside any thread
+
+
 def _fork_formatter(text: Callable[..., bytearray],
                     chunks: Iterator[tuple]) -> tuple[int, Optional[BinaryIO]]:
     """A worker that formats the first, third, ... of chunks by text and
     writes each one's bytes to a pipe after their length (8 bytes, little
     endian): its pid and the read end of the pipe, or (0, None) where it
     cannot help or might hang: no ``os.fork``, one CPU, another Python
-    thread running (a lock it holds would stay held in the worker), or a
-    fork that failed. OpenBLAS stops its own threads at a fork, and the
-    worker calls no BLAS. The worker writes nothing else, and leaves by
+    thread running (a lock it holds would stay held in the worker), from
+    Python 3.12 any other thread in ``/proc/self/task``, such as the one
+    OpenBLAS starts at numpy's import (``os.fork`` would warn of deadlocks),
+    or a fork that failed. OpenBLAS stops its own threads at a fork, and
+    the worker calls no BLAS. The worker writes nothing else, and leaves by
     ``os._exit``, so no buffer of stdout or of an output file is flushed
     twice."""
     if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or len(os.sched_getaffinity(0)) < 2 or threading.active_count() != 1):
+            or len(os.sched_getaffinity(0)) < 2 or threading.active_count() != 1
+            or _FORK_WARNS and _os_threads() > 1):
         return 0, None
     import fcntl  # every platform with os.fork has it
 
@@ -187,6 +194,15 @@ def _fork_formatter(text: Callable[..., bytearray],
             os._exit(0)
     os.close(write)
     return pid, open(read, "rb")
+
+
+def _os_threads() -> int:
+    """The threads of this process that Linux lists in /proc/self/task, or
+    1 where it cannot be read."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return 1
 
 
 def _receive(pipe: BinaryIO) -> Optional[bytes]:
@@ -322,15 +338,21 @@ def _gate_values(n_max: int, seeds: int) -> Iterator[tuple[str, float, float]]:
             yield ("exactness.random_spline_relative",
                    abs(q - spline.exact_integral()) / scale, 1e-12)
 
-    # residue invariants, the root-free cubic and the odd middle system at
-    # every state of the unit-cell table; every build reads a prefix of them
-    for st, closure in zip(quadrature.TABLE.states, quadrature.TABLE.middle_odd):
-        residual = oracle.middle_system_residual(st.A, st.B, *closure)
-        ok = oracle.cubic_rootfree_check(st) and _worst(*map(abs, residual)) <= 1e-10
-        try:
-            st.validate()
-        except ConstructionError:
-            ok = False
+    # the unit-cell table, of which every build reads a prefix: at every
+    # state the residue invariants, the root-free cubic, the odd middle
+    # system and its offset in [0, 1/2); prefix offsets 0 < r1 < r2 < 1;
+    # every weight positive (the even closure's from the second state on)
+    table = quadrature.TABLE
+    r1, r2 = table.offsets.reshape(-1, 2).T
+    weights = np.concatenate((table.weights, table.middle_even[1:]))
+    ok = np.all((0.0 < r1) & (r1 < r2) & (r2 < 1.0)) and np.all(weights > 0.0)
+    yield "residues.invariants_and_cubic", 0.0 if ok else 1.0, 0.0
+    for st, (alpha, w_out, w_mid) in zip(table.states, table.middle_odd):
+        residual = oracle.middle_system_residual(st.A, st.B, alpha, w_out, w_mid)
+        ok = (oracle.residue_invariants_check(st.A, st.B)
+              and oracle.cubic_rootfree_check(st.A, st.B)
+              and _worst(*map(abs, residual)) <= 1e-10
+              and 0.0 <= alpha < 0.5 and w_out > 0.0 and w_mid > 0.0)
         yield "residues.invariants_and_cubic", 0.0 if ok else 1.0, 0.0
 
     # Peano kernel on unit-interval grids; a rule that kernel_profile's own
@@ -454,9 +476,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _endpoint_values(argv: Sequence[str]) -> list[str]:
+    """argv with each ``--a x`` and ``--b x`` whose x starts with one "-"
+    written ``--a=x``: argparse takes an x such as -1e-3 or -inf, unlike
+    -1 or -2.5, for an option, and the joined form for a value."""
+    words: list[str] = []
+    for word in argv:
+        if (words and words[-1] in ("--a", "--b")
+                and word.startswith("-") and not word.startswith("--")):
+            words[-1] += "=" + word
+        else:
+            words.append(word)
+    return words
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_endpoint_values(sys.argv[1:] if argv is None else argv))
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed reader shows here, not at exit

@@ -1,11 +1,12 @@
 """Independent brute-force checks for the quadrature construction.
 
-Everything here deliberately avoids the recursion it is used to audit:
-the basis audits evaluate the closed-form basis shapes of ``grid_basis``
-at the nodes, random splines come from a counter-based generator with
-documented constants, and the cubic-factor check from direct sign
-analysis on monotone pieces.  That check and the odd middle system run
-on the unit cell and take no width: the recursion is free of h.  The
+Everything here deliberately avoids the recursion it is used to audit,
+and imports none of it: the basis audits evaluate the closed-form basis
+shapes of ``grid_basis`` at the nodes, random splines come from a
+counter-based generator with documented constants, and the residue and
+cubic-factor checks from the inequalities and direct sign analysis on
+monotone pieces.  They and the odd middle system take the residues
+(A, B) of a unit cell and no width: the recursion is free of h.  The
 composite Gauss-Legendre reference integrator, which only the tests use,
 lives with them (``tests/references.py``).  All functions are pure;
 audits over many grid sizes can run concurrently.
@@ -28,7 +29,7 @@ from .grid_basis import (
     _record,
     make_grid,
 )
-from .quadrature import QuadratureRule, ResidueState
+from .quadrature import QuadratureRule
 
 __all__ = [
     "ExactnessReport",
@@ -36,6 +37,7 @@ __all__ = [
     "exactness_report",
     "limit_rule_deviation",
     "middle_system_residual",
+    "residue_invariants_check",
     "cubic_rootfree_check",
 ]
 
@@ -50,6 +52,10 @@ _U64 = (1 << 64) - 1
 # report holds 1.3 MiB beyond its 4n + 2 sums at n = 10^6 (tracemalloc).
 _REPORT_BLOCK = 1 << 11
 _ONES = np.ones(_REPORT_BLOCK, np.uint8)  # a node apiece, for the counts
+
+# Slack for the residue inequality 2(4A - B) + 1/12 >= 1/6, which holds
+# with equality at the first cell.
+_RESIDUE_SLACK = 1e-14
 
 
 @dataclass(frozen=True)
@@ -200,7 +206,15 @@ def middle_system_residual(
     return float(q[0] - A), float(q[1] - B), float(q[2] - 1.0 / 6.0)
 
 
-def cubic_rootfree_check(state: ResidueState) -> bool:
+def residue_invariants_check(A: float, B: float) -> bool:
+    """True iff the residue pair (A, B) satisfies the inequalities every
+    state the recursion reaches satisfies: 0 < A < B < 1/6, 16A > 5B, and
+    2(4A - B) + 1/12 >= 1/6 (to ``_RESIDUE_SLACK``).  NaN fails."""
+    return (0.0 < A < B < 1.0 / 6.0 and 16.0 * A > 5.0 * B
+            and 2.0 * (4.0 * A - B) + 1.0 / 12.0 >= 1.0 / 6.0 - _RESIDUE_SLACK)
+
+
+def cubic_rootfree_check(A: float, B: float) -> bool:
     """True iff the cubic factor has no root in the unit cell [0, 1].
 
     The cubic factor paired with each unit cell's node quadratic is
@@ -209,10 +223,9 @@ def cubic_rootfree_check(state: ResidueState) -> bool:
     this one at t/h).  It is split at the real critical points of its
     derivative (a quadratic, solved in closed form); on each resulting
     monotone piece a root exists iff the endpoint values change sign or hit
-    zero, so the check is exact up to endpoint evaluation.  Valid states
-    always yield True; the factor never contributes nodes.
+    zero, so the check is exact up to endpoint evaluation.  Valid states'
+    (A, B) always yield True; the factor never contributes nodes.
     """
-    A, B = state.A, state.B
     c0, c1, c2, c3 = -1.0, 4.0, 24.0 * B - 24.0 * A - 5.0, -216.0 * A - 24.0 * B + 2.0
 
     def p(t: float) -> float:

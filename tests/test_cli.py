@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import _thread
+import dataclasses
 import errno
 import json
 import math
@@ -117,6 +119,32 @@ def test_rule_rejects_empty_interval():
     cp = run_cli("rule", "--n", "3", "--a", "1", "--b", "1")
     assert cp.returncode == 2
     assert "invalid interval" in cp.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["rule", "--n", "3", "--a", "-1e-3", "--b", "2"],
+    ["rule", "--n", "3", "--a", "-2", "--b", "-1E-3", "--format", "csv"],
+    ["kernel", "--n", "2", "--a", "-2.5e1", "--b", "0", "--samples-per-cell", "2"],
+])
+def test_negative_endpoints_in_exponent_form_are_values(tmp_path, argv):
+    # argparse reads only -1 and -2.5 as negative numbers: the other
+    # forms are values after --a and --b all the same, as with "="
+    joined = []
+    for word in argv:
+        if joined and joined[-1] in ("--a", "--b"):
+            joined[-1] += "=" + word
+        else:
+            joined.append(word)
+    assert _cli_bytes(tmp_path, argv) == _cli_bytes(tmp_path, joined)
+
+
+@pytest.mark.parametrize("argv", [
+    ["rule", "--n", "3", "--a", "-inf"],
+    ["kernel", "--n", "2", "--b", "-inf", "--a", "-1"],
+])
+def test_a_negative_infinite_endpoint_is_refused_by_make_grid(capsys, argv):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: interval endpoints must be finite\n"
 
 
 # ------------------------------------------------------ emitter references
@@ -490,6 +518,47 @@ def test_check_reads_the_peano_values_from_the_profile(monkeypatch, capsys):
                    for line in lines), (name, lines)
 
 
+def _put(values, i, value):
+    """A copy of values, a tuple or an array, with item i replaced."""
+    copy = list(values)
+    copy[i] = value
+    return np.array(copy) if isinstance(values, np.ndarray) else tuple(copy)
+
+
+# One value of the unit-cell table out of the range the recursion reaches,
+# in an entry that no rule of n <= 2 reads
+_CORRUPTED_TABLES = {
+    "negative prefix weight": lambda t: {"weights": _put(t.weights, 3, -t.weights[3])},
+    "prefix offset 1.5": lambda t: {"offsets": _put(t.offsets, 5, 1.5)},
+    "state with A = 0.2": lambda t: {
+        "states": _put(t.states, 2, dataclasses.replace(t.states[2], A=0.2))},
+    "negative even middle weight": lambda t: {
+        "middle_even": _put(t.middle_even, 3, -t.middle_even[3])},
+    "odd middle offset 0.7": lambda t: {
+        "middle_odd": _put(t.middle_odd, 3, (0.7, *t.middle_odd[3][1:]))},
+    # the mirror image of the true offset: the middle system holds
+    "odd middle offset 1 - r1": lambda t: {
+        "middle_odd": _put(t.middle_odd, 3, (1.0 - t.middle_odd[3][0], *t.middle_odd[3][1:]))},
+}
+
+
+@pytest.mark.parametrize("corruption", [None, *_CORRUPTED_TABLES])
+def test_check_audits_every_value_of_the_unit_cell_table(monkeypatch, capsys, corruption):
+    # the table is audited by check alone: a value out of range fails the
+    # residues line and nothing else, the table itself passes
+    table = cli.quadrature.TABLE
+    if corruption is not None:
+        changed = dataclasses.replace(table, **_CORRUPTED_TABLES[corruption](table))
+        monkeypatch.setattr(cli.quadrature, "TABLE", changed)
+    code = cli.main(["check", "--n-max", "2", "--seeds", "1"])
+    failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+    if corruption is None:
+        assert (code, failed) == (0, [])
+    else:
+        assert code == 1
+        assert failed == ["residues.invariants_and_cubic status=FAIL", "OVERALL: FAIL"]
+
+
 def test_check_full_range():
     cp = run_cli("check", "--n-max", "50", "--seeds", "5")
     assert cp.returncode == 0, cp.stdout + cp.stderr
@@ -514,7 +583,7 @@ def test_construction_failure_exit_code(monkeypatch):
     from splinequad.quadrature import ConstructionError
 
     def boom(grid, i, nodes, weights):
-        raise ConstructionError("stubbed failure", interval=3)
+        raise ConstructionError("stubbed failure")
 
     monkeypatch.setattr(cli.quadrature, "_span", boom)
     code = cli.main(["rule", "--n", "4"])
@@ -748,10 +817,13 @@ def test_rule_json_where_the_error_constant_is_a_double():
 # ------------------------------------------------- two formatting processes
 
 def _forks(monkeypatch, child=None):
-    """Count the calls of os.fork, on a machine taken to have two CPUs;
-    child, if given, runs in each forked worker before it formats."""
+    """Count the calls of os.fork, on a machine taken to have two CPUs and
+    an interpreter taken to fork silently beside native threads, as before
+    Python 3.12; child, if given, runs in each forked worker before it
+    formats."""
     assert threading.active_count() == 1, "a second thread turns the worker off"
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(cli, "_FORK_WARNS", False)
     calls = []
     fork = os.fork
 
@@ -823,6 +895,34 @@ def test_one_chunk_output_never_forks(tmp_path, monkeypatch, argv):
     forks = _forks(monkeypatch)
     _cli_bytes(tmp_path, argv)
     assert forks == []
+
+
+@pytest.mark.parametrize("warns", sorted({cli._FORK_WARNS, True}))
+def test_a_second_os_thread_turns_the_worker_off_from_python_3_12(tmp_path, monkeypatch,
+                                                                 warns):
+    # a thread that threading does not count, as OpenBLAS's is: from 3.12
+    # (warns, forced here on older interpreters too) os.fork would warn of
+    # deadlocks, so rule formats in one process; before, the worker forks
+    argv = ["rule", "--n", "40001", "--a", "-1", "--b", "3", "--format", "csv"]
+    expected = _in_process_bytes(tmp_path, argv)
+    forks = _forks(monkeypatch)
+    monkeypatch.setattr(cli, "_FORK_WARNS", warns)
+    started, release = _thread.allocate_lock(), _thread.allocate_lock()
+    started.acquire()
+    release.acquire()
+
+    def wait():
+        started.release()
+        release.acquire()
+
+    _thread.start_new_thread(wait, ())
+    try:
+        assert started.acquire(timeout=10)
+        assert threading.active_count() == 1 and cli._os_threads() >= 2
+        assert _cli_bytes(tmp_path, argv) == expected
+    finally:
+        release.release()
+    assert len(forks) == (0 if warns else 1)
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])

@@ -489,14 +489,14 @@ def test_cubic_coefficients_limit_state():
 
 
 def test_cubic_rootfree_for_key_states():
-    assert cubic_rootfree_check(TABLE.states[0])
-    assert cubic_rootfree_check(ResidueState(k=9, A=29.0 / 240.0, B=39.0 / 240.0))
+    assert cubic_rootfree_check(TABLE.states[0].A, TABLE.states[0].B)
+    assert cubic_rootfree_check(29.0 / 240.0, 39.0 / 240.0)
 
 
 def test_cubic_detects_roots():
     # unreachable residues push a root into [0, 1]: near A = B = 0 the
     # cubic is ~ (t-1)^2 (2t-1), which crosses zero inside the cell
-    assert not cubic_rootfree_check(ResidueState(k=1, A=1e-4, B=2e-4))
+    assert not cubic_rootfree_check(1e-4, 2e-4)
 
 
 def test_cubic_rootfree_check_agrees_with_the_roots_of_the_reference_cubic():
@@ -514,7 +514,7 @@ def test_cubic_rootfree_check_agrees_with_the_roots_of_the_reference_cubic():
         if any(min(abs(r), abs(r - 1.0)) <= 1e-9 for r in real):
             continue
         rootfree = not any(0.0 < r < 1.0 for r in real)
-        assert cubic_rootfree_check(state) == rootfree, state
+        assert cubic_rootfree_check(state.A, state.B) == rootfree, state
         decided.add(rootfree)
     assert decided == {True, False}
 
